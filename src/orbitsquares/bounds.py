@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import TWO_ORDINARY, classify_2_ordinary
-from .dynamics import RunReport, SignSequence, longest_run, sign_sequence
+from .dynamics import RunReport, SignSequence, longest_run, sign_sequence, successors
 from .errors import BudgetExceeded, NotPurelyPeriodic, NotTwoOrdinary
 from .field import FieldElement
 from .fpoly import DEFAULT_DEGREE_BUDGET, Poly, constant_times_square
@@ -70,9 +70,9 @@ def compute_B(
 ) -> Fraction:
     """Exact B_i = sum_x prod_{l=1..L} (1 + s_a(l+i) chi(f^l(x)))/2.
 
-    Evaluation is iterative per x (cost O(qL) field ops); the result is a
-    rational with denominator dividing 2^L.  Sign indices follow the l >= 1
-    convention: s_a(l) = chi(f^l(a))."""
+    Iterates are read from f's successor table (cost O(qL) lookups); the
+    result is a rational with denominator dividing 2^L.  Sign indices follow
+    the l >= 1 convention: s_a(l) = chi(f^l(a))."""
     budget = DEFAULT_DEGREE_BUDGET if budget is None else budget
     if L < 1:
         raise ValueError("window length L must be >= 1")
@@ -82,13 +82,13 @@ def compute_B(
     s = [ss.sign_at(ell + i) for ell in range(L + 1)]  # s[l] for l=0..L; l>=1 used
     F = f.field
     chi = F.chi_i
-    ev = f.eval_i
+    succ = successors(f)
     total = 0
     for x in range(F.q):
         y = x
         num = 1
         for ell in range(1, L + 1):
-            y = ev(y)
+            y = succ[y]
             num *= 1 + s[ell] * chi(y)
             if num == 0:
                 break
@@ -162,6 +162,13 @@ class EnvelopeCheck:
         return {"i": self.i, "L": self.L, "B_i": str(self.B_i), "pass": self.passed}
 
 
+def envelope_holds(b: Fraction, q: int, d: int, L: int) -> bool:
+    """The envelope b <= q/2^L + d^(L+1) sqrt(q), decided exactly on the squared
+    branch: excess <= 0 or excess^2 <= d^(2(L+1)) q, with excess = b - q/2^L."""
+    excess = b - Fraction(q, 2**L)
+    return excess <= 0 or excess * excess <= d ** (2 * (L + 1)) * q
+
+
 def envelope_check(
     f: Poly,
     a: FieldElement,
@@ -178,11 +185,8 @@ def envelope_check(
     ss = signs if signs is not None else sign_sequence(f, a)
     if not ss.purely_periodic:
         raise NotPurelyPeriodic("envelope bound requires a purely periodic sign sequence")
-    q, d = f.field.q, f.degree
     b = compute_B(f, a, i, L, signs=ss, budget=budget)
-    excess = b - Fraction(q, 2**L)
-    passed = excess <= 0 or excess * excess <= d ** (2 * (L + 1)) * q
-    return EnvelopeCheck(B_i=b, i=i, L=L, passed=passed)
+    return EnvelopeCheck(B_i=b, i=i, L=L, passed=envelope_holds(b, f.field.q, f.degree, L))
 
 
 def t_set_size(f: Poly, L: int, target: int = 1, budget: int | None = None) -> int:
@@ -196,12 +200,12 @@ def t_set_size(f: Poly, L: int, target: int = 1, budget: int | None = None) -> i
     if L == 0:
         return F.q
     chi = F.chi_i
-    ev = f.eval_i
+    succ = successors(f)
     count = 0
     for x in range(F.q):
         y = x
         for _ in range(L):
-            y = ev(y)
+            y = succ[y]
             if chi(y) != target:
                 break
         else:
@@ -259,9 +263,10 @@ class RunBoundReport:
 
 def run_bound_check(f: Poly, a: FieldElement, budget: int | None = None) -> RunBoundReport:
     """With R the longest run and S = floor((R-1)/4): S <= |T(L)| for L <= S."""
+    ss = sign_sequence(f, a)
     sides = {}
     for target in (1, -1):
-        run = longest_run(f, a, target)
+        run = longest_run(f, a, target, signs=ss)
         S = max(0, (run.length - 1) // 4)
         if run.cycle_constant:
             sides[target] = RunBoundSide(

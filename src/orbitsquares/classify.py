@@ -5,7 +5,7 @@ search (including conjugacy to Chebyshev polynomials)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import chebyshev as cheb
 from .errors import (

@@ -23,10 +23,8 @@ from .classify import (
 from .dynamics import sign_sequence
 from .errors import OrbitSquaresError
 from .field import FieldElement, FieldSpec
-from .fpoly import Poly
+from .fpoly import DEFAULT_DEGREE_BUDGET, Poly
 from . import scan as scan_mod
-
-DEFAULT_BUDGET = int(os.environ.get("ORBITSQUARES_DEGREE_BUDGET", "4096"))
 
 
 def _field(args) -> FieldSpec:
@@ -48,7 +46,7 @@ def cmd_classify(args) -> int:
 def cmd_orbit(args) -> int:
     F = _field(args)
     f = _poly(F, args.poly)
-    a = FieldElement(F, int(args.start) % F.q)
+    a = FieldElement(F, F.parse_index(args.start))
     ss = sign_sequence(f, a)
     out = {"orbit": ss.orbit.to_json(), "signs": ss.to_json()}
     print(json.dumps(out, sort_keys=True))
@@ -60,8 +58,8 @@ def cmd_gen_family(args) -> int:
     params = FamilyParams(
         family=args.family,
         field=F,
-        A=FieldElement(F, int(args.A) % F.q),
-        B=FieldElement(F, int(args.B) % F.q),
+        A=FieldElement(F, F.parse_index(args.A)),
+        B=FieldElement(F, F.parse_index(args.B)),
         sign=1 if args.sign == "+" else -1,
     )
     f = generate_family(params, args.degree)
@@ -180,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--degree", type=int, required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--depth", type=int, default=6)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=int, default=DEFAULT_DEGREE_BUDGET)
         p.add_argument("--sample", type=int, default=None)
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=None, help="output directory")

@@ -35,8 +35,30 @@ class OrbitSummary:
         }
 
 
+@lru_cache(maxsize=1)
+def _successor_table(f: Poly) -> list[int]:
+    """f's value at each element index, or -1 where f is not evaluated yet.
+
+    One entry: only the polynomial walked last keeps its table.  Scans
+    generate their (f, a) items f-major, so consecutive starts share it."""
+    return [-1] * f.field.q
+
+
+def successors(f: Poly) -> list[int]:
+    """The complete table x -> f(x) over element indices; read-only."""
+    succ = _successor_table(f)
+    for x, y in enumerate(succ):
+        if y < 0:
+            succ[x] = f.eval_i(x)
+    return succ
+
+
 def forward_orbit(f: Poly, a: FieldElement) -> OrbitSummary:
-    """Exact tail and period by hashing iterates until the first repeat."""
+    """Exact tail and period by hashing iterates until the first repeat.
+
+    Each f(x) comes from f's successor table; f is evaluated at a point
+    only the first time any walk reaches it."""
+    succ = _successor_table(f)
     seen: dict[int, int] = {}
     elements: list[FieldElement] = []
     F = f.field
@@ -44,7 +66,10 @@ def forward_orbit(f: Poly, a: FieldElement) -> OrbitSummary:
     while cur not in seen:
         seen[cur] = len(elements)
         elements.append(FieldElement(F, cur))
-        cur = f.eval_i(cur)
+        nxt = succ[cur]
+        if nxt < 0:
+            nxt = succ[cur] = f.eval_i(cur)
+        cur = nxt
     tail = seen[cur]
     period = len(elements) - tail
     zero_at = seen.get(0)
@@ -130,8 +155,10 @@ class RunReport:
     cycle_constant: bool
 
 
-def longest_run(f: Poly, a: FieldElement, target: int) -> RunReport:
-    ss = sign_sequence(f, a)
+def longest_run(
+    f: Poly, a: FieldElement, target: int, signs: SignSequence | None = None
+) -> RunReport:
+    ss = signs if signs is not None else sign_sequence(f, a)
     tail, period = ss.orbit.tail, ss.orbit.period
     cycle = ss.signs[tail:]
     if all(c == target for c in cycle):
@@ -141,11 +168,11 @@ def longest_run(f: Poly, a: FieldElement, target: int) -> RunReport:
             r += 1
             i -= 1
         return RunReport(target=target, length=period + r, cycle_constant=True)
-    window = [ss.sign_at(ell) for ell in range(tail + 2 * period)]
     best = cur = 0
-    for s in window:
+    for s in ss.signs + cycle:  # the tail, then two laps of the cycle
         cur = cur + 1 if s == target else 0
-        best = max(best, cur)
+        if cur > best:
+            best = cur
     return RunReport(target=target, length=best, cycle_constant=False)
 
 

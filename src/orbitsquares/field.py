@@ -202,6 +202,13 @@ class FieldSpec:
     def from_coords(self, coords):
         return FieldElement(self, self.index(coords))
 
+    def parse_index(self, text: str) -> int:
+        """An element index written in decimal; anything outside [0, q) is rejected."""
+        idx = int(text)
+        if not 0 <= idx < self.q:
+            raise ValueError(f"element index {idx} is outside [0, {self.q})")
+        return idx
+
     @property
     def zero(self):
         return FieldElement(self, 0)

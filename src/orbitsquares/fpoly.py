@@ -58,10 +58,10 @@ class Poly:
     def parse(cls, field: FieldSpec, text: str) -> "Poly":
         """Comma-separated coefficient list, constant term first.
 
-        Each entry is an element index (for prime fields, the residue mod p).
+        Each entry is an element index in [0, q); for prime fields that is
+        the residue itself.
         """
-        idxs = [int(t) % field.q for t in text.strip().split(",")]
-        return cls(field, idxs)
+        return cls(field, [field.parse_index(t) for t in text.strip().split(",")])
 
     @classmethod
     def zero(cls, field: FieldSpec) -> "Poly":

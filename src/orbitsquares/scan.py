@@ -18,16 +18,15 @@ from functools import lru_cache
 
 from .bounds import (
     choose_L,
-    envelope_check,
+    envelope_holds,
     orbit_bound_check,
     run_bound_check,
     weil_check,
 )
 from .classify import TWO_ORDINARY, classify_2_ordinary
 from .dynamics import longest_run, sign_sequence
-from .errors import NotPurelyPeriodic
 from .field import FieldElement, FieldSpec, make_field
-from .fpoly import Poly
+from .fpoly import DEFAULT_DEGREE_BUDGET, Poly
 
 BOUNDS_CSV_COLUMNS = ["q", "d", "f", "a", "m", "orbit", "L", "maxB", "lhs", "rhs", "pass"]
 
@@ -41,7 +40,7 @@ class ScanConfig:
     sample: int | None = None
     seed: int = 0
     depth: int = 6
-    budget: int = 4096
+    budget: int = DEFAULT_DEGREE_BUDGET
     workers: int = 1
     bound_Ls: tuple[int, ...] = ()
 
@@ -130,10 +129,7 @@ def _orbit_bounds_item(args):
         ob = orbit_bound_check(f, a, L, budget=budget)
         env_pass = None
         if rep.verdict == TWO_ORDINARY:
-            env_pass = all(
-                envelope_check(f, a, i, L, classification=rep, budget=budget).passed
-                for i in range(ob.m)
-            )
+            env_pass = all(envelope_holds(b, F.q, f.degree, L) for b in ob.B_values)
         rows.append(
             {
                 "q": F.q,
@@ -174,7 +170,7 @@ def _ratio_item(args):
         if ss.purely_periodic:
             best_orbit = max(best_orbit, ss.orbit.size / (ss.sign_period * scale))
         for target in (1, -1):
-            r = longest_run(f, a, target)
+            r = longest_run(f, a, target, signs=ss)
             best_run = max(best_run, r.length / scale)
     return {"q": F.q, "f": str(f), "orbit_ratio": best_orbit, "run_ratio": best_run}
 

@@ -19,10 +19,12 @@ from orbitsquares.dynamics import sign_sequence
 from orbitsquares.errors import BudgetExceeded, NotPurelyPeriodic, NotTwoOrdinary
 from orbitsquares.field import FieldElement, make_field
 from orbitsquares.fpoly import Poly
+from orbitsquares.scan import enumerate_polys
 
 F3 = make_field(3)
 F7 = make_field(7)
 F9 = make_field(3, 2)
+F25 = make_field(5, 2)
 
 
 def P(field, *ints):
@@ -31,6 +33,14 @@ def P(field, *ints):
 
 def el(field, idx):
     return FieldElement(field, idx)
+
+
+def horner_iterates(f, x, n):
+    """Reference iterates x, f(x), ..., f^n(x): one f.eval_i per step, no table."""
+    ys = [x]
+    for _ in range(n):
+        ys.append(f.eval_i(ys[-1]))
+    return ys
 
 
 class TestCharSum:
@@ -122,6 +132,39 @@ class TestComputeB:
                                 expanded += coef * s
                         expanded /= 2**L
                         assert compute_B(f, a, i, L, signs=ss) == expanded
+
+
+class TestTableAgainstHorner:
+    """compute_B and t_set_size against sums over Horner-walked iterates."""
+
+    def check(self, f):
+        F = f.field
+        chi = F.chi_i
+        walks = [[chi(y) for y in horner_iterates(f, x, 3)] for x in range(F.q)]
+        for L in range(4):
+            for target in (1, -1):
+                expected = sum(all(w[ell] == target for ell in range(1, L + 1)) for w in walks)
+                assert t_set_size(f, L, target=target) == expected
+        for a in F.elements():
+            ss = sign_sequence(f, a)
+            s_a = [chi(y) for y in horner_iterates(f, a.idx, ss.sign_period + 2)]
+            for i in range(ss.sign_period):
+                for L in (1, 2):
+                    total = 0
+                    for w in walks:
+                        num = 1
+                        for ell in range(1, L + 1):
+                            num *= 1 + s_a[ell + i] * w[ell]
+                        total += num
+                    assert compute_B(f, a, i, L) == Fraction(total, 2**L)
+
+    def test_every_monic_quadratic_f9(self):
+        for f in enumerate_polys(F9, 2):
+            self.check(f)
+
+    def test_every_monic_quadratic_f25(self):
+        for f in enumerate_polys(F25, 2):
+            self.check(f)
 
 
 class TestOrbitBound:

@@ -1,6 +1,7 @@
 """Orbits, sign sequences, runs, embeddings and preimage trees."""
 
 from orbitsquares.dynamics import (
+    _successor_table,
     embed,
     embed_poly,
     forward_orbit,
@@ -12,10 +13,12 @@ from orbitsquares.dynamics import (
 )
 from orbitsquares.field import FieldElement, make_field
 from orbitsquares.fpoly import Poly
+from orbitsquares.scan import _ratio_item, enumerate_polys
 
 F3 = make_field(3)
 F7 = make_field(7)
 F9 = make_field(3, 2)
+F25 = make_field(5, 2)
 
 
 def P(field, *ints):
@@ -92,6 +95,103 @@ class TestLongestRun:
         f = P(F7, 6, 0, 1)
         r = longest_run(f, el(F7, 3), -1)
         assert r.length == 1  # -1 signs are isolated by the zeros
+
+
+def horner_orbit(f, a_idx):
+    """Reference walk with no table: one f.eval_i per step to the first repeat.
+
+    Returns (elements, tail, signs), the signs running on for three more laps
+    of the cycle so that every run and period is visible in them."""
+    seen, xs, cur = {}, [], a_idx
+    while cur not in seen:
+        seen[cur] = len(xs)
+        xs.append(cur)
+        cur = f.eval_i(cur)
+    tail, period = seen[cur], len(xs) - seen[cur]
+    walk = list(xs)
+    while len(walk) < tail + 4 * period:
+        walk.append(f.eval_i(walk[-1]))
+    return xs, tail, [f.field.chi_i(x) for x in walk]
+
+
+def reference_sign_data(tail, period, signs):
+    """(sign_tail, sign_period) from the definition of an eventual period."""
+    m = next(m for m in range(1, period + 1)
+             if all(signs[ell + m] == signs[ell] for ell in range(tail, tail + period)))
+    t = tail
+    while t > 0 and signs[t - 1 + m] == signs[t - 1]:
+        t -= 1
+    return t, m
+
+
+def reference_run(tail, period, signs, target):
+    """(length, cycle_constant) of the longest run of target in the signs."""
+    if all(s == target for s in signs[tail:tail + period]):
+        r = 0
+        while r < tail and signs[tail - 1 - r] == target:
+            r += 1
+        return period + r, True
+    best = cur = 0
+    for s in signs:
+        cur = cur + 1 if s == target else 0
+        best = max(best, cur)
+    return best, False
+
+
+class TestSuccessorTable:
+    """The table-backed walks against a Horner walk with no table."""
+
+    def check_against_horner(self, f):
+        F = f.field
+        for a in F.elements():
+            xs, tail, signs = horner_orbit(f, a.idx)
+            period = len(xs) - tail
+            o = forward_orbit(f, a)
+            assert [e.idx for e in o.elements] == xs
+            assert (o.tail, o.period) == (tail, period)
+            assert o.contains_zero_at == (xs.index(0) if 0 in xs else None)
+            ss = sign_sequence(f, a)
+            assert list(ss.signs) == signs[:len(xs)]
+            assert [ss.sign_at(ell) for ell in range(len(signs))] == signs
+            sign_tail, sign_period = reference_sign_data(tail, period, signs)
+            assert (ss.sign_tail, ss.sign_period) == (sign_tail, sign_period)
+            assert ss.purely_periodic == (sign_tail == 0)
+            for target in (1, -1):
+                expected = reference_run(tail, period, signs, target)
+                for r in (longest_run(f, a, target), longest_run(f, a, target, signs=ss)):
+                    assert (r.length, r.cycle_constant) == expected
+
+    def test_every_monic_quadratic_f9(self):
+        for f in enumerate_polys(F9, 2):
+            self.check_against_horner(f)
+
+    def test_every_monic_quadratic_f25(self):
+        for f in enumerate_polys(F25, 2):
+            self.check_against_horner(f)
+
+    def test_interleaved_polynomials(self):
+        # f, then g, then f again; h has f's coefficient indices over another
+        # field, so a memo keyed on the coefficients alone would hand it f's table
+        f = Poly(F9, [1, 2, 1])
+        g = Poly(F9, [4, 0, 1])
+        h = Poly(F7, [1, 2, 1])
+        for p in (f, g, f, h, f):
+            self.check_against_horner(p)
+
+    def test_ratio_item_evaluates_each_point_once(self, monkeypatch):
+        calls = []
+        eval_i = Poly.eval_i
+
+        def counted(self, x):
+            calls.append(x)
+            return eval_i(self, x)
+
+        monkeypatch.setattr(Poly, "eval_i", counted)
+        _successor_table.cache_clear()
+        item = ("3^2", (2, 5, 1))
+        row = _ratio_item(item)
+        assert sorted(calls) == list(range(F9.q))
+        assert _ratio_item(item) == row and len(calls) == F9.q
 
 
 class TestEmbedding:

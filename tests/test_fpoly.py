@@ -39,6 +39,11 @@ class TestArithmetic:
         assert str(f) == "0,4,5"
         assert f == P(F7, 0, 4, 5)
 
+    def test_parse_rejects_index_out_of_range(self):
+        for text in ("7", "1,-1", "0,0,12"):
+            with pytest.raises(ValueError):
+                Poly.parse(F7, text)
+
 
 class TestCompose:
     def test_identity(self):

@@ -123,6 +123,24 @@ class TestCli:
         rc, _, err = self.run(capsys, "classify", "--field", "4", "--poly", "1,1")
         assert rc == 1 and "error:" in err
 
+    def test_orbit_start_out_of_range(self, capsys):
+        rc, _, err = self.run(
+            capsys, "orbit", "--field", "7", "--poly", "0,0,1", "--start", "10"
+        )
+        assert rc == 1 and "error:" in err
+
+    def test_negative_coefficient_rejected(self, capsys):
+        # over F_9 a residue -1 would read as index 8, the element 2+2x, not -1
+        rc, _, err = self.run(capsys, "classify", "--field", "3^2", "--poly=-1,0,1")
+        assert rc == 1 and "error:" in err
+
+    def test_gen_family_index_out_of_range(self, capsys):
+        rc, _, err = self.run(
+            capsys, "gen-family", "--field", "7", "--degree", "2",
+            "--family", "d", "--A", "7", "--B", "2",
+        )
+        assert rc == 1 and "error:" in err
+
     def test_orbit(self, capsys):
         rc, out, _ = self.run(
             capsys, "orbit", "--field", "7", "--poly", "0,0,1", "--start", "3"
