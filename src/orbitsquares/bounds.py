@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .classify import TWO_ORDINARY, classify_2_ordinary
 from .dynamics import RunReport, SignSequence, longest_run, sign_sequence, successors
-from .errors import BudgetExceeded, NotPurelyPeriodic, NotTwoOrdinary
+from .errors import NotPurelyPeriodic, NotTwoOrdinary
 from .field import FieldElement
-from .fpoly import DEFAULT_DEGREE_BUDGET, Poly, constant_times_square
+from .fpoly import Poly, check_degree_budget, constant_times_square
 
 
 def char_sum(f: Poly) -> int:
@@ -73,11 +73,9 @@ def compute_B(
     Iterates are read from f's successor table (cost O(qL) lookups); the
     result is a rational with denominator dividing 2^L.  Sign indices follow
     the l >= 1 convention: s_a(l) = chi(f^l(a))."""
-    budget = DEFAULT_DEGREE_BUDGET if budget is None else budget
     if L < 1:
         raise ValueError("window length L must be >= 1")
-    if f.degree >= 2 and f.degree**L > budget:
-        raise BudgetExceeded(f"window degree {f.degree}^{L} exceeds budget {budget}")
+    check_degree_budget(f.degree, L, budget)
     ss = signs if signs is not None else sign_sequence(f, a)
     s = [ss.sign_at(ell + i) for ell in range(L + 1)]  # s[l] for l=0..L; l>=1 used
     F = f.field
@@ -191,14 +189,12 @@ def envelope_check(
 
 def t_set_size(f: Poly, L: int, target: int = 1, budget: int | None = None) -> int:
     """|T(L)|: x with chi(f^i(x)) == target (so in particular nonzero) for i=1..L."""
-    budget = DEFAULT_DEGREE_BUDGET if budget is None else budget
     if L < 0:
         raise ValueError("L must be nonnegative")
-    if f.degree >= 2 and L > 0 and f.degree**L > budget:
-        raise BudgetExceeded(f"window degree {f.degree}^{L} exceeds budget {budget}")
     F = f.field
     if L == 0:
         return F.q
+    check_degree_budget(f.degree, L, budget)
     chi = F.chi_i
     succ = successors(f)
     count = 0

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 from . import chebyshev as cheb
 from .errors import (
-    DegreeBudgetExceeded,
     DegreeMismatch,
     DegreeTooSmall,
     FamilyDegenerate,
@@ -20,7 +19,7 @@ from .errors import (
     ZeroA,
 )
 from .field import FieldElement, FieldSpec
-from .fpoly import DEFAULT_DEGREE_BUDGET, Factorization, Poly, factor
+from .fpoly import Factorization, Poly, check_degree_budget, factor
 
 TWO_ORDINARY = "TwoOrdinary"
 NOT_TWO_ORDINARY = "NotTwoOrdinary"
@@ -35,17 +34,6 @@ def _as_p_power(d: int, p: int) -> int | None:
         d //= p
         e += 1
     return e if d == 1 and e >= 1 else None
-
-
-def _even_square_root(fac: Factorization) -> Poly | None:
-    """Monic h with monic(f) = h^2 when all multiplicities are even."""
-    F = fac.unit.field
-    h = Poly.one(F)
-    for g, m in fac.factors:
-        if m % 2:
-            return None
-        h = h * g ** (m // 2)
-    return h
 
 
 def _recurrence_holds(coeffs: list[FieldElement], B: FieldElement, n: int, even_family: bool) -> bool:
@@ -104,30 +92,23 @@ class ClassificationReport:
         }
 
 
-def _single_linear_power(fac: Factorization, d: int):
-    """(A, B) when the factorization is A*(x-B)^d, else None."""
+def _form_a(fac: Factorization) -> dict | None:
+    """Witness {A, B, e} when the factorization is A*(x-B)^(p^e), else None."""
     if len(fac.factors) != 1:
         return None
     g, m = fac.factors[0]
-    if g.degree != 1 or m != d:
+    e = _as_p_power(m, fac.unit.field.p)
+    if g.degree != 1 or e is None:
         return None
-    return fac.unit, -g.coefficient(0)
+    return {"A": fac.unit, "B": -g.coefficient(0), "e": e}
 
 
 def classify_ordinary(f: Poly, seed: int = 0):
     """(verdict, witness): NotOrdinary iff f = A(x-B)^(p^e)."""
-    d = f.degree
-    if d < 2:
+    if f.degree < 2:
         raise DegreeTooSmall("classification needs degree >= 2")
-    F = f.field
-    fac = factor(f, seed)
-    single = _single_linear_power(fac, d)
-    if single is not None:
-        e = _as_p_power(d, F.p)
-        if e is not None:
-            A, B = single
-            return NOT_ORDINARY, {"A": A, "B": B, "e": e}
-    return ORDINARY, None
+    witness = _form_a(factor(f, seed))
+    return (ORDINARY, None) if witness is None else (NOT_ORDINARY, witness)
 
 
 def classify_2_ordinary(f: Poly, seed: int = 0) -> ClassificationReport:
@@ -146,18 +127,15 @@ def classify_2_ordinary(f: Poly, seed: int = 0) -> ClassificationReport:
     fac = factor(f, seed)
 
     # (a) f = A(x-B)^(p^e)
-    single = _single_linear_power(fac, d)
     ordinary_verdict, ordinary_witness = ORDINARY, None
-    if single is not None:
-        e = _as_p_power(d, F.p)
-        if e is not None:
-            A, B = single
-            matches.append(FormMatch("a", {"A": A, "B": B, "e": e}))
-            ordinary_verdict, ordinary_witness = NOT_ORDINARY, {"A": A, "B": B, "e": e}
+    witness = _form_a(fac)
+    if witness is not None:
+        matches.append(FormMatch("a", witness))
+        ordinary_verdict, ordinary_witness = NOT_ORDINARY, dict(witness)
 
     if d % 2 == 0:
         # (b) f = A g^2
-        h = _even_square_root(fac)
+        h = fac.square_root()
         if h is not None:
             matches.append(FormMatch("b", {"A": fac.unit, "g": h}))
         # (d) f = A h^2 + B; the conditions force f(0) = 0
@@ -168,7 +146,7 @@ def classify_2_ordinary(f: Poly, seed: int = 0) -> ClassificationReport:
                     continue
                 shifted = f - Poly.constant(B)
                 hfac = factor(shifted, seed)
-                hroot = _even_square_root(hfac)
+                hroot = hfac.square_root()
                 if hroot is None:
                     continue
                 c = hfac.unit
@@ -178,33 +156,21 @@ def classify_2_ordinary(f: Poly, seed: int = 0) -> ClassificationReport:
                     matches.append(FormMatch("d", {"A": c, "B": B, "h": hroot}))
     else:
         # (c) f = A x g^2
-        mult_x = fac.multiplicity_of(Poly.x(F))
-        if mult_x % 2 == 1 and all(
-            m % 2 == 0 for g, m in fac.factors if g != Poly.x(F)
-        ):
-            g = Poly.x(F) ** ((mult_x - 1) // 2)
-            for irr, m in fac.factors:
-                if irr != Poly.x(F):
-                    g = g * irr ** (m // 2)
+        g = fac.square_root(odd=Poly.x(F))
+        if g is not None:
             matches.append(FormMatch("c", {"A": fac.unit, "g": g}))
         # (e) f = A(x-B)g^2; the conditions force B = f(0)
         B = f.coefficient(0)
         if not B.is_zero() and f.evaluate(B).is_zero():
             n = (d - 1) // 2
-            linear = Poly.from_elements(F, [-B, F.one])
-            mult_lin = fac.multiplicity_of(linear)
-            if mult_lin % 2 == 1 and all(
-                m % 2 == 0 for gg, m in fac.factors if gg != linear
+            g = fac.square_root(odd=Poly.from_elements(F, [-B, F.one]))
+            c = fac.unit
+            if (
+                g is not None
+                and c * g.coefficient(0) ** 2 == F.from_int(-1)
+                and _recurrence_holds(g.element_coeffs(), B, n, even_family=False)
             ):
-                g = linear ** ((mult_lin - 1) // 2)
-                for irr, m in fac.factors:
-                    if irr != linear:
-                        g = g * irr ** (m // 2)
-                c = fac.unit
-                if c * g.coefficient(0) ** 2 == F.from_int(-1) and _recurrence_holds(
-                    g.element_coeffs(), B, n, even_family=False
-                ):
-                    matches.append(FormMatch("e", {"A": c, "B": B, "g": g}))
+                matches.append(FormMatch("e", {"A": c, "B": B, "g": g}))
 
     verdict = NOT_TWO_ORDINARY if matches else TWO_ORDINARY
     return ClassificationReport(
@@ -312,13 +278,11 @@ def iterate_factor_levels(f: Poly, depth: int, seed: int = 0, budget: int | None
     Levels are built incrementally: the factors of f^n are the factors of
     g(f(x)) over the factors g of f^(n-1), so f^n itself is never
     materialized and per-level work follows the actual factor sizes."""
-    budget = DEFAULT_DEGREE_BUDGET if budget is None else budget
     d = f.degree
     level = factor(f, seed).as_dict()
     yield 1, level
     for n in range(2, depth + 1):
-        if d >= 2 and d**n > budget:
-            raise DegreeBudgetExceeded(f"deg {d}^{n} exceeds budget {budget}")
+        check_degree_budget(d, n, budget)
         nxt: dict[Poly, int] = {}
         for g, m in level.items():
             comp = g.compose(f)

@@ -95,58 +95,81 @@ def _emit(rows, columns, args, summary=None) -> None:
             print(json.dumps({"summary": summary}, sort_keys=True))
 
 
-def _config(args, checks=("classification",)) -> scan_mod.ScanConfig:
+def _config(args) -> scan_mod.ScanConfig:
     return scan_mod.ScanConfig(
         field=args.field,
         degree=args.degree,
         space="sample" if args.sample else "monic",
-        checks=tuple(checks),
         sample=args.sample,
         seed=args.seed,
-        depth=args.depth,
         budget=args.budget,
         workers=args.workers,
     )
 
 
+def _check_classification(cfg, summary):
+    rows, counts = scan_mod.classification_scan(cfg)
+    summary["classification_counts"] = counts
+    return rows, 0
+
+
+def _check_weil(cfg, summary):
+    rows, failures = scan_mod.weil_scan(cfg)
+    summary["weil_failures"] = len(failures)
+    return rows, len(failures)
+
+
+def _check_orbit_bounds(cfg, summary):
+    rows = scan_mod.bounds_scan(cfg)
+    summary["orbit_bound_failures"] = bad = sum(not r["pass"] for r in rows)
+    return rows, bad
+
+
+def _check_run_bounds(cfg, summary):
+    rows = scan_mod.run_bounds_scan(cfg)
+    summary["run_bound_failures"] = bad = sum(not r["pass"] for r in rows)
+    return rows, bad
+
+
+def _check_ratios(cfg, summary):
+    summary["ratios"] = scan_mod.ratio_scan(cfg)
+    return [], 0
+
+
+# scan's checks, in the order they run whatever order --checks lists them in;
+# each runner returns (rows, failure count) and fills its summary keys.
+SCAN_CHECKS = {
+    "classification": _check_classification,
+    "weil": _check_weil,
+    "orbit-bounds": _check_orbit_bounds,
+    "run-bounds": _check_run_bounds,
+    "ratios": _check_ratios,
+}
+
+
 def cmd_scan(args) -> int:
-    checks = tuple(args.checks.split(","))
-    cfg = _config(args, checks)
+    checks = set(args.checks.split(","))
+    unknown = sorted(checks - SCAN_CHECKS.keys())
+    if unknown:
+        raise ValueError(
+            f"unknown check {', '.join(map(repr, unknown))}; known: {', '.join(SCAN_CHECKS)}"
+        )
+    cfg = _config(args)
     summary: dict = {"config": cfg.to_json()}
     rows: list = []
     rc = 0
-    if "classification" in checks:
-        crows, counts = scan_mod.classification_scan(cfg)
-        rows += crows
-        summary["classification_counts"] = counts
-    if "weil" in checks:
-        wrows, failures = scan_mod.weil_scan(cfg)
-        rows += wrows
-        summary["weil_failures"] = len(failures)
-        if failures:
-            rc = 2
-    if "orbit-bounds" in checks:
-        brows = scan_mod.bounds_scan(cfg)
-        rows += brows
-        bad = [r for r in brows if not r["pass"]]
-        summary["orbit_bound_failures"] = len(bad)
-        if bad:
-            rc = 2
-    if "run-bounds" in checks:
-        rrows = scan_mod.run_bounds_scan(cfg)
-        rows += rrows
-        bad = [r for r in rrows if not r["pass"]]
-        summary["run_bound_failures"] = len(bad)
-        if bad:
-            rc = 2
-    if "ratios" in checks:
-        summary["ratios"] = scan_mod.ratio_scan(cfg)
+    for name, run in SCAN_CHECKS.items():
+        if name in checks:
+            found, failures = run(cfg, summary)
+            rows += found
+            if failures:
+                rc = 2
     _emit(rows, None, args, summary)
     return rc
 
 
 def cmd_verify_weil(args) -> int:
-    cfg = _config(args, ("weil",))
+    cfg = scan_mod.ScanConfig(field=args.field, degree=args.degree, workers=args.workers)
     rows, failures = scan_mod.weil_scan(cfg)
     _emit(rows, ["q", "d", "f", "applies", "sum", "passed"], args,
           {"failures": len(failures)})
@@ -154,7 +177,7 @@ def cmd_verify_weil(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
-    cfg = _config(args, ("orbit-bounds",))
+    cfg = _config(args)
     rows = scan_mod.bounds_scan(cfg)
     bad = [r for r in rows if not r["pass"]]
     env_bad = [r for r in rows if r["envelope_pass"] is False]
@@ -170,21 +193,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, poly=False, degree=False):
+    def common(p, poly=False, degree=False, seed=False, batch=False):
         p.add_argument("--field", required=True, help='e.g. "7", "3^2", "3^2/(1,0,1)"')
         if poly:
             p.add_argument("--poly", required=True, help="coefficients, constant first")
         if degree:
             p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--depth", type=int, default=6)
-        p.add_argument("--budget", type=int, default=DEFAULT_DEGREE_BUDGET)
-        p.add_argument("--sample", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--out", default=None, help="output directory")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if batch:
+            p.add_argument("--budget", type=int, default=DEFAULT_DEGREE_BUDGET)
+            p.add_argument("--sample", type=int, default=None)
+            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("classify", help="classify one polynomial")
-    common(p, poly=True)
+    common(p, poly=True, seed=True)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("orbit", help="orbit and sign sequence of one starting point")
@@ -201,20 +225,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_family)
 
     p = sub.add_parser("scan", help="batch scan with selected checks")
-    common(p, degree=True)
+    common(p, degree=True, seed=True, batch=True)
     p.add_argument(
         "--checks",
         default="classification",
-        help="comma list: classification,weil,orbit-bounds,run-bounds,ratios",
+        help="comma list of " + ",".join(SCAN_CHECKS),
     )
     p.set_defaults(fn=cmd_scan)
 
     p = sub.add_parser("verify-weil", help="Weil bound over all monic f of a degree")
-    common(p, degree=True)
+    common(p, degree=True, batch=True)
     p.set_defaults(fn=cmd_verify_weil)
 
     p = sub.add_parser("verify-bounds", help="orbit-size bound and envelope checks")
-    common(p, degree=True)
+    common(p, degree=True, seed=True, batch=True)
     p.set_defaults(fn=cmd_verify_bounds)
 
     return ap

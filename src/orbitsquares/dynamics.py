@@ -6,9 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .errors import DegreeBudgetExceeded
 from .field import FieldElement, FieldSpec
-from .fpoly import DEFAULT_DEGREE_BUDGET, Poly, factor
+from .fpoly import Poly, factor
 
 
 @dataclass(frozen=True)
@@ -245,11 +244,8 @@ def preimages(
 
     Factors of larger degree are only counted (degree -> count with
     multiplicity of distinct factors)."""
-    budget = DEFAULT_DEGREE_BUDGET if budget is None else budget
     if n == 0:
         return PreimageLevel(n=0, base=alpha, points=(alpha,))
-    if f.degree >= 2 and f.degree**n > budget:
-        raise DegreeBudgetExceeded(f"deg {f.degree}^{n} exceeds budget {budget}")
     g = f.iterate(n, budget) - Poly.constant(alpha)
     rational = []
     ext_points: dict[int, list[FieldElement]] = {}
@@ -287,26 +283,25 @@ def tree_is_repeating(
     alpha: FieldElement,
     depth: int,
     max_ext: int = 2,
-    budget: int | None = None,
 ) -> TreeRepeat:
     """Search for beta in R_{n,alpha} with distinct levels n != m sharing beta.
 
     Points are restricted to extensions of degree <= max_ext.  Instead of
     expanding the tree downward, every candidate point x of each small
-    extension is pushed forward: the levels containing x are exactly the
-    n <= depth with f^n(x) = alpha.  A negative answer only covers the
-    truncated, bounded-degree tree.
+    extension is pushed forward through the embedded f's successor table:
+    the levels containing x are exactly the n <= depth with f^n(x) = alpha.
+    A negative answer only covers the truncated, bounded-degree tree.
     """
-    del budget  # evaluation is pointwise; no iterate is ever materialized
     for j in range(1, max_ext + 1):
         fj = embed_poly(f, j)
-        aj = embed(alpha, j)
         E = fj.field
+        target = embed(alpha, j).idx
+        succ = successors(fj)
         for x in range(E.q):
             y = x
             hits = []
             for n in range(depth + 1):
-                if y == aj.idx:
+                if y == target:
                     hits.append(n)
                     if len(hits) == 2:
                         return TreeRepeat(
@@ -315,5 +310,5 @@ def tree_is_repeating(
                             levels=(hits[0], hits[1]),
                             depth=depth,
                         )
-                y = fj.eval_i(y)
+                y = succ[y]
     return TreeRepeat(repeating=False, witness=None, levels=None, depth=depth)

@@ -76,6 +76,3 @@ class NotPurelyPeriodic(OrbitSquaresError):
 class NotTwoOrdinary(OrbitSquaresError):
     pass
 
-
-class BudgetExceeded(OrbitSquaresError):
-    pass

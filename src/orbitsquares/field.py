@@ -55,77 +55,12 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# --- dense polynomial helpers over F_p (plain int lists, constant first) ---
+def _is_irreducible(p: int, coeffs) -> bool:
+    """Irreducibility over F_p of the monic polynomial with these coefficients."""
+    # fpoly imports this module, so it is imported here, at call time.
+    from .fpoly import Poly, is_irreducible
 
-def _pnorm(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _pdivmod(res, mod, p)[1]
-
-
-def _pdivmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and _pnorm(a):
-        shift = len(a) - 1 - db
-        c = a[-1] * inv_lb % p
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _pnorm(a)
-    return _pnorm(q), a
-
-
-def _pgcd(a, b, p):
-    a, b = _pnorm(list(a)), _pnorm(list(b))
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _ppowmod_x(e, mod, p):
-    """x^e mod `mod` over F_p."""
-    result = [1]
-    base = _pdivmod([0, 1], mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible_fp(f, p) -> bool:
-    """Irreducibility of a monic degree-k polynomial over F_p."""
-    k = len(f) - 1
-    if k <= 0:
-        return False
-    if k == 1:
-        return True
-    if _ppowmod_x(p**k, f, p) != [0, 1]:
-        return False
-    for r in prime_factors(k):
-        h = _ppowmod_x(p ** (k // r), f, p)
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(diff, f, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    return is_irreducible(Poly(make_field(p), coeffs))
 
 
 def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -142,7 +77,7 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
             coeffs.append(rem // p ** (k - 1 - i))
             rem %= p ** (k - 1 - i)
         cand = coeffs + [1]
-        if _is_irreducible_fp(cand, p):
+        if _is_irreducible(p, cand):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
@@ -169,7 +104,7 @@ class FieldSpec:
                 raise ReducibleModulus(
                     f"modulus must be monic of degree {k}, got {list(modulus)}"
                 )
-            if not _is_irreducible_fp(list(modulus), p):
+            if not _is_irreducible(p, modulus):
                 raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
         self.p = p
         self.k = k
@@ -229,36 +164,39 @@ class FieldSpec:
 
     # -- table construction -------------------------------------------------
 
-    def _raw_mul(self, a: int, b: int) -> int:
-        ca = list(self.coords(a))  # already constant-first
-        cb = list(self.coords(b))
-        _pnorm(ca)
-        _pnorm(cb)
-        if not ca or not cb:
-            return 0
-        rem = _pmulmod(ca, cb, list(self.modulus), self.p)
-        rem = rem + [0] * (self.k - len(rem))
-        return self.index(tuple(rem))
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        result = self.one_idx
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, a)
-            a = self._raw_mul(a, a)
-            e >>= 1
-        return result
-
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
         self.one_idx = p ** (k - 1)
         # negation table
         self._neg = [self.index(tuple((-c) % p for c in self.coords(i))) for i in range(q)]
+        if k == 1:
+            def mul(a, b):
+                return a * b % p
+        else:
+            # fpoly imports this module, so it is imported here, at call time.
+            from .fpoly import Poly
+
+            Fp = make_field(p)
+            mod = Poly(Fp, self.modulus)
+
+            def mul(a, b):
+                prod = Poly(Fp, self.coords(a)) * Poly(Fp, self.coords(b))
+                return self.index((prod % mod).coeffs)
+
+        def power(a, e):
+            result = self.one_idx
+            while e:
+                if e & 1:
+                    result = mul(result, a)
+                a = mul(a, a)
+                e >>= 1
+            return result
+
         # find smallest generator of the multiplicative group
         rs = prime_factors(q - 1)
         gen = None
         for cand in range(1, q):
-            if all(self._raw_pow(cand, (q - 1) // r) != self.one_idx for r in rs):
+            if all(power(cand, (q - 1) // r) != self.one_idx for r in rs):
                 gen = cand
                 break
         exp = [0] * (q - 1)
@@ -267,7 +205,7 @@ class FieldSpec:
         for i in range(q - 1):
             exp[i] = cur
             log[cur] = i
-            cur = self._raw_mul(cur, gen)
+            cur = mul(cur, gen)
         self._exp = exp
         self._log = log
 

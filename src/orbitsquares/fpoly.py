@@ -24,6 +24,14 @@ from .field import FieldElement, FieldSpec
 DEFAULT_DEGREE_BUDGET = int(os.environ.get("ORBITSQUARES_DEGREE_BUDGET", "4096"))
 
 
+def check_degree_budget(d: int, n: int, budget: int | None = None) -> None:
+    """Refuse work on the n-th iterate of a degree-d polynomial when its
+    degree d^n exceeds budget (DEFAULT_DEGREE_BUDGET when None)."""
+    budget = DEFAULT_DEGREE_BUDGET if budget is None else budget
+    if d >= 2 and d**n > budget:
+        raise DegreeBudgetExceeded(f"deg {d}^{n} exceeds degree budget {budget}")
+
+
 def _norm(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
@@ -239,11 +247,7 @@ class Poly:
         """n-fold self-composition; iterate(0) is x."""
         if n < 0:
             raise ValueError("iteration count must be nonnegative")
-        budget = DEFAULT_DEGREE_BUDGET if budget is None else budget
-        if self.degree >= 2 and self.degree**n > budget:
-            raise DegreeBudgetExceeded(
-                f"deg {self.degree}^{n} exceeds degree budget {budget}"
-            )
+        check_degree_budget(self.degree, n, budget)
         acc = Poly.x(self.field)
         for _ in range(n):
             acc = acc.compose(self)
@@ -320,6 +324,17 @@ class Factorization:
                 return m
         return 0
 
+    def square_root(self, odd: Poly | None = None) -> Poly | None:
+        """Monic h with monic(f) == h^2, or == odd * h^2 for an irreducible
+        factor odd; None when the multiplicities do not have that shape
+        (every one even, or odd's alone odd)."""
+        h = Poly.one(self.unit.field)
+        for g, m in self.factors:
+            if m % 2 != (g == odd):
+                return None
+            h = h * g ** (m // 2)
+        return h if odd is None or self.multiplicity_of(odd) else None
+
 
 def _pth_root(f: Poly) -> Poly:
     """p-th root of f(x) = g(x^p); valid when the derivative vanishes."""
@@ -359,7 +374,9 @@ def _squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 
 
 def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    """Monic squarefree input; list of (product of irreducibles of degree e, e)."""
+    """Monic squarefree input; list of (product of irreducibles of degree e, e).
+
+    is_irreducible also passes input that is not squarefree."""
     F = f.field
     q = F.q
     out = []
@@ -378,6 +395,18 @@ def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
             f = f // g
             h = h % f
     return out
+
+
+def is_irreducible(f: Poly) -> bool:
+    """Irreducibility of a monic f of degree k >= 1 (distinct-degree test).
+
+    f is irreducible iff it has no irreducible factor of degree <= k/2
+    (Rabin, SIAM J. Comput. 9, 1980), i.e. iff _distinct_degree returns f
+    whole.  This holds even when f is not squarefree: a reducible f has an
+    irreducible factor of degree e <= k/2, and unless a smaller-degree gcd
+    step has already split off a factor, the degree-e step computes
+    gcd(x^(q^e) - x, f), which that factor divides, and splits it off."""
+    return _distinct_degree(f) == [(f, f.degree)]
 
 
 def _equal_degree_split(f: Poly, e: int, rng: random.Random) -> list[Poly]:
@@ -448,10 +477,8 @@ def constant_times_square(f: Poly, seed: int = 0) -> SquareDecomposition | None:
     if f.degree % 2:
         return None
     fac = factor(f, seed)
-    h = Poly.one(F)
-    for g, m in fac.factors:
-        if m % 2:
-            return None
-        h = h * g ** (m // 2)
+    h = fac.square_root()
+    if h is None:
+        return None
     c = fac.unit
     return SquareDecomposition(c=c, h=h, c_is_square=c.chi() >= 0)

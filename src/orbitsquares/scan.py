@@ -36,10 +36,8 @@ class ScanConfig:
     field: str
     degree: int
     space: str = "monic"  # "monic" | "all" | "sample"
-    checks: tuple[str, ...] = ("classification",)
     sample: int | None = None
     seed: int = 0
-    depth: int = 6
     budget: int = DEFAULT_DEGREE_BUDGET
     workers: int = 1
     bound_Ls: tuple[int, ...] = ()

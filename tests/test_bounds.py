@@ -16,7 +16,7 @@ from orbitsquares.bounds import (
     weil_check,
 )
 from orbitsquares.dynamics import sign_sequence
-from orbitsquares.errors import BudgetExceeded, NotPurelyPeriodic, NotTwoOrdinary
+from orbitsquares.errors import DegreeBudgetExceeded, NotPurelyPeriodic, NotTwoOrdinary
 from orbitsquares.field import FieldElement, make_field
 from orbitsquares.fpoly import Poly
 from orbitsquares.scan import enumerate_polys
@@ -93,7 +93,7 @@ class TestComputeB:
             compute_B(P(F7, 0, 0, 1), el(F7, 2), 0, 0)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(DegreeBudgetExceeded):
             compute_B(P(F7, 0, 0, 1), el(F7, 2), 0, 10, budget=100)
 
     def test_upper_bounded_by_q(self):
@@ -226,7 +226,7 @@ class TestTSetSize:
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(DegreeBudgetExceeded):
             t_set_size(P(F7, 0, 0, 1), 10, budget=100)
 
 

@@ -282,3 +282,52 @@ class TestTreeRepeating:
     def test_negative_answer_is_depth_bounded(self):
         res = tree_is_repeating(P(F7, 1, 0, 1), el(F7, 2), depth=0, max_ext=1)
         assert res.depth == 0
+
+    @staticmethod
+    def _horner_walk(f, alpha, depth, max_ext):
+        """The truncated search, walking each embedded f by Horner evaluation."""
+        for j in range(1, max_ext + 1):
+            fj = embed_poly(f, j)
+            E = fj.field
+            target = embed(alpha, j).idx
+            for x in range(E.q):
+                y, hits = x, []
+                for n in range(depth + 1):
+                    if y == target:
+                        hits.append(n)
+                        if len(hits) == 2:
+                            return True, x, tuple(hits)
+                    acc = 0
+                    for c in reversed(fj.coeffs):
+                        acc = E.add_i(E.mul_i(acc, y), c)
+                    y = acc
+        return False, None, None
+
+    def test_matches_horner_walk_on_small_quadratics(self):
+        for F in (F3, make_field(5)):
+            for f in enumerate_polys(F, 2, "monic"):
+                for alpha in F.elements():
+                    for depth in range(5):
+                        for max_ext in (1, 2):
+                            res = tree_is_repeating(f, alpha, depth, max_ext)
+                            witness = None if res.witness is None else res.witness.idx
+                            assert (res.repeating, witness, res.levels) == self._horner_walk(
+                                f, alpha, depth, max_ext
+                            ), (F.q, str(f), alpha.idx, depth, max_ext)
+                            assert res.depth == depth
+
+    def test_periodic_alpha_repeats_at_its_period(self):
+        # with depth equal to alpha's period r, only alpha itself meets alpha
+        # twice within depth steps: at levels 0 and r
+        checked = 0
+        for F in (F3, make_field(5)):
+            for f in enumerate_polys(F, 2, "monic"):
+                for alpha in F.elements():
+                    orbit = forward_orbit(f, alpha)
+                    r = orbit.period
+                    if orbit.tail or r > 4:
+                        continue
+                    res = tree_is_repeating(f, alpha, depth=r, max_ext=2)
+                    assert res.repeating and res.witness == alpha and res.levels == (0, r)
+                    checked += 1
+        assert checked > 0

@@ -1,5 +1,6 @@
 """Field construction, index arithmetic, character and square roots."""
 
+import itertools
 import pickle
 
 import pytest
@@ -14,6 +15,7 @@ from orbitsquares.errors import (
     ReducibleModulus,
 )
 from orbitsquares.field import FieldElement, FieldSpec, make_field, smallest_irreducible
+from orbitsquares.fpoly import Poly, factor
 
 F3 = make_field(3)
 F7 = make_field(7)
@@ -40,6 +42,21 @@ class TestConstruction:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ReducibleModulus):
             FieldSpec(3, 2, (2, 0, 1))  # x^2 + 2 = (x-1)(x+1) over F_3
+
+    def test_square_of_linear_modulus_rejected(self):
+        with pytest.raises(ReducibleModulus):
+            FieldSpec(3, 2, (1, 2, 1))  # (x + 1)^2, not squarefree
+
+    @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
+                                     (7, 2), (7, 3), (11, 2), (13, 2)])
+    def test_smallest_irreducible_is_first_single_simple_factor(self, p, k):
+        # candidates in coefficient-tuple order (c_0, ..., c_{k-1}), c_0 first
+        Fp = make_field(p)
+        for lower in itertools.product(range(p), repeat=k):
+            f = Poly(Fp, lower + (1,))
+            if factor(f).factors == ((f, 1),):
+                break
+        assert smallest_irreducible(p, k) == lower + (1,)
 
     def test_not_prime(self):
         with pytest.raises(NotPrime):
@@ -94,6 +111,28 @@ class TestArithmetic:
     def test_int_coercion(self):
         assert el(F7, 3) + 4 == F7.zero
         assert 2 * el(F7, 4) == el(F7, 1)
+
+
+def _schoolbook_mul(F, a, b):
+    """Coordinate product of two element indices, reduced by F's monic modulus."""
+    p, k, mod = F.p, F.k, F.modulus
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(F.coords(a)):
+        for j, y in enumerate(F.coords(b)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for j in range(k + 1):
+            prod[top - k + j] = (prod[top - k + j] - c * mod[j]) % p
+    return F.index(prod[:k])
+
+
+@pytest.mark.parametrize("spec", ["3^2", "5^2", "3^3", "3^4", "3^2/(2,1,1)"])
+def test_mul_matches_schoolbook_product(spec):
+    F = FieldSpec.parse(spec)
+    for a in range(F.q):
+        for b in range(F.q):
+            assert F.mul_i(a, b) == _schoolbook_mul(F, a, b), (spec, a, b)
 
 
 class TestCharacter:

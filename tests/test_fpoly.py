@@ -1,12 +1,14 @@
 """Polynomial arithmetic, composition, iteration and factorization."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitsquares.errors import DegreeBudgetExceeded
 from orbitsquares.field import make_field
-from orbitsquares.fpoly import Poly, constant_times_square, factor, gcd
+from orbitsquares.fpoly import Poly, constant_times_square, factor, gcd, is_irreducible
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -134,6 +136,35 @@ class TestFactor:
         assert factor(f, seed=0).factors == factor(f, seed=99).factors
 
 
+def _mobius(n):
+    out, m, d = 1, n, 2
+    while d * d <= m:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if m > 1 else out
+
+
+def _gauss_count(q, n):
+    """Number of monic irreducibles of degree n over F_q: (1/n) sum_{d|n} mu(d) q^(n/d)."""
+    return sum(_mobius(d) * q ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+class TestIsIrreducible:
+    @pytest.mark.parametrize("p,k,max_n", [(3, 1, 5), (5, 1, 4), (7, 1, 3), (3, 2, 2)])
+    def test_counts_match_gauss(self, p, k, max_n):
+        F = make_field(p, k)
+        for n in range(1, max_n + 1):
+            count = sum(
+                is_irreducible(Poly(F, lower + (F.one_idx,)))
+                for lower in itertools.product(range(F.q), repeat=n)
+            )
+            assert count == _gauss_count(F.q, n), (F.q, n)
+
+
 class TestConstantTimesSquare:
     def test_nonsquare_unit(self):
         dec = constant_times_square(P(F7, 3, 6, 3))  # 3(x+1)^2
@@ -154,6 +185,17 @@ class TestConstantTimesSquare:
         f = P(F5, 3) * (P(F5, 1, 2, 1, 1) ** 2)
         dec = constant_times_square(f)
         assert Poly.constant(dec.c) * dec.h * dec.h == f
+
+
+def test_factorization_square_root():
+    x, x1 = Poly.x(F7), P(F7, 1, 1)
+    square = factor(P(F7, 3) * x1 * x1)  # 3(x+1)^2
+    assert square.square_root() == x1
+    assert square.square_root(odd=x) is None  # x does not divide it
+    odd = factor(x * x1 * x1)
+    assert odd.square_root() is None
+    assert odd.square_root(odd=x) == x1
+    assert odd.square_root(odd=x1) is None  # x's multiplicity is odd too
 
 
 class TestEvaluate:

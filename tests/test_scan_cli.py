@@ -196,6 +196,48 @@ class TestCli:
         assert summary["classification_counts"]["TwoOrdinary"] == 41
         assert summary["weil_failures"] == 0
 
+    @pytest.mark.parametrize("checks,named", [
+        ("clasification,wiel", "'clasification', 'wiel'"),
+        ("classification,weil,ratio", "'ratio'"),
+    ])
+    def test_scan_unknown_check(self, capsys, checks, named):
+        rc, out, err = self.run(
+            capsys, "scan", "--field", "7", "--degree", "2", "--checks", checks
+        )
+        assert rc == 1 and out == ""
+        assert f"error: unknown check {named};" in err
+
+    def test_scan_checks_run_in_fixed_order(self, capsys):
+        rc, out, _ = self.run(
+            capsys, "scan", "--field", "5", "--degree", "2",
+            "--checks", "weil,classification",
+        )
+        assert rc == 0
+        rows = [json.loads(l) for l in out.strip().splitlines()[:-1]]
+        assert len(rows) == 50
+        assert all("verdict" in r for r in rows[:25])
+        assert all("applies" in r for r in rows[25:])
+
+    def test_scan_depth_flag_is_gone(self, capsys):
+        rc, _, _ = self.run(
+            capsys, "scan", "--field", "7", "--degree", "2", "--depth", "6"
+        )
+        assert rc == 1
+
+    def test_batch_flags_only_on_batch_commands(self, capsys):
+        for flag in ("--workers", "--sample", "--budget", "--out", "--seed"):
+            rc, out, _ = self.run(
+                capsys, "orbit", "--field", "7", "--poly", "0,0,1", "--start", "3",
+                flag, "8",
+            )
+            assert rc == 1 and out == "", flag
+
+    def test_scan_summary_config_echo(self, capsys):
+        rc, out, _ = self.run(capsys, "scan", "--field", "5", "--degree", "2")
+        assert rc == 0
+        config = json.loads(out.strip().splitlines()[-1])["summary"]["config"]
+        assert "checks" not in config and "depth" not in config
+
 
 class TestFieldStrings:
     def test_extension_with_modulus(self):
