@@ -193,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, poly=False, degree=False, seed=False, batch=False):
+    def common(p, poly=False, degree=False, seed=False, batch=False, sampled=False):
         p.add_argument("--field", required=True, help='e.g. "7", "3^2", "3^2/(1,0,1)"')
         if poly:
             p.add_argument("--poly", required=True, help="coefficients, constant first")
@@ -202,10 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if batch:
-            p.add_argument("--budget", type=int, default=DEFAULT_DEGREE_BUDGET)
-            p.add_argument("--sample", type=int, default=None)
             p.add_argument("--workers", type=int, default=1)
             p.add_argument("--out", default=None, help="output directory")
+        if sampled:
+            p.add_argument("--budget", type=int, default=DEFAULT_DEGREE_BUDGET)
+            p.add_argument("--sample", type=int, default=None)
 
     p = sub.add_parser("classify", help="classify one polynomial")
     common(p, poly=True, seed=True)
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_family)
 
     p = sub.add_parser("scan", help="batch scan with selected checks")
-    common(p, degree=True, seed=True, batch=True)
+    common(p, degree=True, seed=True, batch=True, sampled=True)
     p.add_argument(
         "--checks",
         default="classification",
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_weil)
 
     p = sub.add_parser("verify-bounds", help="orbit-size bound and envelope checks")
-    common(p, degree=True, seed=True, batch=True)
+    common(p, degree=True, seed=True, batch=True, sampled=True)
     p.set_defaults(fn=cmd_verify_bounds)
 
     return ap

@@ -288,15 +288,17 @@ def tree_is_repeating(
 
     Points are restricted to extensions of degree <= max_ext.  Instead of
     expanding the tree downward, every candidate point x of each small
-    extension is pushed forward through the embedded f's successor table:
-    the levels containing x are exactly the n <= depth with f^n(x) = alpha.
+    extension is pushed forward through the embedded f's successor table,
+    filled as the walks reach points so that the search can stop at the
+    first witness: the levels containing x are exactly the n <= depth with
+    f^n(x) = alpha.
     A negative answer only covers the truncated, bounded-degree tree.
     """
     for j in range(1, max_ext + 1):
         fj = embed_poly(f, j)
         E = fj.field
         target = embed(alpha, j).idx
-        succ = successors(fj)
+        succ = _successor_table(fj)
         for x in range(E.q):
             y = x
             hits = []
@@ -310,5 +312,9 @@ def tree_is_repeating(
                             levels=(hits[0], hits[1]),
                             depth=depth,
                         )
-                y = succ[y]
+                if n < depth:
+                    nxt = succ[y]
+                    if nxt < 0:
+                        nxt = succ[y] = fj.eval_i(y)
+                    y = nxt
     return TreeRepeat(repeating=False, witness=None, levels=None, depth=depth)

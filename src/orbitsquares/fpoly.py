@@ -373,40 +373,41 @@ def _squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    """Monic squarefree input; list of (product of irreducibles of degree e, e).
+def _distinct_degree(f: Poly):
+    """Monic squarefree input; yields (product of irreducibles of degree e, e)
+    by ascending e.
 
-    is_irreducible also passes input that is not squarefree."""
+    Lazy, so is_irreducible stops at the first split; it also passes input
+    that is not squarefree."""
     F = f.field
     q = F.q
-    out = []
     x = Poly.x(F)
     h = x % f
     e = 0
     while f.degree > 0:
         e += 1
         if f.degree < 2 * e:
-            out.append((f, f.degree))
-            break
+            yield f, f.degree
+            return
         h = h.pow_mod(q, f)
         g = gcd(h - x, f)
         if not g.is_one():
-            out.append((g, e))
+            yield g, e
             f = f // g
             h = h % f
-    return out
 
 
 def is_irreducible(f: Poly) -> bool:
     """Irreducibility of a monic f of degree k >= 1 (distinct-degree test).
 
     f is irreducible iff it has no irreducible factor of degree <= k/2
-    (Rabin, SIAM J. Comput. 9, 1980), i.e. iff _distinct_degree returns f
-    whole.  This holds even when f is not squarefree: a reducible f has an
-    irreducible factor of degree e <= k/2, and unless a smaller-degree gcd
-    step has already split off a factor, the degree-e step computes
-    gcd(x^(q^e) - x, f), which that factor divides, and splits it off."""
-    return _distinct_degree(f) == [(f, f.degree)]
+    (Rabin, SIAM J. Comput. 9, 1980), i.e. iff the first step of
+    _distinct_degree yields f whole.  This holds even when f is not
+    squarefree: a reducible f has an irreducible factor of degree e <= k/2,
+    and unless a smaller-degree gcd step has already split off a factor, the
+    degree-e step computes gcd(x^(q^e) - x, f), which that factor divides,
+    and splits it off."""
+    return next(_distinct_degree(f)) == (f, f.degree)
 
 
 def _equal_degree_split(f: Poly, e: int, rng: random.Random) -> list[Poly]:

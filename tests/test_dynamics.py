@@ -283,6 +283,22 @@ class TestTreeRepeating:
         res = tree_is_repeating(P(F7, 1, 0, 1), el(F7, 2), depth=0, max_ext=1)
         assert res.depth == 0
 
+    def test_early_witness_stops_evaluating(self, monkeypatch):
+        # x^2 fixes 1, so the walk from x = 1 finds levels (0, 1) after one
+        # evaluation; only the points walked are evaluated, never all of F_49
+        calls = []
+        eval_i = Poly.eval_i
+
+        def counted(self, x):
+            calls.append(x)
+            return eval_i(self, x)
+
+        monkeypatch.setattr(Poly, "eval_i", counted)
+        _successor_table.cache_clear()
+        res = tree_is_repeating(P(F7, 0, 0, 1), F7.one, depth=4, max_ext=2)
+        assert res.levels == (0, 1) and res.witness == F7.one
+        assert calls == [0, F7.one_idx]
+
     @staticmethod
     def _horner_walk(f, alpha, depth, max_ext):
         """The truncated search, walking each embedded f by Horner evaluation."""

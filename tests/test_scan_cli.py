@@ -232,6 +232,14 @@ class TestCli:
             )
             assert rc == 1 and out == "", flag
 
+    def test_verify_weil_rejects_sampling_flags(self, capsys):
+        # weil_scan always covers every monic polynomial of the degree
+        for flag in ("--sample", "--budget"):
+            rc, out, _ = self.run(
+                capsys, "verify-weil", "--field", "5", "--degree", "2", flag, "3"
+            )
+            assert rc == 1 and out == "", flag
+
     def test_scan_summary_config_echo(self, capsys):
         rc, out, _ = self.run(capsys, "scan", "--field", "5", "--degree", "2")
         assert rc == 0
