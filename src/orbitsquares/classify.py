@@ -19,21 +19,12 @@ from .errors import (
     ZeroA,
 )
 from .field import FieldElement, FieldSpec
-from .fpoly import Factorization, Poly, check_degree_budget, factor
+from .fpoly import Poly, check_degree_budget, factor, sqrt_part, square_root
 
 TWO_ORDINARY = "TwoOrdinary"
 NOT_TWO_ORDINARY = "NotTwoOrdinary"
 ORDINARY = "Ordinary"
 NOT_ORDINARY = "NotOrdinary"
-
-
-def _as_p_power(d: int, p: int) -> int | None:
-    """e >= 1 with d == p^e, else None."""
-    e = 0
-    while d > 1 and d % p == 0:
-        d //= p
-        e += 1
-    return e if d == 1 and e >= 1 else None
 
 
 def _recurrence_holds(coeffs: list[FieldElement], B: FieldElement, n: int, even_family: bool) -> bool:
@@ -92,85 +83,83 @@ class ClassificationReport:
         }
 
 
-def _form_a(fac: Factorization) -> dict | None:
-    """Witness {A, B, e} when the factorization is A*(x-B)^(p^e), else None."""
-    if len(fac.factors) != 1:
+def _form_a(f: Poly) -> dict | None:
+    """Witness {A, B, e} when f = A(x-B)^(p^e), else None.
+
+    In characteristic p, (x-B)^(p^e) = x^(p^e) - B^(p^e), so f must be
+    A x^d + f(0) with d = p^e.  Then B^(p^e) = y = -f(0)/A, and B is y under
+    the inverse Frobenius of F_(p^k): B = y^(p^((-e) mod k))."""
+    F, d = f.field, f.degree
+    e = next((e for e in range(1, d.bit_length()) if F.p**e == d), None)
+    if e is None or any(f.coeffs[1:-1]):
         return None
-    g, m = fac.factors[0]
-    e = _as_p_power(m, fac.unit.field.p)
-    if g.degree != 1 or e is None:
-        return None
-    return {"A": fac.unit, "B": -g.coefficient(0), "e": e}
+    A = f.leading()
+    y = -f.coefficient(0) / A
+    return {"A": A, "B": y ** (F.p ** (-e % F.k)), "e": e}
 
 
-def classify_ordinary(f: Poly, seed: int = 0):
+def classify_ordinary(f: Poly):
     """(verdict, witness): NotOrdinary iff f = A(x-B)^(p^e)."""
     if f.degree < 2:
         raise DegreeTooSmall("classification needs degree >= 2")
-    witness = _form_a(factor(f, seed))
+    witness = _form_a(f)
     return (ORDINARY, None) if witness is None else (NOT_ORDINARY, witness)
 
 
 def classify_2_ordinary(f: Poly, seed: int = 0) -> ClassificationReport:
     """Closed-form membership tests for the five exceptional shapes.
 
-    Shapes (d)/(e) are recognized by scanning candidate constants B and
-    verifying the coefficient recurrence plus the constant-term condition on
-    the extracted monic square root (both are invariant under the rescaling
-    freedom in A and h/g, so the monic representative decides membership).
+    Every shape is read from coefficients without factoring, so seed is
+    ignored.  (b), (c), (e) ask for a monic square root of f/A, f/(A x),
+    f/(A(x-B)); for (d), f/A's top half fixes monic h, then B = -A h(0)^2.
+    (d) and (e) also check the coefficient recurrence on the monic root.
     """
     d = f.degree
     if d < 2:
         raise DegreeTooSmall("classification needs degree >= 2")
     F = f.field
+    A = f.leading()
+    monic = f.monic()
     matches: list[FormMatch] = []
-    fac = factor(f, seed)
 
     # (a) f = A(x-B)^(p^e)
     ordinary_verdict, ordinary_witness = ORDINARY, None
-    witness = _form_a(fac)
+    witness = _form_a(f)
     if witness is not None:
         matches.append(FormMatch("a", witness))
         ordinary_verdict, ordinary_witness = NOT_ORDINARY, dict(witness)
 
     if d % 2 == 0:
         # (b) f = A g^2
-        h = fac.square_root()
-        if h is not None:
-            matches.append(FormMatch("b", {"A": fac.unit, "g": h}))
+        g = square_root(monic)
+        if g is not None:
+            matches.append(FormMatch("b", {"A": A, "g": g}))
         # (d) f = A h^2 + B; the conditions force f(0) = 0
         if f.coefficient(0).is_zero():
-            n = d // 2
-            for B in F.elements():
-                if B.is_zero():
-                    continue
-                shifted = f - Poly.constant(B)
-                hfac = factor(shifted, seed)
-                hroot = hfac.square_root()
-                if hroot is None:
-                    continue
-                c = hfac.unit
-                if c * hroot.coefficient(0) ** 2 != -B:
-                    continue
-                if _recurrence_holds(hroot.element_coeffs(), B, n, even_family=True):
-                    matches.append(FormMatch("d", {"A": c, "B": B, "h": hroot}))
+            h = sqrt_part(monic)
+            B = -A * h.coefficient(0) ** 2
+            if (
+                not B.is_zero()
+                and (h * h).scale(A).shift_const(B) == f
+                and _recurrence_holds(h.element_coeffs(), B, d // 2, even_family=True)
+            ):
+                matches.append(FormMatch("d", {"A": A, "B": B, "h": h}))
     else:
         # (c) f = A x g^2
-        g = fac.square_root(odd=Poly.x(F))
-        if g is not None:
-            matches.append(FormMatch("c", {"A": fac.unit, "g": g}))
+        if f.coefficient(0).is_zero():
+            g = square_root(monic // Poly.x(F))
+            if g is not None:
+                matches.append(FormMatch("c", {"A": A, "g": g}))
         # (e) f = A(x-B)g^2; the conditions force B = f(0)
         B = f.coefficient(0)
         if not B.is_zero() and f.evaluate(B).is_zero():
-            n = (d - 1) // 2
-            g = fac.square_root(odd=Poly.from_elements(F, [-B, F.one]))
-            c = fac.unit
+            g = square_root(monic // Poly.from_elements(F, [-B, F.one]))
             if (
                 g is not None
-                and c * g.coefficient(0) ** 2 == F.from_int(-1)
-                and _recurrence_holds(g.element_coeffs(), B, n, even_family=False)
+                and A * g.coefficient(0) ** 2 == F.from_int(-1)
+                and _recurrence_holds(g.element_coeffs(), B, (d - 1) // 2, even_family=False)
             ):
-                matches.append(FormMatch("e", {"A": c, "B": B, "g": g}))
+                matches.append(FormMatch("e", {"A": A, "B": B, "g": g}))
 
     verdict = NOT_TWO_ORDINARY if matches else TWO_ORDINARY
     return ClassificationReport(

@@ -38,7 +38,7 @@ def _poly(field: FieldSpec, text: str) -> Poly:
 def cmd_classify(args) -> int:
     F = _field(args)
     f = _poly(F, args.poly)
-    report = classify_2_ordinary(f, args.seed)
+    report = classify_2_ordinary(f)
     print(json.dumps(report.to_json(), sort_keys=True))
     return 0
 
@@ -99,7 +99,6 @@ def _config(args) -> scan_mod.ScanConfig:
     return scan_mod.ScanConfig(
         field=args.field,
         degree=args.degree,
-        space="sample" if args.sample else "monic",
         sample=args.sample,
         seed=args.seed,
         budget=args.budget,
@@ -121,7 +120,9 @@ def _check_weil(cfg, summary):
 
 def _check_orbit_bounds(cfg, summary):
     rows = scan_mod.bounds_scan(cfg)
-    summary["orbit_bound_failures"] = bad = sum(not r["pass"] for r in rows)
+    summary["orbit_bound_failures"] = bad = sum(
+        not r["pass"] or r["envelope_pass"] is False for r in rows
+    )
     return rows, bad
 
 
@@ -193,23 +194,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, poly=False, degree=False, seed=False, batch=False, sampled=False):
+    def common(p, poly=False, degree=False, batch=False, sampled=False):
         p.add_argument("--field", required=True, help='e.g. "7", "3^2", "3^2/(1,0,1)"')
         if poly:
             p.add_argument("--poly", required=True, help="coefficients, constant first")
         if degree:
             p.add_argument("--degree", type=int, required=True)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
         if batch:
             p.add_argument("--workers", type=int, default=1)
             p.add_argument("--out", default=None, help="output directory")
         if sampled:
             p.add_argument("--budget", type=int, default=DEFAULT_DEGREE_BUDGET)
             p.add_argument("--sample", type=int, default=None)
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("classify", help="classify one polynomial")
-    common(p, poly=True, seed=True)
+    common(p, poly=True)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("orbit", help="orbit and sign sequence of one starting point")
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_family)
 
     p = sub.add_parser("scan", help="batch scan with selected checks")
-    common(p, degree=True, seed=True, batch=True, sampled=True)
+    common(p, degree=True, batch=True, sampled=True)
     p.add_argument(
         "--checks",
         default="classification",
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_weil)
 
     p = sub.add_parser("verify-bounds", help="orbit-size bound and envelope checks")
-    common(p, degree=True, seed=True, batch=True, sampled=True)
+    common(p, degree=True, batch=True, sampled=True)
     p.set_defaults(fn=cmd_verify_bounds)
 
     return ap

@@ -99,7 +99,9 @@ class FieldSpec:
         if modulus is None:
             modulus = smallest_irreducible(p, k)
         else:
-            modulus = tuple(c % p for c in modulus)
+            modulus = tuple(modulus)
+            if not all(0 <= c < p for c in modulus):
+                raise ValueError(f"modulus coefficients must lie in [0, {p}), got {list(modulus)}")
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ReducibleModulus(
                     f"modulus must be monic of degree {k}, got {list(modulus)}"

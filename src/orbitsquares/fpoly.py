@@ -3,7 +3,7 @@
 Coefficients are stored as element indices (constant term first, no
 trailing zeros).  Includes composition/iteration with a degree budget,
 gcd, complete factorization (squarefree / distinct-degree / seeded
-equal-degree splitting) and constant-times-square detection.
+equal-degree splitting) and monic square roots, read from the top down.
 """
 
 from __future__ import annotations
@@ -318,23 +318,6 @@ class Factorization:
     def as_dict(self) -> dict[Poly, int]:
         return dict(self.factors)
 
-    def multiplicity_of(self, g: Poly) -> int:
-        for h, m in self.factors:
-            if h == g:
-                return m
-        return 0
-
-    def square_root(self, odd: Poly | None = None) -> Poly | None:
-        """Monic h with monic(f) == h^2, or == odd * h^2 for an irreducible
-        factor odd; None when the multiplicities do not have that shape
-        (every one even, or odd's alone odd)."""
-        h = Poly.one(self.unit.field)
-        for g, m in self.factors:
-            if m % 2 != (g == odd):
-                return None
-            h = h * g ** (m // 2)
-        return h if odd is None or self.multiplicity_of(odd) else None
-
 
 def _pth_root(f: Poly) -> Poly:
     """p-th root of f(x) = g(x^p); valid when the derivative vanishes."""
@@ -454,6 +437,37 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
     return Factorization(unit=unit, factors=ordered)
 
 
+# --- square roots ----------------------------------------------------------
+
+def sqrt_part(f: Poly) -> Poly | None:
+    """The monic h of degree n with deg(f - h*h) < n, for monic f of degree 2n;
+    None for odd degree.  The x^(2n-j) coefficient of h*h is 2 h_(n-j) plus
+    products of h_(n-1) .. h_(n-j+1), so f's coefficients of degree 2n-1 .. n
+    fix h_(n-1) .. h_0 in turn (2 is invertible); lower ones never enter.
+    h is unique: another h' would give deg((h - h')(h + h')) < n."""
+    d = f.degree
+    if d % 2:  # odd, or -1 for the zero polynomial
+        return None
+    F = f.field
+    n = d // 2
+    c = f.coeffs
+    mul, sub = F.mul_i, F.sub_i
+    half = F.inv_i(F.from_int(2).idx)
+    h = [0] * n + [F.one_idx]
+    for j in range(1, n + 1):
+        acc = c[d - j]
+        for i in range(1, j):
+            acc = sub(acc, mul(h[n - i], h[n - j + i]))
+        h[n - j] = mul(acc, half)
+    return Poly(F, h)
+
+
+def square_root(f: Poly) -> Poly | None:
+    """The monic h with h*h == f, else None; sqrt_part is the only candidate."""
+    h = sqrt_part(f)
+    return h if h is not None and h * h == f else None
+
+
 @dataclass(frozen=True)
 class SquareDecomposition:
     """f == c * h^2 with h monic; c_is_square reports squareness of c in F_q."""
@@ -463,7 +477,7 @@ class SquareDecomposition:
     c_is_square: bool
 
 
-def constant_times_square(f: Poly, seed: int = 0) -> SquareDecomposition | None:
+def constant_times_square(f: Poly) -> SquareDecomposition | None:
     """Detect f = c*h^2 (every irreducible factor with even multiplicity).
 
     Returns None when some factor has odd multiplicity.  Constants are
@@ -471,15 +485,8 @@ def constant_times_square(f: Poly, seed: int = 0) -> SquareDecomposition | None:
     """
     if f.is_zero():
         return None
-    F = f.field
-    if f.degree == 0:
-        c = f.leading()
-        return SquareDecomposition(c=c, h=Poly.one(F), c_is_square=c.chi() >= 0)
-    if f.degree % 2:
-        return None
-    fac = factor(f, seed)
-    h = fac.square_root()
+    h = square_root(f.monic())
     if h is None:
         return None
-    c = fac.unit
+    c = f.leading()
     return SquareDecomposition(c=c, h=h, c_is_square=c.chi() >= 0)

@@ -35,12 +35,14 @@ BOUNDS_CSV_COLUMNS = ["q", "d", "f", "a", "m", "orbit", "L", "maxB", "lhs", "rhs
 class ScanConfig:
     field: str
     degree: int
-    space: str = "monic"  # "monic" | "all" | "sample"
-    sample: int | None = None
+    sample: int | None = None  # None: every monic polynomial
     seed: int = 0
     budget: int = DEFAULT_DEGREE_BUDGET
     workers: int = 1
-    bound_Ls: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.sample is not None and self.sample < 1:
+            raise ValueError(f"sample size must be at least 1, got {self.sample}")
 
     def to_json(self):
         return asdict(self)
@@ -99,10 +101,10 @@ def sample_polys(field: FieldSpec, degree: int, count: int, seed: int) -> list[P
 # --- per-item kernels (top level so worker processes can import them) ------
 
 def _classify_item(args):
-    field_str, coeffs, seed = args
+    field_str, coeffs = args
     F = _resolve_field(field_str)
     f = Poly(F, coeffs)
-    rep = classify_2_ordinary(f, seed)
+    rep = classify_2_ordinary(f)
     row = {"q": F.q, "d": f.degree, "f": str(f)}
     row.update(rep.to_json())
     return row
@@ -183,13 +185,16 @@ def _pmap(fn, items, workers: int):
 
 # --- drivers ---------------------------------------------------------------
 
-def classification_scan(cfg: ScanConfig):
+def _monic_polys(cfg: ScanConfig) -> list[Poly]:
+    """Every monic polynomial of cfg's degree, or a seeded sample of cfg.sample."""
     F = _resolve_field(cfg.field)
-    if cfg.space == "sample":
-        polys = sample_polys(F, cfg.degree, cfg.sample or 100, cfg.seed)
-    else:
-        polys = list(enumerate_polys(F, cfg.degree, cfg.space))
-    items = [(cfg.field, p.coeffs, cfg.seed) for p in polys]
+    if cfg.sample is None:
+        return list(enumerate_polys(F, cfg.degree, "monic"))
+    return sample_polys(F, cfg.degree, cfg.sample, cfg.seed)
+
+
+def classification_scan(cfg: ScanConfig):
+    items = [(cfg.field, p.coeffs) for p in _monic_polys(cfg)]
     rows = _pmap(_classify_item, items, cfg.workers)
     rows.sort(key=lambda r: (r["q"], r["d"], r["f"]))
     counts: dict[str, int] = {}
@@ -223,11 +228,10 @@ def bounds_scan(cfg: ScanConfig):
     """Sampled orbit-bound + envelope rows in the fixed CSV schema."""
     F = _resolve_field(cfg.field)
     pairs = list(purely_periodic_pairs(F, cfg.degree))
-    count = cfg.sample or len(pairs)
-    rng = random.Random(cfg.seed)
-    if count < len(pairs):
-        pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), count))]
-    Ls = cfg.bound_Ls or tuple(range(1, max(choose_L(F.q, cfg.degree), 3) + 1))
+    if cfg.sample is not None and cfg.sample < len(pairs):
+        rng = random.Random(cfg.seed)
+        pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), cfg.sample))]
+    Ls = tuple(range(1, max(choose_L(F.q, cfg.degree), 3) + 1))
     items = [(cfg.field, f.coeffs, a.idx, Ls, cfg.budget) for f, a in pairs]
     nested = _pmap(_orbit_bounds_item, items, cfg.workers)
     rows = [r for chunk in nested for r in chunk]
@@ -252,11 +256,7 @@ def run_bounds_scan(cfg: ScanConfig):
 def ratio_scan(cfg: ScanConfig):
     """Observational max |O|/(m q^(5/6)) and R/q^(5/6) over a seeded sample."""
     F = _resolve_field(cfg.field)
-    if cfg.space == "sample" or cfg.sample:
-        polys = sample_polys(F, cfg.degree, cfg.sample or 100, cfg.seed)
-    else:
-        polys = list(enumerate_polys(F, cfg.degree, "monic"))
-    items = [(cfg.field, p.coeffs) for p in polys]
+    items = [(cfg.field, p.coeffs) for p in _monic_polys(cfg)]
     rows = _pmap(_ratio_item, items, cfg.workers)
     max_orbit = max((r["orbit_ratio"] for r in rows), default=0.0)
     max_run = max((r["run_ratio"] for r in rows), default=0.0)

@@ -2,13 +2,19 @@
 
 import pytest
 
+import orbitsquares.classify as classify_mod
+import orbitsquares.fpoly as fpoly_mod
+from orbitsquares.bounds import weil_check
+
 from orbitsquares.chebyshev import chebyshev
 from orbitsquares.classify import (
     NOT_ORDINARY,
     NOT_TWO_ORDINARY,
     ORDINARY,
     TWO_ORDINARY,
+    ClassificationReport,
     FamilyParams,
+    FormMatch,
     are_conjugate,
     chebyshev_conjugacy,
     classify_2_ordinary,
@@ -26,8 +32,8 @@ from orbitsquares.errors import (
     RecurrenceDivisorVanishes,
     SqrtDoesNotExist,
 )
-from orbitsquares.field import FieldElement, make_field
-from orbitsquares.fpoly import Poly
+from orbitsquares.field import FieldElement, FieldSpec, make_field
+from orbitsquares.fpoly import Poly, SquareDecomposition, constant_times_square, factor
 from orbitsquares.scan import enumerate_polys
 
 F3 = make_field(3)
@@ -118,6 +124,134 @@ class TestClassifyOrdinary:
     def test_squarefree(self):
         v, _ = classify_ordinary(P(F3, 1, 0, 1))
         assert v == ORDINARY
+
+
+# --- a factorization-based reference -----------------------------------------
+#
+# The shapes used to be read off complete factorizations: f's multiplicities
+# for (a), (b), (c), (e) and constant_times_square, and one factorization of
+# f - B per nonzero B for (d).  That logic is kept here as the reference the
+# coefficient tests in classify/fpoly must agree with.
+
+
+def _ref_root(fac, odd=None):
+    """Monic h with monic(f) == h^2, or == odd * h^2 with odd's multiplicity odd."""
+    h = Poly.one(fac.unit.field)
+    for g, m in fac.factors:
+        if m % 2 != (g == odd):
+            return None
+        h = h * g ** (m // 2)
+    return h if odd is None or any(g == odd for g, _ in fac.factors) else None
+
+
+def _ref_form_a(fac):
+    if len(fac.factors) != 1:
+        return None
+    g, m = fac.factors[0]
+    p = fac.unit.field.p
+    e = next((e for e in range(1, m.bit_length() + 1) if p**e == m), None)
+    if g.degree != 1 or e is None:
+        return None
+    return {"A": fac.unit, "B": -g.coefficient(0), "e": e}
+
+
+def _ref_classify_2(f, fac):
+    F, d = f.field, f.degree
+    matches = []
+    ordinary_verdict, ordinary_witness = ORDINARY, None
+    witness = _ref_form_a(fac)
+    if witness is not None:
+        matches.append(FormMatch("a", witness))
+        ordinary_verdict, ordinary_witness = NOT_ORDINARY, dict(witness)
+    if d % 2 == 0:
+        h = _ref_root(fac)
+        if h is not None:
+            matches.append(FormMatch("b", {"A": fac.unit, "g": h}))
+        if f.coefficient(0).is_zero():
+            for B in F.elements():
+                if B.is_zero():
+                    continue
+                hfac = factor(f - Poly.constant(B))
+                hroot = _ref_root(hfac)
+                if hroot is None or hfac.unit * hroot.coefficient(0) ** 2 != -B:
+                    continue
+                if classify_mod._recurrence_holds(hroot.element_coeffs(), B, d // 2, True):
+                    matches.append(FormMatch("d", {"A": hfac.unit, "B": B, "h": hroot}))
+    else:
+        g = _ref_root(fac, odd=Poly.x(F))
+        if g is not None:
+            matches.append(FormMatch("c", {"A": fac.unit, "g": g}))
+        B = f.coefficient(0)
+        if not B.is_zero() and f.evaluate(B).is_zero():
+            g = _ref_root(fac, odd=Poly.from_elements(F, [-B, F.one]))
+            if (
+                g is not None
+                and fac.unit * g.coefficient(0) ** 2 == F.from_int(-1)
+                and classify_mod._recurrence_holds(g.element_coeffs(), B, (d - 1) // 2, False)
+            ):
+                matches.append(FormMatch("e", {"A": fac.unit, "B": B, "g": g}))
+    return ClassificationReport(
+        verdict=NOT_TWO_ORDINARY if matches else TWO_ORDINARY,
+        matched_forms=tuple(matches),
+        ordinary_verdict=ordinary_verdict,
+        ordinary_witness=ordinary_witness,
+    )
+
+
+def _ref_constant_times_square(f, fac):
+    h = _ref_root(fac) if f.degree % 2 == 0 else None
+    if h is None:
+        return None
+    return SquareDecomposition(c=fac.unit, h=h, c_is_square=fac.unit.chi() >= 0)
+
+
+DIFFERENTIAL_CELLS = [
+    ("3", 3), ("3", 4), ("3", 5), ("5", 2), ("5", 3), ("5", 4), ("7", 2), ("7", 3),
+    ("3^2", 2), ("3^2", 3), ("3^2/(2,1,1)", 3),
+]
+
+
+@pytest.mark.parametrize("field,degree", DIFFERENTIAL_CELLS)
+def test_coefficient_shapes_match_factorization_reference(field, degree):
+    F = FieldSpec.parse(field)
+    for f in enumerate_polys(F, degree, "all"):
+        fac = factor(f)
+        expected = _ref_classify_2(f, fac)
+        assert classify_2_ordinary(f).to_json() == expected.to_json(), f
+        assert classify_ordinary(f) == (expected.ordinary_verdict, expected.ordinary_witness), f
+        assert constant_times_square(f) == _ref_constant_times_square(f, fac), f
+
+
+def test_shape_decisions_never_factor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor called")
+
+    for mod in (fpoly_mod, classify_mod):
+        monkeypatch.setattr(mod, "factor", refuse)
+    seen = set()
+    for field, degree in [("3", 3), ("3", 5), ("7", 2), ("5", 4), ("3^2", 3)]:
+        for f in enumerate_polys(FieldSpec.parse(field), degree, "all"):
+            seen.update(m.form for m in classify_2_ordinary(f).matched_forms)
+            classify_ordinary(f)
+            constant_times_square(f)
+            weil_check(f)
+    assert seen == {"a", "b", "c", "d", "e"}
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_classify_ordinary_recovers_every_linear_power(p, k):
+    # B comes back through the inverse Frobenius; (-e) mod k is 0 for F_9 at
+    # e = 2 and nonzero for F_9 at e = 1 and F_27 at e = 1, 2
+    F = make_field(p, k)
+    for e in range(1, 3):
+        if p**e > 9:
+            break
+        for A in F.elements():
+            if A.is_zero():
+                continue
+            for B in F.elements():
+                f = Poly.constant(A) * Poly.from_elements(F, [-B, F.one]) ** (p**e)
+                assert classify_ordinary(f) == (NOT_ORDINARY, {"A": A, "B": B, "e": e})
 
 
 class TestHnSequence:

@@ -58,6 +58,12 @@ class TestConstruction:
                 break
         assert smallest_irreducible(p, k) == lower + (1,)
 
+    @pytest.mark.parametrize("text", ["3^2/(4,0,1)", "3^2/(-2,0,1)", "3^2/(1,0,4)"])
+    def test_modulus_coefficients_are_not_reduced(self, text):
+        # each would read as x^2 + 1 if its coefficients were taken mod 3
+        with pytest.raises(ValueError):
+            FieldSpec.parse(text)
+
     def test_not_prime(self):
         with pytest.raises(NotPrime):
             make_field(9)

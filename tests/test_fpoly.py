@@ -1,6 +1,7 @@
 """Polynomial arithmetic, composition, iteration and factorization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,15 @@ from hypothesis import strategies as st
 
 from orbitsquares.errors import DegreeBudgetExceeded
 from orbitsquares.field import make_field
-from orbitsquares.fpoly import Poly, constant_times_square, factor, gcd, is_irreducible
+from orbitsquares.fpoly import (
+    Poly,
+    constant_times_square,
+    factor,
+    gcd,
+    is_irreducible,
+    sqrt_part,
+    square_root,
+)
 
 F3 = make_field(3)
 F5 = make_field(5)
@@ -187,15 +196,46 @@ class TestConstantTimesSquare:
         assert Poly.constant(dec.c) * dec.h * dec.h == f
 
 
-def test_factorization_square_root():
-    x, x1 = Poly.x(F7), P(F7, 1, 1)
-    square = factor(P(F7, 3) * x1 * x1)  # 3(x+1)^2
-    assert square.square_root() == x1
-    assert square.square_root(odd=x) is None  # x does not divide it
-    odd = factor(x * x1 * x1)
-    assert odd.square_root() is None
-    assert odd.square_root(odd=x) == x1
-    assert odd.square_root(odd=x1) is None  # x's multiplicity is odd too
+def _monic_polys(F, degree):
+    for lower in itertools.product(range(F.q), repeat=degree):
+        yield Poly(F, lower + (F.one_idx,))
+
+
+class TestSquareRoot:
+    @pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (5, 2)])
+    def test_root_of_a_square(self, p, k):
+        F = make_field(p, k)
+        rng = random.Random(p * 10 + k)
+        for n in range(6):
+            for _ in range(20):
+                h = Poly(F, [rng.randrange(F.q) for _ in range(n)] + [F.one_idx])
+                assert square_root(h * h) == h
+                assert sqrt_part(h * h) == h
+
+    @pytest.mark.parametrize("p,k,degree", [
+        (3, 1, 2), (3, 1, 4), (5, 1, 2), (5, 1, 4), (3, 2, 2), (3, 2, 4),
+    ])
+    def test_none_exactly_when_a_multiplicity_is_odd(self, p, k, degree):
+        F = make_field(p, k)
+        for f in _monic_polys(F, degree):
+            odd = any(m % 2 for _, m in factor(f).factors)
+            assert (square_root(f) is None) == odd, f
+
+    @pytest.mark.parametrize("p,k,degree", [(3, 1, 1), (3, 1, 3), (5, 1, 3), (3, 2, 3)])
+    def test_odd_degree_has_no_root(self, p, k, degree):
+        F = make_field(p, k)
+        assert all(square_root(f) is None for f in _monic_polys(F, degree))
+
+    def test_sqrt_part_ignores_the_low_half(self):
+        # deg(f - h*h) < n for every monic quartic over F_5: h reads only the top half
+        for f in _monic_polys(F5, 4):
+            h = sqrt_part(f)
+            assert h.degree == 2 and h.leading() == F5.one
+            assert (f - h * h).degree < 2
+
+    def test_not_monic(self):
+        assert square_root(P(F7, 0, 0, 4)) is None  # 4x^2 has no monic root
+        assert square_root(Poly.one(F7)) == Poly.one(F7)
 
 
 class TestEvaluate:

@@ -49,7 +49,7 @@ class TestEnumeration:
 
 class TestScans:
     def test_classification_counts_f7_quadratics(self):
-        cfg = ScanConfig(field="7", degree=2, space="monic")
+        cfg = ScanConfig(field="7", degree=2)
         rows, counts = classification_scan(cfg)
         assert len(rows) == 49
         assert counts["TwoOrdinary"] == 41
@@ -57,8 +57,8 @@ class TestScans:
         assert counts["form_b"] == 7 and counts["form_d"] == 1
 
     def test_worker_count_does_not_change_bytes(self):
-        cfg1 = ScanConfig(field="7", degree=2, space="monic", workers=1)
-        cfg2 = ScanConfig(field="7", degree=2, space="monic", workers=2)
+        cfg1 = ScanConfig(field="7", degree=2, workers=1)
+        cfg2 = ScanConfig(field="7", degree=2, workers=2)
         r1, c1 = classification_scan(cfg1)
         r2, c2 = classification_scan(cfg2)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
@@ -69,18 +69,29 @@ class TestScans:
         assert len(rows) == 125 and failures == []
 
     def test_bounds_scan_schema_and_pass(self):
-        cfg = ScanConfig(field="7", degree=2, sample=12, seed=1, bound_Ls=(1, 2))
+        cfg = ScanConfig(field="7", degree=2, sample=12, seed=1)
         rows = bounds_scan(cfg)
         assert rows and all(r["pass"] for r in rows)
         csv_text = rows_to_csv_text(rows, BOUNDS_CSV_COLUMNS)
         assert csv_text.splitlines()[0] == ",".join(BOUNDS_CSV_COLUMNS)
 
     def test_bounds_scan_worker_determinism(self):
-        cfg1 = ScanConfig(field="7", degree=2, sample=8, seed=5, bound_Ls=(1,), workers=1)
-        cfg2 = ScanConfig(field="7", degree=2, sample=8, seed=5, bound_Ls=(1,), workers=3)
+        cfg1 = ScanConfig(field="7", degree=2, sample=8, seed=5, workers=1)
+        cfg2 = ScanConfig(field="7", degree=2, sample=8, seed=5, workers=3)
         t1 = rows_to_csv_text(bounds_scan(cfg1), BOUNDS_CSV_COLUMNS)
         t2 = rows_to_csv_text(bounds_scan(cfg2), BOUNDS_CSV_COLUMNS)
         assert t1 == t2
+
+    def test_sample_means_the_same_in_every_scan(self):
+        cfg = ScanConfig(field="7", degree=2, sample=5)
+        rows, _ = classification_scan(cfg)
+        assert len(rows) == 5
+        assert ratio_scan(cfg)["polys"] == 5
+        assert len(classification_scan(ScanConfig(field="7", degree=2))[0]) == 49
+
+    def test_sample_must_be_positive(self):
+        with pytest.raises(ValueError):
+            ScanConfig(field="7", degree=2, sample=0)
 
     def test_run_bounds_scan_passes(self):
         rows = run_bounds_scan(ScanConfig(field="7", degree=2))
@@ -110,6 +121,16 @@ class TestCli:
         rc, out, _ = self.run(capsys, "classify", "--field", "3", "--poly", "1,0,0,1")
         assert rc == 0
         assert any(fm["form"] == "a" for fm in json.loads(out)["forms"])
+
+    def test_classify_takes_no_seed(self, capsys):
+        # classification reads shapes from coefficients; nothing random is left to seed
+        rc, out, _ = self.run(capsys, "classify", "--field", "7", "--poly", "1,0,1", "--seed", "3")
+        assert rc == 1 and out == ""
+
+    @pytest.mark.parametrize("field", ["3^2/(4,0,1)", "3^2/(-2,0,1)", "3^2/(1,0,4)"])
+    def test_modulus_coefficient_out_of_range(self, capsys, field):
+        rc, out, err = self.run(capsys, "classify", "--field", field, "--poly", "0,0,1")
+        assert rc == 1 and out == "" and "error:" in err
 
     def test_classify_two_ordinary(self, capsys):
         rc, out, _ = self.run(capsys, "classify", "--field", "7", "--poly", "1,0,1")
@@ -244,7 +265,20 @@ class TestCli:
         rc, out, _ = self.run(capsys, "scan", "--field", "5", "--degree", "2")
         assert rc == 0
         config = json.loads(out.strip().splitlines()[-1])["summary"]["config"]
-        assert "checks" not in config and "depth" not in config
+        for key in ("checks", "depth", "space", "bound_Ls"):
+            assert key not in config, key
+
+    def test_scan_orbit_bounds_counts_envelope_failures(self, capsys, monkeypatch):
+        import orbitsquares.scan as scan_mod
+
+        monkeypatch.setattr(scan_mod, "envelope_holds", lambda *args: False)
+        rc, out, _ = self.run(
+            capsys, "scan", "--field", "7", "--degree", "2",
+            "--checks", "orbit-bounds", "--sample", "5",
+        )
+        assert rc == 2
+        summary = json.loads(out.strip().splitlines()[-1])["summary"]
+        assert summary["orbit_bound_failures"] == 15
 
 
 class TestFieldStrings:
