@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import TWO_ORDINARY, classify_2_ordinary
-from .dynamics import RunReport, SignSequence, longest_run, sign_sequence, successors
+from .dynamics import RunReport, SignSequence, check_target, longest_run, orbit_table, sign_sequence
 from .errors import NotPurelyPeriodic, NotTwoOrdinary
 from .field import FieldElement
-from .fpoly import Poly, check_degree_budget, constant_times_square
+from .fpoly import Poly, constant_times_square
 
 
 def char_sum(f: Poly) -> int:
@@ -66,21 +66,19 @@ def compute_B(
     i: int,
     L: int,
     signs: SignSequence | None = None,
-    budget: int | None = None,
 ) -> Fraction:
     """Exact B_i = sum_x prod_{l=1..L} (1 + s_a(l+i) chi(f^l(x)))/2.
 
-    Iterates are read from f's successor table (cost O(qL) lookups); the
+    Iterates are read from f's orbit table (cost O(qL) lookups); the
     result is a rational with denominator dividing 2^L.  Sign indices follow
     the l >= 1 convention: s_a(l) = chi(f^l(a))."""
     if L < 1:
         raise ValueError("window length L must be >= 1")
-    check_degree_budget(f.degree, L, budget)
     ss = signs if signs is not None else sign_sequence(f, a)
     s = [ss.sign_at(ell + i) for ell in range(L + 1)]  # s[l] for l=0..L; l>=1 used
     F = f.field
     chi = F.chi_i
-    succ = successors(f)
+    succ = orbit_table(f).succ
     total = 0
     for x in range(F.q):
         y = x
@@ -114,32 +112,14 @@ class OrbitBoundReport:
     def passed_uniform(self) -> bool:
         return self.lhs <= self.rhs_uniform
 
-    def to_json(self):
-        return {
-            "f": str(self.f),
-            "a": self.a.idx,
-            "q": self.f.field.q,
-            "d": self.f.degree,
-            "L": self.L,
-            "m": self.m,
-            "orbit_size": self.orbit_size,
-            "B_values": [str(b) for b in self.B_values],
-            "lhs": self.lhs,
-            "rhs_sum": str(self.rhs_sum),
-            "rhs_uniform": str(self.rhs_uniform),
-            "pass": self.passed and self.passed_uniform,
-        }
 
-
-def orbit_bound_check(
-    f: Poly, a: FieldElement, L: int, budget: int | None = None
-) -> OrbitBoundReport:
+def orbit_bound_check(f: Poly, a: FieldElement, L: int) -> OrbitBoundReport:
     """|O_f(a)| <= 2L + 1 + sum_i B_i, and the uniform form with B = max B_i."""
     ss = sign_sequence(f, a)
     if not ss.purely_periodic:
         raise NotPurelyPeriodic("orbit bound requires a purely periodic sign sequence")
     m = ss.sign_period
-    bs = tuple(compute_B(f, a, i, L, signs=ss, budget=budget) for i in range(m))
+    bs = tuple(compute_B(f, a, i, L, signs=ss) for i in range(m))
     lhs = ss.orbit.size
     rhs_sum = 2 * L + 1 + sum(bs)
     rhs_uniform = 2 * L + 1 + m * max(bs)
@@ -156,9 +136,6 @@ class EnvelopeCheck:
     L: int
     passed: bool
 
-    def to_json(self):
-        return {"i": self.i, "L": self.L, "B_i": str(self.B_i), "pass": self.passed}
-
 
 def envelope_holds(b: Fraction, q: int, d: int, L: int) -> bool:
     """The envelope b <= q/2^L + d^(L+1) sqrt(q), decided exactly on the squared
@@ -174,7 +151,6 @@ def envelope_check(
     L: int,
     signs: SignSequence | None = None,
     classification=None,
-    budget: int | None = None,
 ) -> EnvelopeCheck:
     """B_i <= q/2^L + d^(L+1) sqrt(q), compared exactly on the squared branch."""
     report = classification if classification is not None else classify_2_ordinary(f)
@@ -183,30 +159,19 @@ def envelope_check(
     ss = signs if signs is not None else sign_sequence(f, a)
     if not ss.purely_periodic:
         raise NotPurelyPeriodic("envelope bound requires a purely periodic sign sequence")
-    b = compute_B(f, a, i, L, signs=ss, budget=budget)
+    b = compute_B(f, a, i, L, signs=ss)
     return EnvelopeCheck(B_i=b, i=i, L=L, passed=envelope_holds(b, f.field.q, f.degree, L))
 
 
-def t_set_size(f: Poly, L: int, target: int = 1, budget: int | None = None) -> int:
-    """|T(L)|: x with chi(f^i(x)) == target (so in particular nonzero) for i=1..L."""
+def t_set_size(f: Poly, L: int, target: int = 1) -> int:
+    """|T(L)|: x with chi(f^i(x)) == target (so in particular nonzero) for i=1..L,
+    i.e. f(x) starts a run of at least L target signs (ahead -1: unbounded)."""
+    check_target(target)
     if L < 0:
         raise ValueError("L must be nonnegative")
-    F = f.field
-    if L == 0:
-        return F.q
-    check_degree_budget(f.degree, L, budget)
-    chi = F.chi_i
-    succ = successors(f)
-    count = 0
-    for x in range(F.q):
-        y = x
-        for _ in range(L):
-            y = succ[y]
-            if chi(y) != target:
-                break
-        else:
-            count += 1
-    return count
+    table = orbit_table(f)
+    ahead = table.ahead[target]
+    return sum(not 0 <= ahead[y] < L for y in table.succ)
 
 
 @dataclass(frozen=True)
@@ -257,21 +222,18 @@ class RunBoundReport:
         }
 
 
-def run_bound_check(f: Poly, a: FieldElement, budget: int | None = None) -> RunBoundReport:
+def run_bound_check(f: Poly, a: FieldElement) -> RunBoundReport:
     """With R the longest run and S = floor((R-1)/4): S <= |T(L)| for L <= S."""
-    ss = sign_sequence(f, a)
     sides = {}
     for target in (1, -1):
-        run = longest_run(f, a, target, signs=ss)
+        run = longest_run(f, a, target)
         S = max(0, (run.length - 1) // 4)
         if run.cycle_constant:
             sides[target] = RunBoundSide(
                 target=target, run=run, S=S, t_sizes=(), excluded=True
             )
             continue
-        sizes = tuple(
-            t_set_size(f, L, target=target, budget=budget) for L in range(1, S + 1)
-        )
+        sizes = tuple(t_set_size(f, L, target=target) for L in range(1, S + 1))
         sides[target] = RunBoundSide(
             target=target, run=run, S=S, t_sizes=sizes, excluded=False
         )

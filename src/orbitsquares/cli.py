@@ -23,7 +23,7 @@ from .classify import (
 from .dynamics import sign_sequence
 from .errors import OrbitSquaresError
 from .field import FieldElement, FieldSpec
-from .fpoly import DEFAULT_DEGREE_BUDGET, Poly
+from .fpoly import Poly
 from . import scan as scan_mod
 
 
@@ -101,7 +101,6 @@ def _config(args) -> scan_mod.ScanConfig:
         degree=args.degree,
         sample=args.sample,
         seed=args.seed,
-        budget=args.budget,
         workers=args.workers,
     )
 
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=int, default=1)
             p.add_argument("--out", default=None, help="output directory")
         if sampled:
-            p.add_argument("--budget", type=int, default=DEFAULT_DEGREE_BUDGET)
             p.add_argument("--sample", type=int, default=None)
             p.add_argument("--seed", type=int, default=0)
 

@@ -34,6 +34,20 @@ class OrbitSummary:
         }
 
 
+@dataclass(frozen=True)
+class RunReport:
+    """Longest block of consecutive iterates with the target character sign.
+
+    When the whole cycle carries the target sign the index run is unbounded;
+    length then counts distinct elements (trailing tail run plus the cycle)
+    and cycle_constant is set.
+    """
+
+    target: int
+    length: int
+    cycle_constant: bool
+
+
 @lru_cache(maxsize=1)
 def _successor_table(f: Poly) -> list[int]:
     """f's value at each element index, or -1 where f is not evaluated yet.
@@ -43,41 +57,113 @@ def _successor_table(f: Poly) -> list[int]:
     return [-1] * f.field.q
 
 
-def successors(f: Poly) -> list[int]:
-    """The complete table x -> f(x) over element indices; read-only."""
+@dataclass(frozen=True)
+class OrbitTable:
+    """Orbit and sign data of every start x under one f, by element index.
+
+    From x, tail[x] steps reach a cycle of length cycle[x]; chi(f^l(x)) has
+    minimal eventual period sign_period[x] from l = sign_tail[x] on.  For a
+    target sign t, ahead[t][x] counts the iterates x, f(x), ... before the
+    first one without sign t (-1 if there is none), and run[t][x] is
+    longest_run's report.  Read-only."""
+
+    succ: list[int]
+    tail: list[int]
+    cycle: list[int]
+    sign_tail: list[int]
+    sign_period: list[int]
+    ahead: dict[int, list[int]]
+    run: dict[int, list[RunReport]]
+
+
+@lru_cache(maxsize=1)
+def orbit_table(f: Poly) -> OrbitTable:
+    """One O(q) pass over f's functional graph; a one-entry memo, like the
+    successor table it completes.  Each point joins exactly one walk, which
+    ends at a point placed earlier or closes a new cycle.  A new cycle gets
+    its sign period and runs from two laps of its signs; the walk's tail
+    points are then placed from the cycle outward, each from its successor."""
+    F = f.field
+    q = F.q
     succ = _successor_table(f)
     for x, y in enumerate(succ):
         if y < 0:
             succ[x] = f.eval_i(x)
-    return succ
+    chi = [F.chi_i(x) for x in range(q)]
+    tail = [-1] * q  # -1: not walked yet, -2: on the current walk
+    cycle = [0] * q
+    sign_tail = [0] * q
+    sign_period = [0] * q
+    ahead = {1: [0] * q, -1: [0] * q}
+    run = {1: [None] * q, -1: [None] * q}
+    # A purely periodic x has the signs of cyc_of[x][phase[x]], a point on its
+    # cycle (phase[x] is -1 otherwise).  A tail point x is purely periodic iff
+    # its successor y is and chi(x) is the sign one phase before y's.
+    cyc_of = [None] * q
+    phase = [-1] * q
+    for start in range(q):
+        path = []
+        x = start
+        while tail[x] == -1:
+            tail[x] = -2
+            path.append(x)
+            x = succ[x]
+        if tail[x] == -2:  # the walk closed a new cycle at x
+            k = path.index(x)
+            cyc = path[k:]
+            del path[k:]
+            p = len(cyc)
+            signs = [chi[c] for c in cyc]
+            lap = bytes(s + 1 for s in signs)
+            m = (lap + lap).find(lap, 1)  # least self-matching shift: the sign period
+            for j, c in enumerate(cyc):
+                tail[c], cycle[c], sign_period[c] = 0, p, m
+                cyc_of[c], phase[c] = cyc, j
+            for t in (1, -1):
+                if m == 1 and signs[0] == t:
+                    ahead_t, rep = [-1] * p, RunReport(t, p, cycle_constant=True)
+                else:
+                    ahead_t, cur = [0] * p, 0
+                    for j in range(2 * p - 1, -1, -1):  # two laps, backwards
+                        cur = cur + 1 if signs[j % p] == t else 0
+                        ahead_t[j % p] = cur  # the first lap's counts, written last, are exact
+                    rep = RunReport(t, max(ahead_t), cycle_constant=False)
+                for c, a in zip(cyc, ahead_t):
+                    ahead[t][c], run[t][c] = a, rep
+        for x in reversed(path):
+            y = succ[x]
+            tail[x], cycle[x], sign_period[x] = tail[y] + 1, cycle[y], sign_period[y]
+            cyc = cyc_of[y]
+            if phase[y] >= 0 and chi[x] == chi[cyc[phase[y] - 1]]:
+                cyc_of[x], phase[x] = cyc, (phase[y] - 1) % len(cyc)
+            else:
+                sign_tail[x] = sign_tail[y] + 1
+            for t in (1, -1):
+                a = ahead[t][y]
+                a = 0 if chi[x] != t else -1 if a < 0 else a + 1
+                ahead[t][x] = a
+                rep = run[t][y]
+                if a < 0:  # x's whole orbit has sign t: the run counts every point
+                    rep = RunReport(t, tail[x] + cycle[x], cycle_constant=True)
+                elif a > rep.length and not rep.cycle_constant:
+                    rep = RunReport(t, a, cycle_constant=False)
+                run[t][x] = rep
+    return OrbitTable(succ, tail, cycle, sign_tail, sign_period, ahead, run)
 
 
 def forward_orbit(f: Poly, a: FieldElement) -> OrbitSummary:
-    """Exact tail and period by hashing iterates until the first repeat.
-
-    Each f(x) comes from f's successor table; f is evaluated at a point
-    only the first time any walk reaches it."""
-    succ = _successor_table(f)
-    seen: dict[int, int] = {}
-    elements: list[FieldElement] = []
-    F = f.field
-    cur = a.idx
-    while cur not in seen:
-        seen[cur] = len(elements)
-        elements.append(FieldElement(F, cur))
-        nxt = succ[cur]
-        if nxt < 0:
-            nxt = succ[cur] = f.eval_i(cur)
-        cur = nxt
-    tail = seen[cur]
-    period = len(elements) - tail
-    zero_at = seen.get(0)
+    """The tail + period points of a's orbit, read from f's orbit table."""
+    table = orbit_table(f)
+    tail, period = table.tail[a.idx], table.cycle[a.idx]
+    xs = [a.idx]
+    while len(xs) < tail + period:
+        xs.append(table.succ[xs[-1]])
     return OrbitSummary(
         start=a,
         tail=tail,
         period=period,
-        elements=tuple(elements),
-        contains_zero_at=zero_at,
+        elements=tuple(FieldElement(f.field, x) for x in xs),
+        contains_zero_at=xs.index(0) if 0 in xs else None,
     )
 
 
@@ -113,66 +199,26 @@ class SignSequence:
 
 def sign_sequence(f: Poly, a: FieldElement) -> SignSequence:
     orbit = forward_orbit(f, a)
-    F = f.field
-    signs = tuple(F.chi_i(e.idx) for e in orbit.elements)
-    tail, period = orbit.tail, orbit.period
-    cycle = signs[tail:]
-    sign_period = period
-    for t in range(1, period + 1):
-        if period % t:
-            continue
-        if all(cycle[(j + t) % period] == cycle[j] for j in range(period)):
-            sign_period = t
-            break
-    s = tail
-    while s > 0:
-        ahead = s - 1 + sign_period
-        ahead_sign = signs[ahead] if ahead < len(signs) else cycle[(ahead - tail) % period]
-        if signs[s - 1] != ahead_sign:
-            break
-        s -= 1
+    table = orbit_table(f)
     return SignSequence(
         orbit=orbit,
-        signs=signs,
-        sign_tail=s,
-        sign_period=sign_period,
-        purely_periodic=(s == 0),
+        signs=tuple(f.field.chi_i(e.idx) for e in orbit.elements),
+        sign_tail=table.sign_tail[a.idx],
+        sign_period=table.sign_period[a.idx],
+        purely_periodic=table.sign_tail[a.idx] == 0,
     )
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Longest block of consecutive iterates with the target character sign.
-
-    When the whole cycle carries the target sign the index run is unbounded;
-    length then counts distinct elements (trailing tail run plus the cycle)
-    and cycle_constant is set.
-    """
-
-    target: int
-    length: int
-    cycle_constant: bool
+def check_target(target: int) -> None:
+    """Refuse a target sign other than 1 (squares) or -1 (non-squares)."""
+    if target not in (1, -1):
+        raise ValueError(f"target sign must be 1 or -1, got {target!r}")
 
 
-def longest_run(
-    f: Poly, a: FieldElement, target: int, signs: SignSequence | None = None
-) -> RunReport:
-    ss = signs if signs is not None else sign_sequence(f, a)
-    tail, period = ss.orbit.tail, ss.orbit.period
-    cycle = ss.signs[tail:]
-    if all(c == target for c in cycle):
-        r = 0
-        i = tail - 1
-        while i >= 0 and ss.signs[i] == target:
-            r += 1
-            i -= 1
-        return RunReport(target=target, length=period + r, cycle_constant=True)
-    best = cur = 0
-    for s in ss.signs + cycle:  # the tail, then two laps of the cycle
-        cur = cur + 1 if s == target else 0
-        if cur > best:
-            best = cur
-    return RunReport(target=target, length=best, cycle_constant=False)
+def longest_run(f: Poly, a: FieldElement, target: int) -> RunReport:
+    """Longest run of iterates of a with character sign target."""
+    check_target(target)
+    return orbit_table(f).run[target][a.idx]
 
 
 # --- preimages and trees ---------------------------------------------------

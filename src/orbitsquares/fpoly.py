@@ -8,7 +8,6 @@ equal-degree splitting) and monic square roots, read from the top down.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from .errors import (
 )
 from .field import FieldElement, FieldSpec
 
-DEFAULT_DEGREE_BUDGET = int(os.environ.get("ORBITSQUARES_DEGREE_BUDGET", "4096"))
+DEFAULT_DEGREE_BUDGET = 4096
 
 
 def check_degree_budget(d: int, n: int, budget: int | None = None) -> None:
@@ -230,9 +229,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = add(mul(acc, ai), c)
         return acc
-
-    def __call__(self, a):
-        return self.evaluate(a)
 
     def compose(self, other: "Poly") -> "Poly":
         """self(other(x)) by Horner over polynomial arguments."""

@@ -24,9 +24,9 @@ from .bounds import (
     weil_check,
 )
 from .classify import TWO_ORDINARY, classify_2_ordinary
-from .dynamics import longest_run, sign_sequence
+from .dynamics import orbit_table
 from .field import FieldElement, FieldSpec, make_field
-from .fpoly import DEFAULT_DEGREE_BUDGET, Poly
+from .fpoly import Poly
 
 BOUNDS_CSV_COLUMNS = ["q", "d", "f", "a", "m", "orbit", "L", "maxB", "lhs", "rhs", "pass"]
 
@@ -37,10 +37,13 @@ class ScanConfig:
     degree: int
     sample: int | None = None  # None: every monic polynomial
     seed: int = 0
-    budget: int = DEFAULT_DEGREE_BUDGET
     workers: int = 1
 
     def __post_init__(self):
+        if self.degree < 1:
+            raise ValueError(f"degree must be at least 1, got {self.degree}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.sample is not None and self.sample < 1:
             raise ValueError(f"sample size must be at least 1, got {self.sample}")
 
@@ -119,14 +122,14 @@ def _weil_item(args):
 
 
 def _orbit_bounds_item(args):
-    field_str, coeffs, a_idx, Ls, budget = args
+    field_str, coeffs, a_idx, Ls = args
     F = _resolve_field(field_str)
     f = Poly(F, coeffs)
     a = FieldElement(F, a_idx)
     rep = classify_2_ordinary(f)
     rows = []
     for L in Ls:
-        ob = orbit_bound_check(f, a, L, budget=budget)
+        ob = orbit_bound_check(f, a, L)
         env_pass = None
         if rep.verdict == TWO_ORDINARY:
             env_pass = all(envelope_holds(b, F.q, f.degree, L) for b in ob.B_values)
@@ -151,11 +154,10 @@ def _orbit_bounds_item(args):
 
 
 def _run_bounds_item(args):
-    field_str, coeffs, a_idx, budget = args
+    field_str, coeffs = args
     F = _resolve_field(field_str)
     f = Poly(F, coeffs)
-    a = FieldElement(F, a_idx)
-    return run_bound_check(f, a, budget=budget).to_json()
+    return [run_bound_check(f, a).to_json() for a in F.elements()]
 
 
 def _ratio_item(args):
@@ -163,15 +165,13 @@ def _ratio_item(args):
     F = _resolve_field(field_str)
     f = Poly(F, coeffs)
     scale = F.q ** (5 / 6)
-    best_orbit = 0.0
-    best_run = 0.0
-    for a in F.elements():
-        ss = sign_sequence(f, a)
-        if ss.purely_periodic:
-            best_orbit = max(best_orbit, ss.orbit.size / (ss.sign_period * scale))
-        for target in (1, -1):
-            r = longest_run(f, a, target, signs=ss)
-            best_run = max(best_run, r.length / scale)
+    t = orbit_table(f)
+    best_orbit = max(
+        (t.tail[x] + t.cycle[x]) / (t.sign_period[x] * scale)
+        for x in range(F.q)
+        if t.sign_tail[x] == 0
+    )
+    best_run = max(r.length for target in (1, -1) for r in t.run[target]) / scale
     return {"q": F.q, "f": str(f), "orbit_ratio": best_orbit, "run_ratio": best_run}
 
 
@@ -216,23 +216,18 @@ def weil_scan(cfg: ScanConfig):
     return rows, failures
 
 
-def purely_periodic_pairs(field: FieldSpec, degree: int):
-    """All (f, a) with f monic of the given degree and purely periodic signs."""
-    for f in enumerate_polys(field, degree, "monic"):
-        for a in field.elements():
-            if sign_sequence(f, a).purely_periodic:
-                yield f, a
-
-
 def bounds_scan(cfg: ScanConfig):
     """Sampled orbit-bound + envelope rows in the fixed CSV schema."""
     F = _resolve_field(cfg.field)
-    pairs = list(purely_periodic_pairs(F, cfg.degree))
+    pairs = []  # every (f, a) with f monic and a's signs purely periodic
+    for f in enumerate_polys(F, cfg.degree, "monic"):
+        sign_tail = orbit_table(f).sign_tail
+        pairs += [(f, a) for a in F.elements() if sign_tail[a.idx] == 0]
     if cfg.sample is not None and cfg.sample < len(pairs):
         rng = random.Random(cfg.seed)
         pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), cfg.sample))]
     Ls = tuple(range(1, max(choose_L(F.q, cfg.degree), 3) + 1))
-    items = [(cfg.field, f.coeffs, a.idx, Ls, cfg.budget) for f, a in pairs]
+    items = [(cfg.field, f.coeffs, a.idx, Ls) for f, a in pairs]
     nested = _pmap(_orbit_bounds_item, items, cfg.workers)
     rows = [r for chunk in nested for r in chunk]
     rows.sort(key=lambda r: (r["q"], r["d"], r["f"], r["a"], r["L"]))
@@ -242,13 +237,12 @@ def bounds_scan(cfg: ScanConfig):
 def run_bounds_scan(cfg: ScanConfig):
     """Run-structure inequality over every monic f outside forms (a)-(e)."""
     F = _resolve_field(cfg.field)
-    items = []
-    for f in enumerate_polys(F, cfg.degree, "monic"):
-        if classify_2_ordinary(f).verdict != TWO_ORDINARY:
-            continue
-        for a in F.elements():
-            items.append((cfg.field, f.coeffs, a.idx, cfg.budget))
-    rows = _pmap(_run_bounds_item, items, cfg.workers)
+    items = [
+        (cfg.field, f.coeffs)
+        for f in enumerate_polys(F, cfg.degree, "monic")
+        if classify_2_ordinary(f).verdict == TWO_ORDINARY
+    ]
+    rows = [r for chunk in _pmap(_run_bounds_item, items, cfg.workers) for r in chunk]
     rows.sort(key=lambda r: (r["q"], r["f"], r["a"]))
     return rows
 

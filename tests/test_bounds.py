@@ -16,7 +16,7 @@ from orbitsquares.bounds import (
     weil_check,
 )
 from orbitsquares.dynamics import sign_sequence
-from orbitsquares.errors import DegreeBudgetExceeded, NotPurelyPeriodic, NotTwoOrdinary
+from orbitsquares.errors import NotPurelyPeriodic, NotTwoOrdinary
 from orbitsquares.field import FieldElement, make_field
 from orbitsquares.fpoly import Poly
 from orbitsquares.scan import enumerate_polys
@@ -91,10 +91,6 @@ class TestComputeB:
     def test_window_length_validated(self):
         with pytest.raises(ValueError):
             compute_B(P(F7, 0, 0, 1), el(F7, 2), 0, 0)
-
-    def test_budget(self):
-        with pytest.raises(DegreeBudgetExceeded):
-            compute_B(P(F7, 0, 0, 1), el(F7, 2), 0, 10, budget=100)
 
     def test_upper_bounded_by_q(self):
         for ai in range(7):
@@ -225,9 +221,28 @@ class TestTSetSize:
         sizes = [t_set_size(f, L) for L in range(5)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
-    def test_budget(self):
-        with pytest.raises(DegreeBudgetExceeded):
-            t_set_size(P(F7, 0, 0, 1), 10, budget=100)
+    @pytest.mark.parametrize("target", [0, 2, -2])
+    def test_target_must_be_a_sign(self, target):
+        with pytest.raises(ValueError):
+            t_set_size(P(F7, 0, 0, 1), 1, target=target)
+
+    @staticmethod
+    def check_every_window(f):
+        # L runs past q, where only orbits ending on an all-target cycle stay in T(L)
+        F = f.field
+        walks = [[F.chi_i(y) for y in horner_iterates(f, x, F.q + 1)] for x in range(F.q)]
+        for L in range(1, F.q + 2):
+            for target in (1, -1):
+                expected = sum(all(s == target for s in w[1:L + 1]) for w in walks)
+                assert t_set_size(f, L, target=target) == expected, (str(f), L, target)
+
+    def test_matches_horner_on_f7_cubics(self):
+        for f in enumerate_polys(F7, 3):
+            self.check_every_window(f)
+
+    def test_matches_horner_on_f9_quadratics(self):
+        for f in enumerate_polys(F9, 2):
+            self.check_every_window(f)
 
 
 class TestRunBound:

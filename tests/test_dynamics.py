@@ -1,17 +1,20 @@
 """Orbits, sign sequences, runs, embeddings and preimage trees."""
 
+import pytest
+
 from orbitsquares.dynamics import (
     _successor_table,
     embed,
     embed_poly,
     forward_orbit,
     longest_run,
+    orbit_table,
     preimages,
     roots_in_field,
     sign_sequence,
     tree_is_repeating,
 )
-from orbitsquares.field import FieldElement, make_field
+from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import Poly
 from orbitsquares.scan import _ratio_item, enumerate_polys
 
@@ -96,6 +99,11 @@ class TestLongestRun:
         r = longest_run(f, el(F7, 3), -1)
         assert r.length == 1  # -1 signs are isolated by the zeros
 
+    @pytest.mark.parametrize("target", [0, 2, -2, None])
+    def test_target_must_be_a_sign(self, target):
+        with pytest.raises(ValueError):
+            longest_run(P(F7, 6, 0, 1), el(F7, 3), target)
+
 
 def horner_orbit(f, a_idx):
     """Reference walk with no table: one f.eval_i per step to the first repeat.
@@ -157,9 +165,8 @@ class TestSuccessorTable:
             assert (ss.sign_tail, ss.sign_period) == (sign_tail, sign_period)
             assert ss.purely_periodic == (sign_tail == 0)
             for target in (1, -1):
-                expected = reference_run(tail, period, signs, target)
-                for r in (longest_run(f, a, target), longest_run(f, a, target, signs=ss)):
-                    assert (r.length, r.cycle_constant) == expected
+                r = longest_run(f, a, target)
+                assert (r.length, r.cycle_constant) == reference_run(tail, period, signs, target)
 
     def test_every_monic_quadratic_f9(self):
         for f in enumerate_polys(F9, 2):
@@ -167,6 +174,14 @@ class TestSuccessorTable:
 
     def test_every_monic_quadratic_f25(self):
         for f in enumerate_polys(F25, 2):
+            self.check_against_horner(f)
+
+    def test_every_monic_cubic_f7(self):
+        for f in enumerate_polys(F7, 3):
+            self.check_against_horner(f)
+
+    def test_every_quadratic_over_user_modulus(self):
+        for f in enumerate_polys(FieldSpec.parse("3^2/(2,1,1)"), 2, "all"):
             self.check_against_horner(f)
 
     def test_interleaved_polynomials(self):
@@ -188,10 +203,34 @@ class TestSuccessorTable:
 
         monkeypatch.setattr(Poly, "eval_i", counted)
         _successor_table.cache_clear()
+        orbit_table.cache_clear()
         item = ("3^2", (2, 5, 1))
         row = _ratio_item(item)
         assert sorted(calls) == list(range(F9.q))
         assert _ratio_item(item) == row and len(calls) == F9.q
+
+    def test_orbit_table_evaluates_each_point_once(self, monkeypatch):
+        calls = []
+        eval_i = Poly.eval_i
+
+        def counted(self, x):
+            calls.append(x)
+            return eval_i(self, x)
+
+        monkeypatch.setattr(Poly, "eval_i", counted)
+        for F in (F7, F25):
+            f = P(F, 0, 1, 0, 1)  # x^3 + x fixes 0
+            _successor_table.cache_clear()
+            orbit_table.cache_clear()
+            calls.clear()
+            # the tree search stops at its first witness, x = 0, after one
+            # evaluation; the orbit table then completes the same table
+            assert tree_is_repeating(f, F.zero, depth=3, max_ext=1).levels == (0, 1)
+            assert calls == [0]
+            table = orbit_table(f)
+            assert sorted(calls) == list(range(F.q))
+            assert table.succ == [eval_i(f, x) for x in range(F.q)]
+            assert orbit_table(f) is table and len(calls) == F.q
 
 
 class TestEmbedding:

@@ -265,8 +265,26 @@ class TestCli:
         rc, out, _ = self.run(capsys, "scan", "--field", "5", "--degree", "2")
         assert rc == 0
         config = json.loads(out.strip().splitlines()[-1])["summary"]["config"]
-        for key in ("checks", "depth", "space", "bound_Ls"):
+        for key in ("checks", "depth", "space", "bound_Ls", "budget"):
             assert key not in config, key
+
+    def test_budget_flag_is_gone(self, capsys):
+        # no scan or bound check forms an iterate f^n, so no degree budget applies
+        for command in ("scan", "verify-bounds"):
+            rc, out, _ = self.run(
+                capsys, command, "--field", "7", "--degree", "2", "--budget", "5"
+            )
+            assert rc == 1 and out == "", command
+
+    @pytest.mark.parametrize("config", [
+        ["--degree", "-1"],
+        ["--degree", "0"],
+        ["--degree", "2", "--workers", "0"],
+        ["--degree", "2", "--workers", "-3"],
+    ])
+    def test_scan_rejects_unreadable_config(self, capsys, config):
+        rc, out, err = self.run(capsys, "scan", "--field", "3", *config)
+        assert rc == 1 and out == "" and "error:" in err
 
     def test_scan_orbit_bounds_counts_envelope_failures(self, capsys, monkeypatch):
         import orbitsquares.scan as scan_mod
