@@ -174,28 +174,48 @@ def classify_2_ordinary(f: Poly, seed: int = 0) -> ClassificationReport:
 
 @dataclass(frozen=True)
 class HnSequence:
-    values: tuple[FieldElement, ...]
-    repeat: tuple[int, int]  # first (i, j), i < j, with H_i == H_j
+    values: tuple[FieldElement, ...]  # H_0, ..., H_(j-1)
+    repeat: tuple[int, int]  # first (i, j), i < j, with C_i == C_j
 
 
 def hn_sequence(A: FieldElement, B: FieldElement, d: int, max_n: int | None = None) -> HnSequence:
-    """H_n = W_n/Z_n with Z_0=A, W_0=-B, Z_n=A Z_{n-1}^d, W_n=A W_{n-1}^d - B.
+    """H_n = W_n/Z_n with Z_0=A, W_0=-B, Z_n=A Z_{n-1}^d, W_n=A W_{n-1}^d - B,
+    and the first repeat of the root chain C_n they determine.
 
-    Runs until the first repeat, which the pigeonhole guarantees within q+1
+    For g = A x^d - B, g^(n+1) = Z_n x^(d^(n+1)) + W_n.  When d = p^e (the
+    shape A(x-b)^(p^e), with B = A b^d), that is Z_n (x - C_(n+1))^(d^(n+1))
+    with C_(n+1)^(d^(n+1)) = -H_n, so the root is the Frobenius-untwisted
+    C_(n+1) = (-H_n)^(p^((-e(n+1)) mod k)), and C_0 = 0 starts the chain
+    g(C_n) = C_(n-1).  repeat compares these C_n, so j is the root-chain
+    level; comparing the H_n themselves would compare twisted roots.  Over
+    F_p the twist is the identity and any d >= 1 is accepted; over F_{p^k},
+    k > 1, d must be a power of p.
+
+    Runs until the first repeat, which the pigeonhole guarantees within q
     steps; max_n only tightens that cap."""
     if A.is_zero():
         raise ZeroA("A must be nonzero")
     F = A.field
-    cap = F.q + 1 if max_n is None else max_n
+    p, k = F.p, F.k
+    if d < 1:
+        raise ValueError(f"degree d = {d} must be positive")
+    e, rest = 0, d
+    while rest % p == 0:
+        rest //= p
+        e += 1
+    if k > 1 and rest != 1:
+        raise ValueError(f"d = {d} is not a power of p = {p} over F_{F.q}")
+    cap = F.q if max_n is None else max_n
     Z, W = A, -B
     values: list[FieldElement] = []
-    seen: dict[int, int] = {}
-    for n_idx in range(cap + 1):
+    seen = {0: 0}  # C_0 = 0
+    for n in range(cap):
         H = W / Z
-        if H.idx in seen:
-            return HnSequence(values=tuple(values), repeat=(seen[H.idx], n_idx))
-        seen[H.idx] = n_idx
         values.append(H)
+        C = (-H) ** (p ** ((-e * (n + 1)) % k))
+        if C.idx in seen:
+            return HnSequence(values=tuple(values), repeat=(seen[C.idx], n + 1))
+        seen[C.idx] = n + 1
         Z = A * Z**d
         W = A * W**d - B
     raise AssertionError("no repeat within the pigeonhole cap")  # pragma: no cover

@@ -9,6 +9,9 @@ so that increasing index order coincides with lexicographic order on the
 coordinate vector.  Multiplicative structure is handled with discrete
 exp/log tables w.r.t. the smallest generator (in index order), which makes
 the character, inverses and square roots O(1) and fully deterministic.
+Over F_p an index is the residue and adds mod p; over F_{p^k}, k > 1,
+addition reads a table of Zech logarithms, so no arithmetic goes through
+coordinates once the tables are built.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class FieldSpec:
     """A concrete realization of F_{p^k}; immutable after construction."""
 
     __slots__ = (
-        "p", "k", "q", "modulus", "_exp", "_log", "_neg", "_pk", "one_idx", "_key",
+        "p", "k", "q", "modulus", "_exp", "_log", "_neg", "_zech", "one_idx", "_key",
     )
 
     def __init__(self, p: int, k: int = 1, modulus=None):
@@ -112,7 +115,6 @@ class FieldSpec:
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        self._pk = [p**i for i in range(k)]  # place values, c_i weight p^(k-1-i)
         self._key = (p, k, modulus)
         self._build_tables()
 
@@ -168,25 +170,32 @@ class FieldSpec:
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
-        self.one_idx = p ** (k - 1)
-        # negation table
-        self._neg = [self.index(tuple((-c) % p for c in self.coords(i))) for i in range(q)]
-        if k == 1:
-            def mul(a, b):
-                return a * b % p
-        else:
-            # fpoly imports this module, so it is imported here, at call time.
-            from .fpoly import Poly
+        self.one_idx = one = p ** (k - 1)
+        # negation, one coordinate at a time from the last: a new leading
+        # coordinate c has weight len(neg) and negates to (-c) mod p
+        neg = [0]
+        for _ in range(k):
+            neg = [(-c) % p * len(neg) + r for c in range(p) for r in neg]
+        self._neg = neg
+        mod = self.modulus
+        one_c = [1] + [0] * (k - 1)
 
-            Fp = make_field(p)
-            mod = Poly(Fp, self.modulus)
-
-            def mul(a, b):
-                prod = Poly(Fp, self.coords(a)) * Poly(Fp, self.coords(b))
-                return self.index((prod % mod).coeffs)
+        def mul(a, b):
+            """Product of two coordinate lists, reduced by the monic modulus."""
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        prod[i + j] += x * y
+            for top in range(2 * k - 2, k - 1, -1):
+                c = prod[top] % p
+                if c:
+                    for j in range(k):
+                        prod[top - k + j] -= c * mod[j]
+            return [c % p for c in prod[:k]]
 
         def power(a, e):
-            result = self.one_idx
+            result = one_c
             while e:
                 if e & 1:
                     result = mul(result, a)
@@ -196,28 +205,46 @@ class FieldSpec:
 
         # find smallest generator of the multiplicative group
         rs = prime_factors(q - 1)
-        gen = None
         for cand in range(1, q):
-            if all(power(cand, (q - 1) // r) != self.one_idx for r in rs):
-                gen = cand
+            gen = self.coords(cand)
+            if all(power(gen, (q - 1) // r) != one_c for r in rs):
                 break
         exp = [0] * (q - 1)
         log = [0] * q
-        cur = self.one_idx
+        cur = one_c
         for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
+            idx = 0
+            for c in cur:
+                idx = idx * p + c
+            exp[i] = idx
+            log[idx] = i
             cur = mul(cur, gen)
         self._exp = exp
         self._log = log
+        # Zech logarithms, zech[n] = log(1 + g^n): the constant coordinate
+        # leads the index, so adding one is adding one_idx mod q.  1 + g^n
+        # vanishes only at n = (q-1)/2, where g^n = -1; -1 marks it.
+        if k > 1:
+            zech = [log[(x + one) % q] for x in exp]
+            zech[(q - 1) // 2] = -1
+            self._zech = zech
+        else:
+            self._zech = None
 
     # -- index-level kernels ------------------------------------------------
 
     def add_i(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        return self.index(tuple((x + y) % p for x, y in zip(self.coords(a), self.coords(b))))
+        # Zech: g^i + g^j = g^i (1 + g^(j-i)) = g^(i + zech[j-i])
+        if not a:
+            return b
+        if not b:
+            return a
+        log, n = self._log, self.q - 1
+        i = log[a]
+        z = self._zech[(log[b] - i) % n]
+        return 0 if z < 0 else self._exp[(i + z) % n]
 
     def sub_i(self, a: int, b: int) -> int:
         return self.add_i(a, self._neg[b])

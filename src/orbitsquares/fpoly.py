@@ -4,11 +4,22 @@ Coefficients are stored as element indices (constant term first, no
 trailing zeros).  Includes composition/iteration with a degree budget,
 gcd, complete factorization (squarefree / distinct-degree / seeded
 equal-degree splitting) and monic square roots, read from the top down.
+
+Each field kind has one arithmetic kernel.  Over F_p (k == 1) an index is
+the residue itself, so `*`, `divmod` and `pow_mod` work on plain int lists:
+a product packs both coefficient lists into one Python int, multiplies once
+and unpacks with `% p` (Kronecker substitution); long division reduces only
+the leading coefficient per step; `pow_mod` reduces each product by a
+Barrett step through a Newton inverse of the reversed modulus.  Over
+F_{p^k} (k > 1) the same operations loop over the field's index kernels,
+whose addition reads Zech logarithms.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import (
@@ -35,6 +46,99 @@ def _norm(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
+
+
+# --- the F_p kernel: int lists of residues, Kronecker products ---------------
+
+# array typecode per item size; a big-endian host packs through bytes instead
+_TYPECODES = {array(t).itemsize: t for t in "QIHB"} if sys.byteorder == "little" else {}
+
+
+def _slot_bytes(p: int, n: int) -> int:
+    """Bytes per packed coefficient: room for a sum of n products of residues."""
+    bits = (n * (p - 1) ** 2).bit_length()
+    return 1 if bits <= 8 else 2 if bits <= 16 else 4 if bits <= 32 else (bits + 63) // 64 * 8
+
+
+def _pack(c, nb: int) -> int:
+    """sum c[i] * 2^(8 nb i) for 0 <= c[i] < 2^(8 nb)."""
+    if nb in _TYPECODES:
+        return int.from_bytes(array(_TYPECODES[nb], c).tobytes(), "little")
+    return int.from_bytes(b"".join(x.to_bytes(nb, "little") for x in c), "little")
+
+
+def _unpack(n: int, count: int, nb: int):
+    """The first count slots of a packed n, as ints (not reduced mod p)."""
+    raw = n.to_bytes(count * nb, "little")
+    if nb in _TYPECODES:
+        return array(_TYPECODES[nb], raw)
+    return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
+
+
+def _kmul(a, b, p: int, nb: int) -> list[int]:
+    """Product of two nonempty residue lists mod p (Kronecker substitution)."""
+    prod = _pack(a, nb) * _pack(b, nb) if a is not b else _pack(a, nb) ** 2
+    return [c % p for c in _unpack(prod, len(a) + len(b) - 1, nb)]
+
+
+def _divmod_fp(a: list[int], b, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of residue lists, b nonzero, by integer long
+    division: each step reduces only the leading coefficient, and the
+    remainder is reduced once at the end.  a is consumed."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    low = b[:db]
+    q = [0] * max(0, len(a) - db)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        c = a[shift + db] * inv % p
+        if c:
+            q[shift] = c
+            a[shift:shift + db] = [x - c * y for x, y in zip(a[shift:shift + db], low)]
+    return _norm(q), _norm([x % p for x in a[:db]])
+
+
+def _series_inverse(h, t: int, p: int, nb: int) -> list[int]:
+    """g with g*h = 1 mod x^t, for h[0] = 1, by Newton iteration g <- g(2 - hg)."""
+    g, prec = [1], 1
+    while prec < t:
+        prec = min(2 * prec, t)
+        mask = (1 << 8 * nb * prec) - 1
+        hg = _unpack(_pack(h[:prec], nb) * _pack(g, nb) & mask, prec, nb)
+        two_minus = [-c % p for c in hg]
+        two_minus[0] = (two_minus[0] + 2) % p
+        g = [c % p for c in _unpack(_pack(g, nb) * _pack(two_minus, nb) & mask, prec, nb)]
+    return g[:t]
+
+
+def _powmod_fp(base: list[int], e: int, m, p: int) -> list[int]:
+    """base^e mod m over F_p, for e >= 1, monic m of degree n >= 1, deg base < n.
+
+    Each product c (deg <= 2n-2) is reduced by a Barrett step: with
+    inv = rev(m)^-1 mod x^(n-1), the quotient is the reverse of
+    rev(top of c) * inv mod x^k (k = deg c - n + 1), and c mod m is the low n
+    coefficients of c - quotient * m, so only m's low part enters."""
+    n = len(m) - 1
+    nb = _slot_bytes(p, n)
+    bits = 8 * nb
+    inv = _pack(_series_inverse(m[::-1], n - 1, p, nb), nb)
+    low_m = _pack(m[:n], nb)
+    mask_n = (1 << bits * n) - 1
+
+    def reduce(c):
+        k = len(c) - n
+        if k <= 0:
+            return c
+        top = _pack(c[n:][::-1], nb) * inv & (1 << bits * k) - 1
+        quot = [x % p for x in reversed(_unpack(top, k, nb))]
+        low = _unpack(_pack(quot, nb) * low_m & mask_n, n, nb)
+        return [(x - y) % p for x, y in zip(c, low)]
+
+    r = base
+    for bit in bin(e)[3:]:
+        r = reduce(_kmul(r, r, p, nb))
+        if bit == "1":
+            r = reduce(_kmul(r, base, p, nb))
+    return r
 
 
 class Poly:
@@ -145,6 +249,9 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(F)
+        if F.k == 1:
+            p = F.p
+            return Poly(F, _kmul(a, b, p, _slot_bytes(p, min(len(a), len(b)))))
         out = [0] * (len(a) + len(b) - 1)
         mul, add = F.mul_i, F.add_i
         for i, ai in enumerate(a):
@@ -166,6 +273,9 @@ class Poly:
             raise DivisionByZero("polynomial division by zero")
         a = list(self.coeffs)
         b = other.coeffs
+        if F.k == 1:
+            q, r = _divmod_fp(a, b, F.p)
+            return Poly(F, q), Poly(F, r)
         db = len(b) - 1
         inv_lb = F.inv_i(b[-1])
         q = [0] * max(0, len(a) - db)
@@ -197,8 +307,11 @@ class Poly:
         return result
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
-        result = Poly.one(self.field) % mod
+        F = self.field
         base = self % mod
+        if F.k == 1 and e and not base.is_zero():
+            return Poly(F, _powmod_fp(list(base.coeffs), e, mod.monic().coeffs, F.p))
+        result = Poly.one(F) % mod
         while e:
             if e & 1:
                 result = (result * base) % mod
@@ -225,6 +338,11 @@ class Poly:
     def eval_i(self, ai: int) -> int:
         F = self.field
         acc = 0
+        if F.k == 1:
+            p = F.p
+            for c in reversed(self.coeffs):
+                acc = (acc * ai + c) % p
+            return acc
         mul, add = F.mul_i, F.add_i
         for c in reversed(self.coeffs):
             acc = add(mul(acc, ai), c)
@@ -290,6 +408,12 @@ def gcd(f: Poly, g: Poly) -> Poly:
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     f._check(g)
+    F = f.field
+    if F.k == 1:
+        a, b = list(f.coeffs), list(g.coeffs)
+        while b:
+            a, b = b, _divmod_fp(a, b, F.p)[1]
+        return Poly(F, a).monic()
     a, b = f, g
     while not b.is_zero():
         a, b = b, a % b

@@ -271,6 +271,41 @@ class TestHnSequence:
                 hs = hn_sequence(el(F5, Ai), el(F5, Bi), 2)
                 assert hs.repeat[1] <= F5.q
 
+    @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2), (5, 2)])
+    def test_repeat_is_the_root_chain_level(self, p, k):
+        # f = A(x-b)^(p^e) is g = A x^d - A b^d; walk f's root chain
+        # C_0 = 0, f(C_n) = C_(n-1) through the inverse of its value table
+        F = make_field(p, k)
+        checked = 0
+        for e in range(1, 3):
+            d = p**e
+            if d > 9:
+                break
+            for A in F.elements():
+                if A.is_zero():
+                    continue
+                for b in F.elements():
+                    f = Poly.constant(A) * Poly.from_elements(F, [-b, F.one]) ** d
+                    inverse = {f.eval_i(x): x for x in range(F.q)}
+                    chain = [0]
+                    while (r := inverse[chain[-1]]) not in chain:
+                        chain.append(r)
+                    hs = hn_sequence(A, A * b**d, d)
+                    assert hs.repeat == (chain.index(r), len(chain)), (str(f), hs.repeat)
+                    chain.append(r)
+                    for n, H in enumerate(hs.values):  # C_(n+1)^(d^(n+1)) = -H_n
+                        assert el(F, chain[n + 1]) ** (d ** (n + 1)) == -H, (str(f), n)
+                    checked += 1
+        assert checked == (F.q - 1) * F.q * (2 if p == 3 else 1)
+
+    def test_extension_degree_must_be_a_power_of_p(self):
+        F9 = make_field(3, 2)
+        with pytest.raises(ValueError):
+            hn_sequence(F9.one, F9.one, 2)
+        with pytest.raises(ValueError):
+            hn_sequence(F5.one, F5.one, 0)
+        assert hn_sequence(F9.one, F9.one, 9).repeat[1] <= F9.q
+
 
 class TestGenerateFamily:
     def test_pinned_even_family(self):

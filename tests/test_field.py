@@ -141,6 +141,20 @@ def test_mul_matches_schoolbook_product(spec):
             assert F.mul_i(a, b) == _schoolbook_mul(F, a, b), (spec, a, b)
 
 
+def _coordinate_add(F, a, b, sign=1):
+    """a + sign*b, added coordinate by coordinate."""
+    return F.index([(x + sign * y) % F.p for x, y in zip(F.coords(a), F.coords(b))])
+
+
+@pytest.mark.parametrize("spec", ["3^2", "5^2", "3^3", "3^4", "3^2/(2,1,1)", "13^2"])
+def test_zech_add_matches_coordinate_add(spec):
+    F = FieldSpec.parse(spec)
+    for a in range(F.q):
+        for b in range(F.q):
+            assert F.add_i(a, b) == _coordinate_add(F, a, b), (spec, a, b)
+            assert F.sub_i(a, b) == _coordinate_add(F, a, b, -1), (spec, a, b)
+
+
 class TestCharacter:
     def test_chi_zero(self):
         assert F7.chi_i(0) == 0

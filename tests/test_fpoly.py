@@ -11,6 +11,8 @@ from orbitsquares.errors import DegreeBudgetExceeded
 from orbitsquares.field import make_field
 from orbitsquares.fpoly import (
     Poly,
+    _pack,
+    _unpack,
     constant_times_square,
     factor,
     gcd,
@@ -248,6 +250,160 @@ class TestEvaluate:
 
     def test_constant(self):
         assert P(F7, 4).evaluate(F7.from_int(6)) == F7.from_int(4)
+
+
+# --- the F_p kernel against the method-call schoolbook ----------------------
+
+PRIMES = (3, 5, 7, 31, 101)
+
+
+def _ref_mul(a: Poly, b: Poly) -> Poly:
+    """Schoolbook product through the field's index kernels."""
+    F = a.field
+    if a.is_zero() or b.is_zero():
+        return Poly.zero(F)
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ai in enumerate(a.coeffs):
+        for j, bj in enumerate(b.coeffs):
+            out[i + j] = F.add_i(out[i + j], F.mul_i(ai, bj))
+    return Poly(F, out)
+
+
+def _ref_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Long division that reduces every coefficient at every step."""
+    F = a.field
+    r, lb = list(a.coeffs), b.coeffs
+    db = len(lb) - 1
+    inv = F.inv_i(lb[-1])
+    q = [0] * max(0, len(r) - db)
+    while r and len(r) - 1 >= db:
+        shift = len(r) - 1 - db
+        c = F.mul_i(r[-1], inv)
+        q[shift] = c
+        for i, bi in enumerate(lb):
+            r[shift + i] = F.sub_i(r[shift + i], F.mul_i(c, bi))
+        while r and r[-1] == 0:
+            r.pop()
+    return Poly(F, q), Poly(F, r)
+
+
+def _ref_pow_mod(a: Poly, e: int, m: Poly) -> Poly:
+    """Right-to-left square and multiply, one reference division per product."""
+    result = _ref_divmod(Poly.one(a.field), m)[1]
+    base = _ref_divmod(a, m)[1]
+    while e:
+        if e & 1:
+            result = _ref_divmod(_ref_mul(result, base), m)[1]
+        base = _ref_divmod(_ref_mul(base, base), m)[1]
+        e >>= 1
+    return result
+
+
+def _random_poly(F, rng, degree, monic=False):
+    """Degree exactly `degree` (the zero polynomial for -1)."""
+    if degree < 0:
+        return Poly.zero(F)
+    lead = 1 if monic else rng.randrange(1, F.q)
+    return Poly(F, [rng.randrange(F.q) for _ in range(degree)] + [lead])
+
+
+def _slot_boundaries(p):
+    """Lengths n at which n(p-1)^2, the largest coefficient of a product of
+    two length-n lists, first needs a wider packing slot (up to n = 80)."""
+    return [n for n in range(2, 81)
+            if any((n - 1) * (p - 1) ** 2 < 2**bits <= n * (p - 1) ** 2 for bits in (8, 16))]
+
+
+class TestFpKernelAgainstReference:
+    @pytest.mark.parametrize("nb", [1, 2, 3, 4, 8, 9])
+    def test_pack_roundtrip(self, nb):
+        # widths 3 and 9 take the bytes path that big-endian hosts use
+        rng = random.Random(nb)
+        c = [rng.randrange(256**nb) for _ in range(50)] + [256**nb - 1, 0]
+        assert list(_unpack(_pack(c, nb), len(c), nb)) == c
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_mul(self, p):
+        F = make_field(p)
+        rng = random.Random(p)
+        for _ in range(40):
+            a = _random_poly(F, rng, rng.randrange(-1, 70))
+            b = _random_poly(F, rng, rng.randrange(-1, 70))
+            assert a * b == _ref_mul(a, b), (a, b)
+            assert a * a == _ref_mul(a, a), a
+        for n in _slot_boundaries(p) + [64, 75]:
+            # every coefficient p - 1: the convolution sums reach n(p-1)^2
+            for m in (n - 1, n, n + 1):
+                top = Poly(F, [p - 1] * m)
+                assert top * top == _ref_mul(top, top), (p, m)
+                assert top * Poly(F, [p - 1] * (m + 3)) == _ref_mul(top, Poly(F, [p - 1] * (m + 3)))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_divmod(self, p):
+        F = make_field(p)
+        rng = random.Random(100 + p)
+        cases = []
+        for monic in (True, False):
+            for _ in range(30):
+                b = _random_poly(F, rng, rng.randrange(0, 30), monic)
+                cases.append((_random_poly(F, rng, rng.randrange(-1, 70)), b))
+            b = _random_poly(F, rng, 6, monic)
+            cases.append((Poly.zero(F), b))  # zero dividend
+            cases.append((_random_poly(F, rng, 3), b))  # deg a < deg b
+            cases.append((_random_poly(F, rng, 6), b))  # equal degrees
+            cases.append((_random_poly(F, rng, 9), _random_poly(F, rng, 0, monic)))  # constant
+        for a, b in cases:
+            expected = _ref_divmod(a, b)
+            assert divmod(a, b) == expected, (a, b)
+            assert a // b == expected[0] and a % b == expected[1], (a, b)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_gcd(self, p):
+        F = make_field(p)
+        rng = random.Random(150 + p)
+        for _ in range(30):
+            g = _random_poly(F, rng, rng.randrange(0, 8))
+            a = _ref_mul(g, _random_poly(F, rng, rng.randrange(-1, 30)))
+            b = _ref_mul(g, _random_poly(F, rng, rng.randrange(0, 30)))
+            x, y = a, b  # Euclid through the reference division
+            while not y.is_zero():
+                x, y = y, _ref_divmod(x, y)[1]
+            assert gcd(a, b) == x.monic() == gcd(b, a), (a, b)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_pow_mod(self, p):
+        F = make_field(p)
+        rng = random.Random(200 + p)
+        for monic in (True, False):
+            for n in (1, 2, 3, 5, 8, 13, 17, 24):
+                m = _random_poly(F, rng, n, monic)
+                exponents = {0, 1, 2, p, (p - 1) // 2, (p**2 - 1) // 2, (p**3 - 1) // 2,
+                             (p**n - 1) // 2 if n <= 5 else rng.randrange(2, 10**6)}
+                for e in sorted(exponents):
+                    for degree in (n - 1, n, 2 * n + 3):  # base at and above deg m
+                        a = _random_poly(F, rng, degree)
+                        assert a.pow_mod(e, m) == _ref_pow_mod(a, e, m), (a, e, m)
+        assert Poly.zero(F).pow_mod(0, Poly.x(F)) == Poly.one(F)
+        assert Poly.zero(F).pow_mod(5, Poly.x(F)).is_zero()
+        assert P(F, 3, 1).pow_mod(7, P(F, 2)).is_zero()  # everything is 0 mod a unit
+
+
+def test_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p in (3, 5, 7):
+        F = make_field(p)
+        rng = random.Random(300 + p)
+        for _ in range(60):
+            f = _random_poly(F, rng, rng.randrange(1, 13))
+            _, theirs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+            expected = []
+            for g, m in theirs:
+                c = [int(v) % p for v in reversed(g.all_coeffs())]
+                inv = pow(c[-1], -1, p)
+                expected.append((tuple(v * inv % p for v in c), m))
+            ours = sorted((g.coeffs, m) for g, m in factor(f).factors)
+            assert ours == sorted(expected), f
 
 
 @st.composite
