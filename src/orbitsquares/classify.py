@@ -286,7 +286,10 @@ def iterate_factor_levels(f: Poly, depth: int, seed: int = 0, budget: int | None
 
     Levels are built incrementally: the factors of f^n are the factors of
     g(f(x)) over the factors g of f^(n-1), so f^n itself is never
-    materialized and per-level work follows the actual factor sizes."""
+    materialized and per-level work follows the actual factor sizes.  Each
+    g is monic irreducible, so factor gets composition=(g, f): the degrees
+    of g(f)'s factors are multiples of deg g, and its squarefree gcd is
+    gcd(g(f), f')."""
     d = f.degree
     level = factor(f, seed).as_dict()
     yield 1, level
@@ -295,7 +298,7 @@ def iterate_factor_levels(f: Poly, depth: int, seed: int = 0, budget: int | None
         nxt: dict[Poly, int] = {}
         for g, m in level.items():
             comp = g.compose(f)
-            for h, e in factor(comp, seed).factors:
+            for h, e in factor(comp, seed, composition=(g, f)).factors:
                 nxt[h] = nxt.get(h, 0) + m * e
         level = nxt
         yield n, level

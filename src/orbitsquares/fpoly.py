@@ -297,6 +297,8 @@ class Poly:
         return divmod(self, other)[1]
 
     def __pow__(self, e: int) -> "Poly":
+        if e < 0:
+            raise ValueError("negative exponent")
         result = Poly.one(self.field)
         base = self
         while e:
@@ -307,17 +309,24 @@ class Poly:
         return result
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
+        if e < 0:
+            raise ValueError("negative exponent")
         F = self.field
         base = self % mod
-        if F.k == 1 and e and not base.is_zero():
+        if e == 0:
+            return Poly.one(F) % mod
+        if base.is_zero():
+            return base
+        if F.k == 1:
             return Poly(F, _powmod_fp(list(base.coeffs), e, mod.monic().coeffs, F.p))
-        result = Poly.one(F) % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        # left to right, so each multiply is by base, which is sparse when it
+        # is x (the first Frobenius power in _distinct_degree)
+        r = base
+        for bit in bin(e)[3:]:
+            r = r * r % mod
+            if bit == "1":
+                r = r * base % mod
+        return r
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.coeffs[-1] == self.field.one_idx:
@@ -449,12 +458,19 @@ def _pth_root(f: Poly) -> Poly:
     return Poly(F, out)
 
 
-def _squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
-    """Monic input; list of (squarefree part, multiplicity), handles char p."""
+def _squarefree_decomposition(f: Poly, inner: Poly | None = None) -> list[tuple[Poly, int]]:
+    """Monic input; list of (squarefree part, multiplicity), handles char p.
+
+    With inner, the caller promises f = g(inner) up to a unit, g monic
+    irreducible.  Then f' = g'(inner) inner', and g is separable, so
+    a g + b g' = 1 for some a, b; at x = inner this makes g'(inner) prime to
+    f, hence gcd(f, f') = gcd(f, inner'), the same gcd from a cofactor of
+    degree deg inner - 1 instead of deg f - 1.  g' != 0, so f' = 0 exactly
+    when inner' = 0, and that p-th-root branch is the same either way."""
     F = f.field
     p = F.p
     out: list[tuple[Poly, int]] = []
-    fd = f.derivative()
+    fd = (f if inner is None else inner).derivative()
     if fd.is_zero():
         for g, m in _squarefree_decomposition(_pth_root(f)):
             out.append((g, m * p))
@@ -476,23 +492,31 @@ def _squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _distinct_degree(f: Poly):
+def _distinct_degree(f: Poly, step: int = 1):
     """Monic squarefree input; yields (product of irreducibles of degree e, e)
     by ascending e.
+
+    The caller promises that every irreducible factor of f has degree
+    divisible by step.  Then h = x^(q^e) mod f advances by one pow_mod with
+    exponent q^step and gcd(h - x, f) runs only at e = step, 2 step, ...;
+    the gcds skipped could only be 1.  Once deg f < 2 e, every factor left
+    has degree at least e, so f is irreducible and is yielded whole.  The
+    pairs and their order are those of step = 1, which factor without
+    composition and is_irreducible use.
 
     Lazy, so is_irreducible stops at the first split; it also passes input
     that is not squarefree."""
     F = f.field
-    q = F.q
+    frobenius = F.q**step
     x = Poly.x(F)
     h = x % f
     e = 0
     while f.degree > 0:
-        e += 1
+        e += step
         if f.degree < 2 * e:
             yield f, f.degree
             return
-        h = h.pow_mod(q, f)
+        h = h.pow_mod(frobenius, f)
         g = gcd(h - x, f)
         if not g.is_one():
             yield g, e
@@ -536,21 +560,36 @@ def _equal_degree_split(f: Poly, e: int, rng: random.Random) -> list[Poly]:
         return _equal_degree_split(left, e, rng) + _equal_degree_split(right, e, rng)
 
 
-def factor(f: Poly, seed: int = 0) -> Factorization:
+def factor(f: Poly, seed: int = 0, *,
+           composition: tuple[Poly, Poly] | None = None) -> Factorization:
     """Complete irreducible factorization with deterministic output order.
 
     Randomized splitting uses a generator derived from the caller's seed, so
     identical (f, seed) pairs give identical work; the output order is sorted
     by (degree, coefficients) regardless.
+
+    composition=(g, inner) promises f == g(inner) with g monic irreducible;
+    only the degrees are checked.  Two facts then cut the work and leave the
+    result, and the random splits drawn, unchanged.  A root a of an
+    irreducible factor of f has g(inner(a)) = 0, so F_q(a) contains
+    F_q(inner(a)), of degree e = deg g over F_q: every factor's degree is a
+    multiple of e, and _distinct_degree steps by e.  And g is separable, so
+    the squarefree gcd is gcd(f, inner') (see _squarefree_decomposition).
     """
     if f.degree < 1:
         raise ConstantInput("cannot factor a constant polynomial")
+    inner, step = None, 1
+    if composition is not None:
+        g, inner = composition
+        if g.degree < 1 or inner.degree < 1 or f.degree != g.degree * inner.degree:
+            raise ValueError("composition degrees do not match the input")
+        step = g.degree
     unit = f.leading()
     mf = f.monic()
     rng = random.Random(repr((seed, f.field._key, f.coeffs)))
     found: dict[Poly, int] = {}
-    for sf, mult in _squarefree_decomposition(mf):
-        for prod, e in _distinct_degree(sf):
+    for sf, mult in _squarefree_decomposition(mf, inner):
+        for prod, e in _distinct_degree(sf, step):
             for irr in _equal_degree_split(prod, e, rng):
                 found[irr] = found.get(irr, 0) + mult
     ordered = tuple(sorted(found.items(), key=lambda t: t[0].sort_key()))

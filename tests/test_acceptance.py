@@ -1,7 +1,8 @@
 """End-to-end acceptance suite.
 
-One criterion per test, one printed pass/fail line per criterion (run with
-`pytest -s` to see the lines for passing criteria as well).  Criterion 3 pins
+One criterion per test, one printed pass/fail line per criterion, ending in
+the criterion's wall seconds (run with `pytest -s` to see the lines for
+passing criteria as well).  Criterion 3 pins
 the exact level at which the oracle certifies each linear-power polynomial
 A(x-B)^(p^e) as not ordinary: the cycle length of 0 under the permutation f,
 computed from f's value table alone (see `_root_chain_level`).
@@ -9,6 +10,9 @@ computed from f's value table alone (see `_root_chain_level`).
 
 import json
 import random
+import time
+
+import pytest
 
 from orbitsquares.bounds import choose_L
 from orbitsquares.chebyshev import IntPoly, chebyshev, psi, tilde_chebyshev
@@ -21,6 +25,7 @@ from orbitsquares.classify import (
     classify_2_ordinary,
     classify_ordinary,
     generate_family,
+    hn_sequence,
     oracle_2_ordinary,
     oracle_ordinary,
 )
@@ -53,10 +58,21 @@ def field_for(q: int) -> FieldSpec:
     return FieldSpec.parse(FIELDS[q])
 
 
+_criterion_start = time.perf_counter()
+
+
+@pytest.fixture(autouse=True)
+def _criterion_clock():
+    """Start the wall clock that report() reads for the criterion under test."""
+    global _criterion_start
+    _criterion_start = time.perf_counter()
+
+
 def report(n: int, title: str, ok: bool, detail: str = "") -> bool:
     tag = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
-    print(f"[{tag}] criterion {n}: {title}{suffix}")
+    seconds = time.perf_counter() - _criterion_start
+    print(f"[{tag}] criterion {n}: {title}{suffix} [{seconds:.1f} s]")
     return ok
 
 
@@ -94,7 +110,7 @@ def test_criterion_2_classifier_oracle_agreement():
 
 
 def _linear_power_polys(F):
-    """All A(x - B)^(p^e) of degree <= 9 over F, with the shape parameters."""
+    """All A(x - B)^(p^e) of degree <= 9 over F, with d = p^e, A and B."""
     e = 1
     while F.p**e <= 9:
         d = F.p**e
@@ -105,7 +121,7 @@ def _linear_power_polys(F):
             for Bi in range(F.q):
                 B = FieldElement(F, Bi)
                 lin = Poly.from_elements(F, [-B, F.one])
-                yield Poly.constant(A) * lin**d, d
+                yield Poly.constant(A) * lin**d, d, A, B
         e += 1
 
 
@@ -128,15 +144,16 @@ def _root_chain_level(f: Poly) -> int:
 def test_criterion_3_finite_case():
     class_failures = []
     oracle_failures = []
+    chain_failures = []
     checked = 0
     linear_powers = 0
     deep_levels = []
     for q in (3, 9, 5, 25):
         F = field_for(q)
         special = {}
-        for f, d in _linear_power_polys(F):
-            special[f] = d
-        for f, d in special.items():
+        for f, d, A, B in _linear_power_polys(F):
+            special[f] = d, A, B
+        for f, (d, A, B) in special.items():
             checked += 1
             v, _ = classify_ordinary(f)
             if v != NOT_ORDINARY:
@@ -144,6 +161,10 @@ def test_criterion_3_finite_case():
                 continue
             linear_powers += 1
             level = _root_chain_level(f)
+            # hn_sequence's root chain returns to C_0 = 0 at the same level
+            repeat = hn_sequence(A, A * B**d, d).repeat
+            if repeat != (0, level):
+                chain_failures.append((q, str(f), repeat, level))
             # Depth 6 certifies exactly the polynomials whose level is at
             # most 6; the rest must be certified at their own level.
             runs = [(6, f"CertifiedNot({level})" if level <= 6 else "ConsistentUpTo(6)")]
@@ -155,7 +176,7 @@ def test_criterion_3_finite_case():
                 if str(res) != expected:
                     oracle_failures.append((q, str(f), depth, str(res), expected))
         rng = random.Random(q)
-        degrees = sorted({d for _, d in _linear_power_polys(F)})
+        degrees = sorted({d for _, d, _, _ in _linear_power_polys(F)})
         for d in degrees:
             for _ in range(40):
                 coeffs = [rng.randrange(F.q) for _ in range(d)] + [F.one_idx]
@@ -169,13 +190,15 @@ def test_criterion_3_finite_case():
     levels = " and ".join(str(n) for n in sorted(set(deep_levels)))
     ok = report(
         3, "linear-power detection and exact certification level",
-        not class_failures and not oracle_failures,
+        not class_failures and not oracle_failures and not chain_failures,
         f"{checked} polynomials, {len(class_failures)} classification "
         f"failures; {linear_powers} linear-power polynomials, "
         f"{len(deep_levels)} certify past depth 6 at their predicted levels "
-        f"{levels}, {len(oracle_failures)} oracle disagreements",
+        f"{levels}, {len(oracle_failures)} oracle disagreements, "
+        f"{len(chain_failures)} hn_sequence repeats off the level",
     )
     assert not class_failures, class_failures[:10]
+    assert not chain_failures, chain_failures[:10]
     assert ok, oracle_failures[:10]
 
 

@@ -1,7 +1,9 @@
 """Polynomial arithmetic, composition, iteration and factorization."""
 
+import contextlib
 import itertools
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -386,6 +388,123 @@ class TestFpKernelAgainstReference:
         assert Poly.zero(F).pow_mod(0, Poly.x(F)) == Poly.one(F)
         assert Poly.zero(F).pow_mod(5, Poly.x(F)).is_zero()
         assert P(F, 3, 1).pow_mod(7, P(F, 2)).is_zero()  # everything is 0 mod a unit
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in a call still running after seconds (where SIGALRM exists)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
+def test_negative_exponent_rejected(p, k):
+    F = make_field(p, k)
+    x = Poly.x(F)
+    m = x * x + Poly.one(F)
+    with _deadline(2):
+        for call in (lambda: x.pow_mod(-3, m), lambda: x.pow_mod(-1, m),
+                     lambda: x ** -1, lambda: m ** -2):
+            with pytest.raises(ValueError, match="negative exponent"):
+                call()
+    assert x.pow_mod(0, m) == Poly.one(F) and x**0 == Poly.one(F)
+
+
+# --- factor(composition=(g, inner)) against the plain factorization ---------
+
+@pytest.mark.parametrize("p,k,degree,depth", [(5, 1, 3, 4), (3, 2, 2, 3)])
+def test_composition_factor_matches_plain_factor(p, k, degree, depth):
+    # every g(f) that iterate_factor_levels meets at levels 2..depth, walked
+    # with the plain factor: g irreducible factor of f^(n-1)
+    F = make_field(p, k)
+    checked = 0
+    for tail in itertools.product(range(F.q), repeat=degree):
+        f = Poly(F, list(tail) + [F.one_idx])
+        level, seen = {g for g, _ in factor(f, 3).factors}, set()
+        for _ in range(2, depth + 1):
+            nxt = set()
+            for g in level - seen:
+                comp = g.compose(f)
+                plain = factor(comp, 3)
+                assert factor(comp, 3, composition=(g, f)) == plain, (str(g), str(f))
+                nxt.update(h for h, _ in plain.factors)
+                checked += 1
+            seen |= level
+            level = nxt
+    assert checked > F.q**degree
+
+
+def _random_irreducible(F, rng, degree):
+    while True:
+        g = _random_poly(F, rng, degree, monic=True)
+        if is_irreducible(g):
+            return g
+
+
+def test_composition_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p in (3, 5, 7):
+        F = make_field(p)
+        rng = random.Random(400 + p)
+        for _ in range(24):
+            g = _random_irreducible(F, rng, rng.randrange(2, 5))
+            inner = _random_poly(F, rng, rng.randrange(1, 5))
+            comp = g.compose(inner)
+            _, theirs = sympy.Poly(list(reversed(comp.coeffs)), x, modulus=p).factor_list()
+            expected = []
+            for h, m in theirs:
+                c = [int(v) % p for v in reversed(h.all_coeffs())]
+                inv = pow(c[-1], -1, p)
+                expected.append((tuple(v * inv % p for v in c), m))
+            ours = sorted((h.coeffs, m) for h, m in factor(comp, composition=(g, inner)).factors)
+            assert ours == sorted(expected), (str(g), str(inner))
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
+def test_composition_with_pth_power_inner(p, k):
+    # inner = (x - b)^p has inner' = 0, so g(inner) is a p-th power
+    F = make_field(p, k)
+    rng = random.Random(p * k)
+    b = Poly(F, [rng.randrange(1, F.q)])
+    inner = (Poly.x(F) - b) ** p
+    assert inner.derivative().is_zero()
+    for degree in (1, 2, 3):
+        g = _random_irreducible(F, rng, degree)
+        comp = g.compose(inner)
+        fac = factor(comp, composition=(g, inner))
+        assert fac == factor(comp) and fac.expand() == comp
+        assert all(m % p == 0 for _, m in fac.factors)
+
+
+def test_composition_degrees_checked():
+    g, inner = P(F5, 2, 0, 1), P(F5, 1, 1, 1)
+    with pytest.raises(ValueError):
+        factor(g.compose(inner) * P(F5, 1, 1), composition=(g, inner))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
+def test_extension_pow_mod_matches_reference(p, k):
+    F = make_field(p, k)
+    rng = random.Random(250 + p * k)
+    q = F.q
+    for n in (1, 2, 5, 9):
+        m = _random_poly(F, rng, n, monic=n % 2 == 0)
+        for e in (0, 1, 2, 3, q, q**3, (q**2 - 1) // 2, rng.randrange(2, 10**5)):
+            for a in (Poly.x(F), _random_poly(F, rng, n - 1), _random_poly(F, rng, 2 * n + 1)):
+                assert a.pow_mod(e, m) == _ref_pow_mod(a, e, m), (str(a), e, str(m))
 
 
 def test_factor_matches_sympy():
