@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import TWO_ORDINARY, classify_2_ordinary
-from .dynamics import RunReport, SignSequence, check_target, longest_run, orbit_table, sign_sequence
+from .dynamics import RunReport, check_target, longest_run, orbit_table
 from .errors import NotPurelyPeriodic, NotTwoOrdinary
 from .field import FieldElement
 from .fpoly import Poly, constant_times_square
@@ -60,25 +60,25 @@ def weil_check(f: Poly) -> WeilCheck:
     )
 
 
-def compute_B(
-    f: Poly,
-    a: FieldElement,
-    i: int,
-    L: int,
-    signs: SignSequence | None = None,
-) -> Fraction:
+def compute_B(f: Poly, a: FieldElement, i: int, L: int) -> Fraction:
     """Exact B_i = sum_x prod_{l=1..L} (1 + s_a(l+i) chi(f^l(x)))/2.
 
-    Iterates are read from f's orbit table (cost O(qL) lookups); the
+    The signs s_a(i+1..i+L) come from walking f's orbit table from a, and
+    each x's iterates from walking it from x (cost O(i + qL) lookups); the
     result is a rational with denominator dividing 2^L.  Sign indices follow
     the l >= 1 convention: s_a(l) = chi(f^l(a))."""
     if L < 1:
         raise ValueError("window length L must be >= 1")
-    ss = signs if signs is not None else sign_sequence(f, a)
-    s = [ss.sign_at(ell + i) for ell in range(L + 1)]  # s[l] for l=0..L; l>=1 used
     F = f.field
     chi = F.chi_i
     succ = orbit_table(f).succ
+    y = a.idx
+    for _ in range(i):
+        y = succ[y]
+    s = [0]  # s[l] = s_a(l + i) for l = 1..L
+    for _ in range(L):
+        y = succ[y]
+        s.append(chi(y))
     total = 0
     for x in range(F.q):
         y = x
@@ -114,13 +114,14 @@ class OrbitBoundReport:
 
 
 def orbit_bound_check(f: Poly, a: FieldElement, L: int) -> OrbitBoundReport:
-    """|O_f(a)| <= 2L + 1 + sum_i B_i, and the uniform form with B = max B_i."""
-    ss = sign_sequence(f, a)
-    if not ss.purely_periodic:
+    """|O_f(a)| <= 2L + 1 + sum_i B_i, and the uniform form with B = max B_i;
+    the sign period m and |O_f(a)| are read from f's orbit table."""
+    table = orbit_table(f)
+    if table.sign_tail[a.idx]:
         raise NotPurelyPeriodic("orbit bound requires a purely periodic sign sequence")
-    m = ss.sign_period
-    bs = tuple(compute_B(f, a, i, L, signs=ss) for i in range(m))
-    lhs = ss.orbit.size
+    m = table.sign_period[a.idx]
+    bs = tuple(compute_B(f, a, i, L) for i in range(m))
+    lhs = table.tail[a.idx] + table.cycle[a.idx]
     rhs_sum = 2 * L + 1 + sum(bs)
     rhs_uniform = 2 * L + 1 + m * max(bs)
     return OrbitBoundReport(
@@ -144,22 +145,13 @@ def envelope_holds(b: Fraction, q: int, d: int, L: int) -> bool:
     return excess <= 0 or excess * excess <= d ** (2 * (L + 1)) * q
 
 
-def envelope_check(
-    f: Poly,
-    a: FieldElement,
-    i: int,
-    L: int,
-    signs: SignSequence | None = None,
-    classification=None,
-) -> EnvelopeCheck:
+def envelope_check(f: Poly, a: FieldElement, i: int, L: int) -> EnvelopeCheck:
     """B_i <= q/2^L + d^(L+1) sqrt(q), compared exactly on the squared branch."""
-    report = classification if classification is not None else classify_2_ordinary(f)
-    if report.verdict != TWO_ORDINARY:
+    if classify_2_ordinary(f).verdict != TWO_ORDINARY:
         raise NotTwoOrdinary("envelope bound requires a dynamically 2-ordinary f")
-    ss = signs if signs is not None else sign_sequence(f, a)
-    if not ss.purely_periodic:
+    if orbit_table(f).sign_tail[a.idx]:
         raise NotPurelyPeriodic("envelope bound requires a purely periodic sign sequence")
-    b = compute_B(f, a, i, L, signs=ss)
+    b = compute_B(f, a, i, L)
     return EnvelopeCheck(B_i=b, i=i, L=L, passed=envelope_holds(b, f.field.q, f.degree, L))
 
 

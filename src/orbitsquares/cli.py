@@ -13,7 +13,6 @@ import json
 import os
 import sys
 
-from .bounds import choose_L
 from .classify import (
     FamilyParams,
     chebyshev_conjugacy,
@@ -27,25 +26,17 @@ from .fpoly import Poly
 from . import scan as scan_mod
 
 
-def _field(args) -> FieldSpec:
-    return scan_mod._resolve_field(args.field)
-
-
-def _poly(field: FieldSpec, text: str) -> Poly:
-    return Poly.parse(field, text)
-
-
 def cmd_classify(args) -> int:
-    F = _field(args)
-    f = _poly(F, args.poly)
+    F = FieldSpec.parse(args.field)
+    f = Poly.parse(F, args.poly)
     report = classify_2_ordinary(f)
     print(json.dumps(report.to_json(), sort_keys=True))
     return 0
 
 
 def cmd_orbit(args) -> int:
-    F = _field(args)
-    f = _poly(F, args.poly)
+    F = FieldSpec.parse(args.field)
+    f = Poly.parse(F, args.poly)
     a = FieldElement(F, F.parse_index(args.start))
     ss = sign_sequence(f, a)
     out = {"orbit": ss.orbit.to_json(), "signs": ss.to_json()}
@@ -54,7 +45,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_gen_family(args) -> int:
-    F = _field(args)
+    F = FieldSpec.parse(args.field)
     params = FamilyParams(
         family=args.family,
         field=F,

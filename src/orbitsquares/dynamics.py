@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, make_field
 from .fpoly import Poly, factor
 
 
@@ -48,15 +48,6 @@ class RunReport:
     cycle_constant: bool
 
 
-@lru_cache(maxsize=1)
-def _successor_table(f: Poly) -> list[int]:
-    """f's value at each element index, or -1 where f is not evaluated yet.
-
-    One entry: only the polynomial walked last keeps its table.  Scans
-    generate their (f, a) items f-major, so consecutive starts share it."""
-    return [-1] * f.field.q
-
-
 @dataclass(frozen=True)
 class OrbitTable:
     """Orbit and sign data of every start x under one f, by element index.
@@ -78,17 +69,15 @@ class OrbitTable:
 
 @lru_cache(maxsize=1)
 def orbit_table(f: Poly) -> OrbitTable:
-    """One O(q) pass over f's functional graph; a one-entry memo, like the
-    successor table it completes.  Each point joins exactly one walk, which
-    ends at a point placed earlier or closes a new cycle.  A new cycle gets
-    its sign period and runs from two laps of its signs; the walk's tail
-    points are then placed from the cycle outward, each from its successor."""
+    """One evaluation of f per point, then one O(q) pass over f's functional
+    graph; a one-entry memo, so every start of one f reads the same table.
+    Each point joins exactly one walk, which ends at a point placed earlier
+    or closes a new cycle.  A new cycle gets its sign period and runs from
+    two laps of its signs; the walk's tail points are then placed from the
+    cycle outward, each from its successor."""
     F = f.field
     q = F.q
-    succ = _successor_table(f)
-    for x, y in enumerate(succ):
-        if y < 0:
-            succ[x] = f.eval_i(x)
+    succ = [f.eval_i(x) for x in range(q)]
     chi = [F.chi_i(x) for x in range(q)]
     tail = [-1] * q  # -1: not walked yet, -2: on the current walk
     cycle = [0] * q
@@ -238,8 +227,6 @@ def roots_in_field(f: Poly) -> list[FieldElement]:
 def _embedding(base_key, ext_degree: int):
     """(ext_field, root) realizing base -> F_{q^ext_degree}; deterministic."""
     p, k, modulus = base_key
-    from .field import make_field
-
     if ext_degree == 1:
         base = make_field(p, k, modulus)
         return base, base.gen
@@ -334,17 +321,17 @@ def tree_is_repeating(
 
     Points are restricted to extensions of degree <= max_ext.  Instead of
     expanding the tree downward, every candidate point x of each small
-    extension is pushed forward through the embedded f's successor table,
-    filled as the walks reach points so that the search can stop at the
-    first witness: the levels containing x are exactly the n <= depth with
-    f^n(x) = alpha.
+    extension is pushed forward through a successor table of the embedded f
+    that this search keeps for itself and fills only as its walks reach
+    points, so it stops at the first witness without evaluating the rest:
+    the levels containing x are exactly the n <= depth with f^n(x) = alpha.
     A negative answer only covers the truncated, bounded-degree tree.
     """
     for j in range(1, max_ext + 1):
         fj = embed_poly(f, j)
         E = fj.field
         target = embed(alpha, j).idx
-        succ = _successor_table(fj)
+        succ = [-1] * E.q  # f_j at each index, -1 until a walk reaches it
         for x in range(E.q):
             y = x
             hits = []

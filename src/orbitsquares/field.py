@@ -290,9 +290,9 @@ class FieldSpec:
 
     # -- misc ---------------------------------------------------------------
 
-    @classmethod
-    def parse(cls, text: str) -> "FieldSpec":
-        """Parse "p", "p^k", or "p^k/(c0,c1,...,1)"."""
+    @staticmethod
+    def parse(text: str) -> "FieldSpec":
+        """Parse "p", "p^k", or "p^k/(c0,c1,...,1)" into make_field's instance."""
         text = text.strip()
         modulus = None
         if "/" in text:
@@ -300,14 +300,14 @@ class FieldSpec:
             tail = tail.strip()
             if not (tail.startswith("(") and tail.endswith(")")):
                 raise ValueError(f"bad modulus syntax in field spec {text!r}")
-            modulus = [int(t) for t in tail[1:-1].split(",")]
+            modulus = tuple(int(t) for t in tail[1:-1].split(","))
             text = head.strip()
         if "^" in text:
             p_s, k_s = text.split("^", 1)
             p, k = int(p_s), int(k_s)
         else:
             p, k = int(text), 1
-        return cls(p, k, modulus)
+        return make_field(p, k, modulus)
 
     def __str__(self):
         if self.k == 1:
@@ -323,12 +323,9 @@ class FieldSpec:
     def __hash__(self):
         return hash(self._key)
 
-    def __getstate__(self):
-        return self._key
-
-    def __setstate__(self, state):
-        p, k, modulus = state
-        self.__init__(p, k, modulus)
+    def __reduce__(self):
+        # unpickling looks the field up instead of rebuilding its tables
+        return (make_field, self._key)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,6 @@ import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 from .bounds import (
     choose_L,
@@ -25,7 +24,7 @@ from .bounds import (
 )
 from .classify import TWO_ORDINARY, classify_2_ordinary
 from .dynamics import orbit_table
-from .field import FieldElement, FieldSpec, make_field
+from .field import FieldElement, FieldSpec
 from .fpoly import Poly
 
 BOUNDS_CSV_COLUMNS = ["q", "d", "f", "a", "m", "orbit", "L", "maxB", "lhs", "rhs", "pass"]
@@ -49,11 +48,6 @@ class ScanConfig:
 
     def to_json(self):
         return asdict(self)
-
-
-@lru_cache(maxsize=None)
-def _resolve_field(field_str: str) -> FieldSpec:
-    return FieldSpec.parse(field_str)
 
 
 def enumerate_polys(field: FieldSpec, degree: int, space: str = "monic"):
@@ -102,68 +96,60 @@ def sample_polys(field: FieldSpec, degree: int, count: int, seed: int) -> list[P
 
 
 # --- per-item kernels (top level so worker processes can import them) ------
+# Items are polynomials; a worker unpickles each one's field from make_field's cache.
 
-def _classify_item(args):
-    field_str, coeffs = args
-    F = _resolve_field(field_str)
-    f = Poly(F, coeffs)
-    rep = classify_2_ordinary(f)
-    row = {"q": F.q, "d": f.degree, "f": str(f)}
-    row.update(rep.to_json())
+def _classify_item(f: Poly):
+    row = {"q": f.field.q, "d": f.degree, "f": str(f)}
+    row.update(classify_2_ordinary(f).to_json())
     return row
 
 
-def _weil_item(args):
-    field_str, coeffs = args
-    F = _resolve_field(field_str)
-    f = Poly(F, coeffs)
-    wc = weil_check(f)
-    return {"q": F.q, "d": f.degree, "f": str(f), **wc.to_json()}
+def _weil_item(f: Poly):
+    return {"q": f.field.q, "d": f.degree, "f": str(f), **weil_check(f).to_json()}
 
 
 def _orbit_bounds_item(args):
-    field_str, coeffs, a_idx, Ls = args
-    F = _resolve_field(field_str)
-    f = Poly(F, coeffs)
-    a = FieldElement(F, a_idx)
-    rep = classify_2_ordinary(f)
+    """Rows for every sampled start of one f, at each L; f is classified once."""
+    f, starts, Ls = args
+    F = f.field
+    two_ordinary = classify_2_ordinary(f).verdict == TWO_ORDINARY
     rows = []
-    for L in Ls:
-        ob = orbit_bound_check(f, a, L)
-        env_pass = None
-        if rep.verdict == TWO_ORDINARY:
-            env_pass = all(envelope_holds(b, F.q, f.degree, L) for b in ob.B_values)
-        rows.append(
-            {
-                "q": F.q,
-                "d": f.degree,
-                "f": str(f),
-                "a": a_idx,
-                "m": ob.m,
-                "orbit": ob.orbit_size,
-                "L": L,
-                "maxB": str(max(ob.B_values)),
-                "lhs": ob.lhs,
-                "rhs": str(ob.rhs_sum),
-                "pass": bool(ob.passed and ob.passed_uniform),
-                "two_ordinary": rep.verdict == TWO_ORDINARY,
-                "envelope_pass": env_pass,
-            }
-        )
+    for a_idx in starts:
+        a = FieldElement(F, a_idx)
+        for L in Ls:
+            ob = orbit_bound_check(f, a, L)
+            env_pass = None
+            if two_ordinary:
+                env_pass = all(envelope_holds(b, F.q, f.degree, L) for b in ob.B_values)
+            rows.append(
+                {
+                    "q": F.q,
+                    "d": f.degree,
+                    "f": str(f),
+                    "a": a_idx,
+                    "m": ob.m,
+                    "orbit": ob.orbit_size,
+                    "L": L,
+                    "maxB": str(max(ob.B_values)),
+                    "lhs": ob.lhs,
+                    "rhs": str(ob.rhs_sum),
+                    "pass": bool(ob.passed and ob.passed_uniform),
+                    "two_ordinary": two_ordinary,
+                    "envelope_pass": env_pass,
+                }
+            )
     return rows
 
 
-def _run_bounds_item(args):
-    field_str, coeffs = args
-    F = _resolve_field(field_str)
-    f = Poly(F, coeffs)
-    return [run_bound_check(f, a).to_json() for a in F.elements()]
+def _run_bounds_item(f: Poly):
+    """Run-bound rows for every start of f, or none when f is in forms (a)-(e)."""
+    if classify_2_ordinary(f).verdict != TWO_ORDINARY:
+        return []
+    return [run_bound_check(f, a).to_json() for a in f.field.elements()]
 
 
-def _ratio_item(args):
-    field_str, coeffs = args
-    F = _resolve_field(field_str)
-    f = Poly(F, coeffs)
+def _ratio_item(f: Poly):
+    F = f.field
     scale = F.q ** (5 / 6)
     t = orbit_table(f)
     best_orbit = max(
@@ -177,7 +163,8 @@ def _ratio_item(args):
 
 def _pmap(fn, items, workers: int):
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    workers = min(workers, len(items))  # a pool starts every worker at once
+    if workers <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items, chunksize=max(1, len(items) // (workers * 4))))
@@ -187,15 +174,14 @@ def _pmap(fn, items, workers: int):
 
 def _monic_polys(cfg: ScanConfig) -> list[Poly]:
     """Every monic polynomial of cfg's degree, or a seeded sample of cfg.sample."""
-    F = _resolve_field(cfg.field)
+    F = FieldSpec.parse(cfg.field)
     if cfg.sample is None:
         return list(enumerate_polys(F, cfg.degree, "monic"))
     return sample_polys(F, cfg.degree, cfg.sample, cfg.seed)
 
 
 def classification_scan(cfg: ScanConfig):
-    items = [(cfg.field, p.coeffs) for p in _monic_polys(cfg)]
-    rows = _pmap(_classify_item, items, cfg.workers)
+    rows = _pmap(_classify_item, _monic_polys(cfg), cfg.workers)
     rows.sort(key=lambda r: (r["q"], r["d"], r["f"]))
     counts: dict[str, int] = {}
     for r in rows:
@@ -207,10 +193,8 @@ def classification_scan(cfg: ScanConfig):
 
 
 def weil_scan(cfg: ScanConfig):
-    F = _resolve_field(cfg.field)
-    polys = list(enumerate_polys(F, cfg.degree, "monic"))
-    items = [(cfg.field, p.coeffs) for p in polys]
-    rows = _pmap(_weil_item, items, cfg.workers)
+    F = FieldSpec.parse(cfg.field)
+    rows = _pmap(_weil_item, enumerate_polys(F, cfg.degree, "monic"), cfg.workers)
     rows.sort(key=lambda r: (r["q"], r["d"], r["f"]))
     failures = [r for r in rows if r["applies"] and not r["passed"]]
     return rows, failures
@@ -218,16 +202,19 @@ def weil_scan(cfg: ScanConfig):
 
 def bounds_scan(cfg: ScanConfig):
     """Sampled orbit-bound + envelope rows in the fixed CSV schema."""
-    F = _resolve_field(cfg.field)
+    F = FieldSpec.parse(cfg.field)
     pairs = []  # every (f, a) with f monic and a's signs purely periodic
     for f in enumerate_polys(F, cfg.degree, "monic"):
         sign_tail = orbit_table(f).sign_tail
-        pairs += [(f, a) for a in F.elements() if sign_tail[a.idx] == 0]
+        pairs += [(f, a) for a in range(F.q) if sign_tail[a] == 0]
     if cfg.sample is not None and cfg.sample < len(pairs):
         rng = random.Random(cfg.seed)
         pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), cfg.sample))]
+    starts: dict[Poly, list[int]] = {}
+    for f, a in pairs:
+        starts.setdefault(f, []).append(a)
     Ls = tuple(range(1, max(choose_L(F.q, cfg.degree), 3) + 1))
-    items = [(cfg.field, f.coeffs, a.idx, Ls) for f, a in pairs]
+    items = [(f, tuple(idxs), Ls) for f, idxs in starts.items()]
     nested = _pmap(_orbit_bounds_item, items, cfg.workers)
     rows = [r for chunk in nested for r in chunk]
     rows.sort(key=lambda r: (r["q"], r["d"], r["f"], r["a"], r["L"]))
@@ -236,22 +223,17 @@ def bounds_scan(cfg: ScanConfig):
 
 def run_bounds_scan(cfg: ScanConfig):
     """Run-structure inequality over every monic f outside forms (a)-(e)."""
-    F = _resolve_field(cfg.field)
-    items = [
-        (cfg.field, f.coeffs)
-        for f in enumerate_polys(F, cfg.degree, "monic")
-        if classify_2_ordinary(f).verdict == TWO_ORDINARY
-    ]
-    rows = [r for chunk in _pmap(_run_bounds_item, items, cfg.workers) for r in chunk]
+    F = FieldSpec.parse(cfg.field)
+    polys = enumerate_polys(F, cfg.degree, "monic")
+    rows = [r for chunk in _pmap(_run_bounds_item, polys, cfg.workers) for r in chunk]
     rows.sort(key=lambda r: (r["q"], r["f"], r["a"]))
     return rows
 
 
 def ratio_scan(cfg: ScanConfig):
     """Observational max |O|/(m q^(5/6)) and R/q^(5/6) over a seeded sample."""
-    F = _resolve_field(cfg.field)
-    items = [(cfg.field, p.coeffs) for p in _monic_polys(cfg)]
-    rows = _pmap(_ratio_item, items, cfg.workers)
+    F = FieldSpec.parse(cfg.field)
+    rows = _pmap(_ratio_item, _monic_polys(cfg), cfg.workers)
     max_orbit = max((r["orbit_ratio"] for r in rows), default=0.0)
     max_run = max((r["run_ratio"] for r in rows), default=0.0)
     return {

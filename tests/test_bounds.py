@@ -127,7 +127,7 @@ class TestComputeB:
                                     s += field.chi_i(prodc)
                                 expanded += coef * s
                         expanded /= 2**L
-                        assert compute_B(f, a, i, L, signs=ss) == expanded
+                        assert compute_B(f, a, i, L) == expanded
 
 
 class TestTableAgainstHorner:
@@ -203,7 +203,7 @@ class TestEnvelope:
             if not ss.purely_periodic:
                 continue
             for i in range(ss.sign_period):
-                assert envelope_check(f, a, i, 1, signs=ss).passed
+                assert envelope_check(f, a, i, 1).passed
 
 
 class TestTSetSize:

@@ -83,6 +83,11 @@ class TestConstruction:
     def test_pickle_roundtrip(self):
         g = pickle.loads(pickle.dumps(F9))
         assert g == F9 and g.q == 9
+        # unpickling looks the field up in make_field's cache, tables and all
+        assert g is make_field(*F9._key) and pickle.loads(pickle.dumps(g)) is g
+        f = Poly(F9, [2, 5, 0, 1])
+        h = pickle.loads(pickle.dumps(f))
+        assert h == f and h.field is g
 
 
 class TestArithmetic:

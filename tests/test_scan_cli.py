@@ -1,10 +1,15 @@
 """Batch scan determinism and the command-line front end."""
 
 import json
+import random
 
 import pytest
 
+from orbitsquares import scan
+from orbitsquares.bounds import choose_L, envelope_check, orbit_bound_check
+from orbitsquares.classify import TWO_ORDINARY, classify_2_ordinary
 from orbitsquares.cli import main
+from orbitsquares.dynamics import sign_sequence
 from orbitsquares.field import FieldSpec, make_field
 from orbitsquares.scan import (
     BOUNDS_CSV_COLUMNS,
@@ -63,6 +68,39 @@ class TestScans:
         r2, c2 = classification_scan(cfg2)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert c1 == c2
+        # polynomial items cross to the workers pickled, and run-bounds
+        # classifies there
+        for run, cfg in (
+            (run_bounds_scan, {"field": "7", "degree": 2}),
+            (ratio_scan, {"field": "3^2", "degree": 2, "sample": 20}),
+        ):
+            out1 = run(ScanConfig(**cfg, workers=1))
+            out2 = run(ScanConfig(**cfg, workers=2))
+            assert json.dumps(out1, sort_keys=True) == json.dumps(out2, sort_keys=True)
+
+    def test_pool_is_no_larger_than_the_work(self, monkeypatch):
+        started = []
+
+        class InProcessPool:
+            """Records its size and maps in this process; starts nothing."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(scan, "ProcessPoolExecutor", InProcessPool)
+        rows, _ = classification_scan(ScanConfig(field="7", degree=2, sample=3, workers=8))
+        assert started == [3] and len(rows) == 3
+        rows, _ = classification_scan(ScanConfig(field="7", degree=2, sample=1, workers=8))
+        assert started == [3] and len(rows) == 1  # one item runs without a pool
 
     def test_weil_scan_no_failures(self):
         rows, failures = weil_scan(ScanConfig(field="5", degree=3))
@@ -74,6 +112,54 @@ class TestScans:
         assert rows and all(r["pass"] for r in rows)
         csv_text = rows_to_csv_text(rows, BOUNDS_CSV_COLUMNS)
         assert csv_text.splitlines()[0] == ",".join(BOUNDS_CSV_COLUMNS)
+
+    @staticmethod
+    def _per_pair_bounds_rows(cfg):
+        """bounds_scan's rows, built pair by pair: each sampled (f, a) is
+        classified and checked on its own, with one orbit_bound_check per L
+        and one envelope_check per B_i."""
+        F = FieldSpec.parse(cfg.field)
+        pairs = [
+            (f, a)
+            for f in enumerate_polys(F, cfg.degree, "monic")
+            for a in F.elements()
+            if sign_sequence(f, a).purely_periodic
+        ]
+        if cfg.sample is not None and cfg.sample < len(pairs):
+            rng = random.Random(cfg.seed)
+            pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), cfg.sample))]
+        rows = []
+        for f, a in pairs:
+            two_ordinary = classify_2_ordinary(f).verdict == TWO_ORDINARY
+            for L in range(1, max(choose_L(F.q, cfg.degree), 3) + 1):
+                ob = orbit_bound_check(f, a, L)
+                rows.append(
+                    {
+                        "q": F.q,
+                        "d": f.degree,
+                        "f": str(f),
+                        "a": a.idx,
+                        "m": ob.m,
+                        "orbit": ob.orbit_size,
+                        "L": L,
+                        "maxB": str(max(ob.B_values)),
+                        "lhs": ob.lhs,
+                        "rhs": str(ob.rhs_sum),
+                        "pass": bool(ob.passed and ob.passed_uniform),
+                        "two_ordinary": two_ordinary,
+                        "envelope_pass": all(
+                            envelope_check(f, a, i, L).passed for i in range(ob.m)
+                        ) if two_ordinary else None,
+                    }
+                )
+        rows.sort(key=lambda r: (r["q"], r["d"], r["f"], r["a"], r["L"]))
+        return rows
+
+    @pytest.mark.parametrize("field", ["7", "3^2/(2,1,1)"])
+    @pytest.mark.parametrize("sample, seed", [(25, 0), (25, 1), (25, 2), (None, 0)])
+    def test_bounds_scan_matches_per_pair_checks(self, field, sample, seed):
+        cfg = ScanConfig(field=field, degree=2, sample=sample, seed=seed)
+        assert bounds_scan(cfg) == self._per_pair_bounds_rows(cfg)
 
     def test_bounds_scan_worker_determinism(self):
         cfg1 = ScanConfig(field="7", degree=2, sample=8, seed=5, workers=1)
