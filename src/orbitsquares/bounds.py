@@ -19,11 +19,8 @@ from .fpoly import Poly, constant_times_square
 
 
 def char_sum(f: Poly) -> int:
-    """Sum of chi(f(x)) over the whole field."""
-    F = f.field
-    chi = F.chi_i
-    ev = f.eval_i
-    return sum(chi(ev(x)) for x in range(F.q))
+    """Sum of chi(f(x)) over the whole field, read from f's orbit table."""
+    return sum(map(f.field.chi_i, orbit_table(f).succ))
 
 
 @dataclass(frozen=True)

@@ -96,84 +96,40 @@ def _config(args) -> scan_mod.ScanConfig:
     )
 
 
-def _check_classification(cfg, summary):
-    rows, counts = scan_mod.classification_scan(cfg)
-    summary["classification_counts"] = counts
-    return rows, 0
-
-
-def _check_weil(cfg, summary):
-    rows, failures = scan_mod.weil_scan(cfg)
-    summary["weil_failures"] = len(failures)
-    return rows, len(failures)
-
-
-def _check_orbit_bounds(cfg, summary):
-    rows = scan_mod.bounds_scan(cfg)
-    summary["orbit_bound_failures"] = bad = sum(
-        not r["pass"] or r["envelope_pass"] is False for r in rows
-    )
-    return rows, bad
-
-
-def _check_run_bounds(cfg, summary):
-    rows = scan_mod.run_bounds_scan(cfg)
-    summary["run_bound_failures"] = bad = sum(not r["pass"] for r in rows)
-    return rows, bad
-
-
-def _check_ratios(cfg, summary):
-    summary["ratios"] = scan_mod.ratio_scan(cfg)
-    return [], 0
-
-
-# scan's checks, in the order they run whatever order --checks lists them in;
-# each runner returns (rows, failure count) and fills its summary keys.
-SCAN_CHECKS = {
-    "classification": _check_classification,
-    "weil": _check_weil,
-    "orbit-bounds": _check_orbit_bounds,
-    "run-bounds": _check_run_bounds,
-    "ratios": _check_ratios,
-}
-
-
 def cmd_scan(args) -> int:
-    checks = set(args.checks.split(","))
-    unknown = sorted(checks - SCAN_CHECKS.keys())
-    if unknown:
-        raise ValueError(
-            f"unknown check {', '.join(map(repr, unknown))}; known: {', '.join(SCAN_CHECKS)}"
-        )
     cfg = _config(args)
+    found = scan_mod.run_checks(cfg, args.checks.split(","))
     summary: dict = {"config": cfg.to_json()}
-    rows: list = []
-    rc = 0
-    for name, run in SCAN_CHECKS.items():
-        if name in checks:
-            found, failures = run(cfg, summary)
-            rows += found
-            if failures:
-                rc = 2
-    _emit(rows, None, args, summary)
-    return rc
+    if "classification" in found:
+        summary["classification_counts"] = scan_mod.classification_counts(found["classification"])
+    if "ratios" in found:
+        summary["ratios"] = scan_mod.ratio_summary(cfg, found.pop("ratios"))
+    failure_keys = {
+        "weil": "weil_failures",
+        "orbit-bounds": "orbit_bound_failures",
+        "run-bounds": "run_bound_failures",
+    }
+    for check, key in failure_keys.items():
+        if check in found:
+            summary[key] = sum(map(scan_mod.failed, found[check]))
+    _emit([r for part in found.values() for r in part], None, args, summary)
+    return 2 if any(summary.get(key) for key in failure_keys.values()) else 0
 
 
 def cmd_verify_weil(args) -> int:
     cfg = scan_mod.ScanConfig(field=args.field, degree=args.degree, workers=args.workers)
-    rows, failures = scan_mod.weil_scan(cfg)
-    _emit(rows, ["q", "d", "f", "applies", "sum", "passed"], args,
-          {"failures": len(failures)})
+    rows = scan_mod.run_checks(cfg, ["weil"])["weil"]
+    failures = sum(map(scan_mod.failed, rows))
+    _emit(rows, ["q", "d", "f", "applies", "sum", "passed"], args, {"failures": failures})
     return 2 if failures else 0
 
 
 def cmd_verify_bounds(args) -> int:
-    cfg = _config(args)
-    rows = scan_mod.bounds_scan(cfg)
-    bad = [r for r in rows if not r["pass"]]
-    env_bad = [r for r in rows if r["envelope_pass"] is False]
+    rows = scan_mod.run_checks(_config(args), ["orbit-bounds"])["orbit-bounds"]
+    bad = sum(not r["pass"] for r in rows)
+    env_bad = sum(r["envelope_pass"] is False for r in rows)
     _emit(rows, scan_mod.BOUNDS_CSV_COLUMNS, args,
-          {"failures": len(bad), "envelope_failures": len(env_bad)})
+          {"failures": bad, "envelope_failures": env_bad})
     return 2 if (bad or env_bad) else 0
 
 
@@ -219,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--checks",
         default="classification",
-        help="comma list of " + ",".join(SCAN_CHECKS),
+        help="comma list of " + ",".join(scan_mod.CHECKS),
     )
     p.set_defaults(fn=cmd_scan)
 

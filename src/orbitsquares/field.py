@@ -28,6 +28,14 @@ from .errors import (
 )
 
 
+def _parse_decimal(text: str) -> int:
+    """ASCII decimal digits only: int() also reads signs, "1_0" and "٥"."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected a decimal number, got {text!r}")
+    return int(digits)
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -66,6 +74,7 @@ def _is_irreducible(p: int, coeffs) -> bool:
     return is_irreducible(Poly(make_field(p), coeffs))
 
 
+@lru_cache(maxsize=None)
 def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
@@ -109,7 +118,8 @@ class FieldSpec:
                 raise ReducibleModulus(
                     f"modulus must be monic of degree {k}, got {list(modulus)}"
                 )
-            if not _is_irreducible(p, modulus):
+            # a monic linear is irreducible, and testing it would recurse into make_field
+            if k > 1 and not _is_irreducible(p, modulus):
                 raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
         self.p = p
         self.k = k
@@ -143,7 +153,7 @@ class FieldSpec:
 
     def parse_index(self, text: str) -> int:
         """An element index written in decimal; anything outside [0, q) is rejected."""
-        idx = int(text)
+        idx = _parse_decimal(text)
         if not 0 <= idx < self.q:
             raise ValueError(f"element index {idx} is outside [0, {self.q})")
         return idx
@@ -300,13 +310,13 @@ class FieldSpec:
             tail = tail.strip()
             if not (tail.startswith("(") and tail.endswith(")")):
                 raise ValueError(f"bad modulus syntax in field spec {text!r}")
-            modulus = tuple(int(t) for t in tail[1:-1].split(","))
+            modulus = tuple(_parse_decimal(t) for t in tail[1:-1].split(","))
             text = head.strip()
         if "^" in text:
             p_s, k_s = text.split("^", 1)
-            p, k = int(p_s), int(k_s)
+            p, k = _parse_decimal(p_s), _parse_decimal(k_s)
         else:
-            p, k = int(text), 1
+            p, k = _parse_decimal(text), 1
         return make_field(p, k, modulus)
 
     def __str__(self):
@@ -328,10 +338,17 @@ class FieldSpec:
         return (make_field, self._key)
 
 
-@lru_cache(maxsize=None)
+_FIELDS: dict[tuple, FieldSpec] = {}
+
+
 def make_field(p: int, k: int = 1, modulus: tuple | None = None) -> FieldSpec:
-    """Construct (and cache) a FieldSpec; modulus defaults to the smallest irreducible."""
-    return FieldSpec(p, k, modulus)
+    """The one cached FieldSpec per field, however it is named: the cache is
+    keyed by the modulus a missing one resolves to, the smallest irreducible
+    (which the constructor then need not test again)."""
+    key = (p, k, smallest_irreducible(p, k) if modulus is None and k >= 1 else modulus)
+    if key not in _FIELDS:
+        _FIELDS[key] = FieldSpec(p, k, modulus)
+    return _FIELDS[key]
 
 
 class FieldElement:

@@ -1,5 +1,6 @@
-"""Batch scan drivers: enumerate or sample polynomial spaces, run the
-selected checks, and emit deterministic JSON-lines and CSV reports.
+"""Batch scans: enumerate or sample polynomial spaces, run the selected
+checks in one pass per polynomial, and emit deterministic JSON-lines and
+CSV reports.
 
 All kernels are pure; worker processes only parallelize over independent
 work items and results are sorted by a canonical key before writing, so
@@ -12,8 +13,10 @@ import csv
 import io
 import json
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import product
 
 from .bounds import (
     choose_L,
@@ -52,24 +55,12 @@ class ScanConfig:
 
 def enumerate_polys(field: FieldSpec, degree: int, space: str = "monic"):
     """Dense coefficient enumeration in canonical (index-lexicographic) order."""
-    q = field.q
-
-    def rec(prefix, remaining):
-        if remaining == 0:
-            yield prefix
-            return
-        for c in range(q):
-            yield from rec(prefix + [c], remaining - 1)
-
-    if space == "monic":
-        for lower in rec([], degree):
-            yield Poly(field, lower + [field.one_idx])
-    elif space == "all":
-        for lead in range(1, q):
-            for lower in rec([], degree):
-                yield Poly(field, lower + [lead])
-    else:
+    leads = {"monic": [field.one_idx], "all": range(1, field.q)}.get(space)
+    if leads is None:
         raise ValueError(f"unknown coefficient space {space!r}")
+    for lead in leads:
+        for lower in product(range(field.q), repeat=degree):
+            yield Poly(field, [*lower, lead])
 
 
 def sample_polys(field: FieldSpec, degree: int, count: int, seed: int) -> list[Poly]:
@@ -95,28 +86,75 @@ def sample_polys(field: FieldSpec, degree: int, count: int, seed: int) -> list[P
     return out
 
 
-# --- per-item kernels (top level so worker processes can import them) ------
-# Items are polynomials; a worker unpickles each one's field from make_field's cache.
+# --- per-check row kernels (top level so worker processes can import them) --
+# Each maps f and its classification report (None when no selected check needs
+# one) to the check's rows for f; all but classification read f's orbit table.
 
-def _classify_item(f: Poly):
-    row = {"q": f.field.q, "d": f.degree, "f": str(f)}
-    row.update(classify_2_ordinary(f).to_json())
-    return row
-
-
-def _weil_item(f: Poly):
-    return {"q": f.field.q, "d": f.degree, "f": str(f), **weil_check(f).to_json()}
+def _classification_rows(f: Poly, report):
+    return [{"q": f.field.q, "d": f.degree, "f": str(f), **report.to_json()}]
 
 
-def _orbit_bounds_item(args):
-    """Rows for every sampled start of one f, at each L; f is classified once."""
-    f, starts, Ls = args
+def _weil_rows(f: Poly, report):
+    return [{"q": f.field.q, "d": f.degree, "f": str(f), **weil_check(f).to_json()}]
+
+
+def _periodic_start_count(f: Poly, report):
+    """orbit-bounds' first phase: how many starts the draw can pick from f."""
+    return [(f, orbit_table(f).sign_tail.count(0), report.verdict == TWO_ORDINARY)]
+
+
+def _run_bound_rows(f: Poly, report):
+    """Run-bound rows for every start of f, or none when f is in forms (a)-(e)."""
+    if report.verdict != TWO_ORDINARY:
+        return []
+    return [run_bound_check(f, a).to_json() for a in f.field.elements()]
+
+
+def _ratio_rows(f: Poly, report):
     F = f.field
-    two_ordinary = classify_2_ordinary(f).verdict == TWO_ORDINARY
+    scale = F.q ** (5 / 6)
+    t = orbit_table(f)
+    best_orbit = max(
+        (t.tail[x] + t.cycle[x]) / (t.sign_period[x] * scale)
+        for x in range(F.q)
+        if t.sign_tail[x] == 0
+    )
+    best_run = max(r.length for target in (1, -1) for r in t.run[target]) / scale
+    return [{"q": F.q, "f": str(f), "orbit_ratio": best_orbit, "run_ratio": best_run}]
+
+
+_ROWS = {
+    "classification": _classification_rows,
+    "weil": _weil_rows,
+    "orbit-bounds": _periodic_start_count,
+    "run-bounds": _run_bound_rows,
+    "ratios": _ratio_rows,
+}
+# scan's checks, in the order they run whatever order they are asked for in
+CHECKS = tuple(_ROWS)
+# --sample draws the polynomials these checks see; orbit-bounds draws its
+# (f, a) pairs from every monic f instead, and weil and run-bounds see every f
+SAMPLED_POLYS = frozenset({"classification", "ratios"})
+_CLASSIFIED = frozenset({"classification", "orbit-bounds", "run-bounds"})
+
+
+def _scan_item(item):
+    """One f's rows for each of its checks; f is classified at most once."""
+    f, checks = item
+    report = classify_2_ordinary(f) if checks & _CLASSIFIED else None
+    return {check: _ROWS[check](f, report) for check in checks}
+
+
+def _orbit_bound_rows(item):
+    """orbit-bounds' second phase: rows for the drawn purely periodic starts
+    of one f (picks index them in ascending order), at each L."""
+    f, picks, two_ordinary = item
+    F = f.field
+    periodic = [a for a, tail in enumerate(orbit_table(f).sign_tail) if tail == 0]
     rows = []
-    for a_idx in starts:
+    for a_idx in map(periodic.__getitem__, picks):
         a = FieldElement(F, a_idx)
-        for L in Ls:
+        for L in range(1, max(choose_L(F.q, f.degree), 3) + 1):
             ob = orbit_bound_check(f, a, L)
             env_pass = None
             if two_ordinary:
@@ -141,26 +179,6 @@ def _orbit_bounds_item(args):
     return rows
 
 
-def _run_bounds_item(f: Poly):
-    """Run-bound rows for every start of f, or none when f is in forms (a)-(e)."""
-    if classify_2_ordinary(f).verdict != TWO_ORDINARY:
-        return []
-    return [run_bound_check(f, a).to_json() for a in f.field.elements()]
-
-
-def _ratio_item(f: Poly):
-    F = f.field
-    scale = F.q ** (5 / 6)
-    t = orbit_table(f)
-    best_orbit = max(
-        (t.tail[x] + t.cycle[x]) / (t.sign_period[x] * scale)
-        for x in range(F.q)
-        if t.sign_tail[x] == 0
-    )
-    best_run = max(r.length for target in (1, -1) for r in t.run[target]) / scale
-    return {"q": F.q, "f": str(f), "orbit_ratio": best_orbit, "run_ratio": best_run}
-
-
 def _pmap(fn, items, workers: int):
     items = list(items)
     workers = min(workers, len(items))  # a pool starts every worker at once
@@ -170,79 +188,83 @@ def _pmap(fn, items, workers: int):
         return list(ex.map(fn, items, chunksize=max(1, len(items) // (workers * 4))))
 
 
-# --- drivers ---------------------------------------------------------------
+# --- the driver --------------------------------------------------------------
 
-def _monic_polys(cfg: ScanConfig) -> list[Poly]:
-    """Every monic polynomial of cfg's degree, or a seeded sample of cfg.sample."""
+def _drawn_starts(candidates, cfg: ScanConfig):
+    """orbit-bounds' seeded draw of cfg.sample pairs from every purely
+    periodic (f, a), in enumeration order, as one item per drawn f."""
+    total = sum(n for _, n, _ in candidates)
+    drawn = range(total)
+    if cfg.sample is not None and cfg.sample < total:
+        drawn = set(random.Random(cfg.seed).sample(range(total), cfg.sample))
+    items, first = [], 0
+    for f, n, two_ordinary in candidates:
+        picks = [j - first for j in range(first, first + n) if j in drawn]
+        if picks:
+            items.append((f, picks, two_ordinary))
+        first += n
+    return items
+
+
+def run_checks(cfg: ScanConfig, checks) -> dict[str, list]:
+    """Each selected check's rows, in CHECKS order, from one item per monic f
+    (per sampled f when every check is in SAMPLED_POLYS), which classifies f
+    at most once; orbit-bounds then checks its drawn starts per f."""
+    checks = frozenset(checks)
+    unknown = sorted(checks - set(CHECKS))
+    if unknown:
+        raise ValueError(
+            f"unknown check {', '.join(map(repr, unknown))}; known: {', '.join(CHECKS)}"
+        )
     F = FieldSpec.parse(cfg.field)
     if cfg.sample is None:
-        return list(enumerate_polys(F, cfg.degree, "monic"))
-    return sample_polys(F, cfg.degree, cfg.sample, cfg.seed)
+        items = [(f, checks) for f in enumerate_polys(F, cfg.degree)]
+    elif checks <= SAMPLED_POLYS:
+        items = [(f, checks) for f in sample_polys(F, cfg.degree, cfg.sample, cfg.seed)]
+    else:
+        sampled = set(sample_polys(F, cfg.degree, cfg.sample, cfg.seed))
+        unsampled = checks - SAMPLED_POLYS
+        items = [(f, checks if f in sampled else unsampled) for f in enumerate_polys(F, cfg.degree)]
+    found = {check: [] for check in CHECKS if check in checks}
+    for rows in _pmap(_scan_item, items, cfg.workers):
+        for check, part in rows.items():
+            found[check] += part
+    if "orbit-bounds" in found:  # so far one (f, start count, 2-ordinary) per f
+        nested = _pmap(_orbit_bound_rows, _drawn_starts(found["orbit-bounds"], cfg), cfg.workers)
+        found["orbit-bounds"] = [r for part in nested for r in part]
+    for rows in found.values():
+        rows.sort(key=lambda r: (r["f"], r.get("a", 0), r.get("L", 0)))  # q, d are fixed
+    return found
 
 
-def classification_scan(cfg: ScanConfig):
-    rows = _pmap(_classify_item, _monic_polys(cfg), cfg.workers)
-    rows.sort(key=lambda r: (r["q"], r["d"], r["f"]))
-    counts: dict[str, int] = {}
-    for r in rows:
-        counts[r["verdict"]] = counts.get(r["verdict"], 0) + 1
-        for fm in r["forms"]:
-            key = "form_" + fm["form"]
-            counts[key] = counts.get(key, 0) + 1
-    return rows, counts
+def failed(row) -> bool:
+    """Whether a row records a failed proved inequality."""
+    return (
+        row.get("pass") is False or row.get("passed") is False or row.get("envelope_pass") is False
+    )
 
 
-def weil_scan(cfg: ScanConfig):
-    F = FieldSpec.parse(cfg.field)
-    rows = _pmap(_weil_item, enumerate_polys(F, cfg.degree, "monic"), cfg.workers)
-    rows.sort(key=lambda r: (r["q"], r["d"], r["f"]))
-    failures = [r for r in rows if r["applies"] and not r["passed"]]
-    return rows, failures
+def classification_counts(rows) -> dict[str, int]:
+    """How many classification rows carry each verdict and each form."""
+    return dict(Counter(
+        key for r in rows for key in [r["verdict"]] + ["form_" + fm["form"] for fm in r["forms"]]
+    ))
 
 
-def bounds_scan(cfg: ScanConfig):
-    """Sampled orbit-bound + envelope rows in the fixed CSV schema."""
-    F = FieldSpec.parse(cfg.field)
-    pairs = []  # every (f, a) with f monic and a's signs purely periodic
-    for f in enumerate_polys(F, cfg.degree, "monic"):
-        sign_tail = orbit_table(f).sign_tail
-        pairs += [(f, a) for a in range(F.q) if sign_tail[a] == 0]
-    if cfg.sample is not None and cfg.sample < len(pairs):
-        rng = random.Random(cfg.seed)
-        pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), cfg.sample))]
-    starts: dict[Poly, list[int]] = {}
-    for f, a in pairs:
-        starts.setdefault(f, []).append(a)
-    Ls = tuple(range(1, max(choose_L(F.q, cfg.degree), 3) + 1))
-    items = [(f, tuple(idxs), Ls) for f, idxs in starts.items()]
-    nested = _pmap(_orbit_bounds_item, items, cfg.workers)
-    rows = [r for chunk in nested for r in chunk]
-    rows.sort(key=lambda r: (r["q"], r["d"], r["f"], r["a"], r["L"]))
-    return rows
-
-
-def run_bounds_scan(cfg: ScanConfig):
-    """Run-structure inequality over every monic f outside forms (a)-(e)."""
-    F = FieldSpec.parse(cfg.field)
-    polys = enumerate_polys(F, cfg.degree, "monic")
-    rows = [r for chunk in _pmap(_run_bounds_item, polys, cfg.workers) for r in chunk]
-    rows.sort(key=lambda r: (r["q"], r["f"], r["a"]))
-    return rows
+def ratio_summary(cfg: ScanConfig, rows) -> dict:
+    """Observational max |O|/(m q^(5/6)) and R/q^(5/6) over ratios rows."""
+    return {
+        "q": FieldSpec.parse(cfg.field).q,
+        "d": cfg.degree,
+        "polys": len(rows),
+        "max_orbit_ratio": f"{max(r['orbit_ratio'] for r in rows):.6f}",
+        "max_run_ratio": f"{max(r['run_ratio'] for r in rows):.6f}",
+    }
 
 
 def ratio_scan(cfg: ScanConfig):
-    """Observational max |O|/(m q^(5/6)) and R/q^(5/6) over a seeded sample."""
-    F = FieldSpec.parse(cfg.field)
-    rows = _pmap(_ratio_item, _monic_polys(cfg), cfg.workers)
-    max_orbit = max((r["orbit_ratio"] for r in rows), default=0.0)
-    max_run = max((r["run_ratio"] for r in rows), default=0.0)
-    return {
-        "q": F.q,
-        "d": cfg.degree,
-        "polys": len(rows),
-        "max_orbit_ratio": f"{max_orbit:.6f}",
-        "max_run_ratio": f"{max_run:.6f}",
-    }
+    """ratio_summary over a seeded sample of cfg.sample monic f (or every one)."""
+    return ratio_summary(cfg, run_checks(cfg, {"ratios"})["ratios"])
 
 
 # --- emission --------------------------------------------------------------

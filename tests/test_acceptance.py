@@ -39,12 +39,11 @@ from orbitsquares.fpoly import Poly
 from orbitsquares.scan import (
     BOUNDS_CSV_COLUMNS,
     ScanConfig,
-    bounds_scan,
     enumerate_polys,
+    failed,
     ratio_scan,
     rows_to_csv_text,
-    run_bounds_scan,
-    weil_scan,
+    run_checks,
 )
 
 FIELDS = {
@@ -81,8 +80,8 @@ def test_criterion_1_weil_exhaustive():
     checked = 0
     for q in (3, 5, 7, 9, 11, 13):
         for degree in (2, 3):
-            _, fails = weil_scan(ScanConfig(field=FIELDS[q], degree=degree))
-            failures += len(fails)
+            rows = run_checks(ScanConfig(field=FIELDS[q], degree=degree), {"weil"})["weil"]
+            failures += sum(map(failed, rows))
             checked += q**degree
     ok = report(1, "Weil bound, exhaustive monic deg 2-3", failures == 0,
                 f"{checked} polynomials, {failures} failures")
@@ -255,9 +254,8 @@ def test_criterion_5_chebyshev_identities():
 
 
 def _bounds_rows(q: int, workers: int = 1):
-    return bounds_scan(
-        ScanConfig(field=FIELDS[q], degree=2, sample=200, seed=q, workers=workers)
-    )
+    cfg = ScanConfig(field=FIELDS[q], degree=2, sample=200, seed=q, workers=workers)
+    return run_checks(cfg, {"orbit-bounds"})["orbit-bounds"]
 
 
 def test_criterion_6_orbit_bound():
@@ -292,7 +290,7 @@ def test_criterion_8_run_bound():
     failures = 0
     rows_total = 0
     for q in (7, 11, 13, 17, 19, 23, 27):
-        rows = run_bounds_scan(ScanConfig(field=FIELDS[q], degree=2))
+        rows = run_checks(ScanConfig(field=FIELDS[q], degree=2), {"run-bounds"})["run-bounds"]
         rows_total += len(rows)
         failures += sum(1 for r in rows if not r["pass"])
     ok = report(8, "run-structure inequality, exhaustive degree 2",
@@ -323,8 +321,10 @@ def test_criterion_10_determinism():
     rows_w4 = _bounds_rows(9, workers=4)
     csvs = {rows_to_csv_text(r, BOUNDS_CSV_COLUMNS) for r in (rows_w1, rows_w2, rows_w4)}
     jsons = {json.dumps(r, sort_keys=True) for r in (rows_w1, rows_w2, rows_w4)}
-    w1, f1 = weil_scan(ScanConfig(field="7", degree=3, workers=1))
-    w3, f3 = weil_scan(ScanConfig(field="7", degree=3, workers=3))
-    ok = len(csvs) == 1 and len(jsons) == 1 and w1 == w3 and f1 == f3
+    w1, w3 = (
+        run_checks(ScanConfig(field="7", degree=3, workers=w), {"weil"})["weil"]
+        for w in (1, 3)
+    )
+    ok = len(csvs) == 1 and len(jsons) == 1 and w1 == w3
     ok = report(10, "byte-identical reports at any worker count", ok)
     assert ok

@@ -53,6 +53,12 @@ class TestCharSum:
     def test_irreducible_quadratic(self):
         assert char_sum(P(F7, 1, 0, 1)) == -1
 
+    def test_matches_pointwise_sum(self):
+        # char_sum reads f's values from its orbit table
+        for F, d in ((F7, 3), (F9, 2)):
+            for f in enumerate_polys(F, d, "monic"):
+                assert char_sum(f) == sum(F.chi_i(f.eval_i(x)) for x in range(F.q))
+
     def test_affine_invariance(self):
         f = P(F7, 1, 3, 0, 1)
         for a in range(1, 7):

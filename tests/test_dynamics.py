@@ -15,7 +15,7 @@ from orbitsquares.dynamics import (
 )
 from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import Poly
-from orbitsquares.scan import _ratio_item, enumerate_polys
+from orbitsquares.scan import _ratio_rows, enumerate_polys
 
 F3 = make_field(3)
 F7 = make_field(7)
@@ -203,9 +203,9 @@ class TestSuccessorTable:
         monkeypatch.setattr(Poly, "eval_i", counted)
         orbit_table.cache_clear()
         f = Poly(F9, (2, 5, 1))
-        row = _ratio_item(f)
+        rows = _ratio_rows(f, None)
         assert sorted(calls) == list(range(F9.q))
-        assert _ratio_item(f) == row and len(calls) == F9.q
+        assert _ratio_rows(f, None) == rows and len(calls) == F9.q
 
     def test_orbit_table_evaluates_each_point_once(self, monkeypatch):
         calls = []

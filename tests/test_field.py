@@ -85,6 +85,11 @@ class TestConstruction:
         assert g == F9 and g.q == 9
         # unpickling looks the field up in make_field's cache, tables and all
         assert g is make_field(*F9._key) and pickle.loads(pickle.dumps(g)) is g
+        # one instance per field, however it is named: a default modulus is
+        # resolved before the cache lookup
+        assert g is F9 is FieldSpec.parse("3^2") is make_field(3, 2, (1, 0, 1))
+        assert pickle.loads(pickle.dumps(FieldSpec.parse("3^2"))) is F9
+        assert pickle.loads(pickle.dumps(F7)) is F7 is make_field(7, 1, (0, 1))
         f = Poly(F9, [2, 5, 0, 1])
         h = pickle.loads(pickle.dumps(f))
         assert h == f and h.field is g

@@ -1,7 +1,9 @@
 """Batch scan determinism and the command-line front end."""
 
+import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,23 +11,27 @@ from orbitsquares import scan
 from orbitsquares.bounds import choose_L, envelope_check, orbit_bound_check
 from orbitsquares.classify import TWO_ORDINARY, classify_2_ordinary
 from orbitsquares.cli import main
-from orbitsquares.dynamics import sign_sequence
+from orbitsquares.dynamics import orbit_table, sign_sequence
 from orbitsquares.field import FieldSpec, make_field
 from orbitsquares.scan import (
     BOUNDS_CSV_COLUMNS,
+    CHECKS,
     ScanConfig,
-    bounds_scan,
-    classification_scan,
+    classification_counts,
     enumerate_polys,
     ratio_scan,
     rows_to_csv_text,
-    run_bounds_scan,
+    run_checks,
     sample_polys,
-    weil_scan,
 )
 
 F5 = make_field(5)
 F7 = make_field(7)
+
+
+def rows_of(check, **cfg):
+    """One check's rows from run_checks."""
+    return run_checks(ScanConfig(**cfg), {check})[check]
 
 
 class TestEnumeration:
@@ -54,28 +60,22 @@ class TestEnumeration:
 
 class TestScans:
     def test_classification_counts_f7_quadratics(self):
-        cfg = ScanConfig(field="7", degree=2)
-        rows, counts = classification_scan(cfg)
+        rows = rows_of("classification", field="7", degree=2)
+        counts = classification_counts(rows)
         assert len(rows) == 49
         assert counts["TwoOrdinary"] == 41
         assert counts["NotTwoOrdinary"] == 8
         assert counts["form_b"] == 7 and counts["form_d"] == 1
 
     def test_worker_count_does_not_change_bytes(self):
-        cfg1 = ScanConfig(field="7", degree=2, workers=1)
-        cfg2 = ScanConfig(field="7", degree=2, workers=2)
-        r1, c1 = classification_scan(cfg1)
-        r2, c2 = classification_scan(cfg2)
-        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
-        assert c1 == c2
-        # polynomial items cross to the workers pickled, and run-bounds
-        # classifies there
-        for run, cfg in (
-            (run_bounds_scan, {"field": "7", "degree": 2}),
-            (ratio_scan, {"field": "3^2", "degree": 2, "sample": 20}),
-        ):
-            out1 = run(ScanConfig(**cfg, workers=1))
-            out2 = run(ScanConfig(**cfg, workers=2))
+        # polynomial items cross to the workers pickled, are classified there,
+        # and orbit-bounds' drawn starts cross back for its second phase
+        for field in ("7", "3^2"):
+            out1, out2 = (
+                run_checks(ScanConfig(field=field, degree=2, sample=20, seed=3, workers=w), CHECKS)
+                for w in (1, 2)
+            )
+            assert list(out1) == list(CHECKS) and all(out1.values())
             assert json.dumps(out1, sort_keys=True) == json.dumps(out2, sort_keys=True)
 
     def test_pool_is_no_larger_than_the_work(self, monkeypatch):
@@ -97,25 +97,24 @@ class TestScans:
                 return map(fn, items)
 
         monkeypatch.setattr(scan, "ProcessPoolExecutor", InProcessPool)
-        rows, _ = classification_scan(ScanConfig(field="7", degree=2, sample=3, workers=8))
+        rows = rows_of("classification", field="7", degree=2, sample=3, workers=8)
         assert started == [3] and len(rows) == 3
-        rows, _ = classification_scan(ScanConfig(field="7", degree=2, sample=1, workers=8))
+        rows = rows_of("classification", field="7", degree=2, sample=1, workers=8)
         assert started == [3] and len(rows) == 1  # one item runs without a pool
 
     def test_weil_scan_no_failures(self):
-        rows, failures = weil_scan(ScanConfig(field="5", degree=3))
-        assert len(rows) == 125 and failures == []
+        rows = rows_of("weil", field="5", degree=3)
+        assert len(rows) == 125 and not any(map(scan.failed, rows))
 
     def test_bounds_scan_schema_and_pass(self):
-        cfg = ScanConfig(field="7", degree=2, sample=12, seed=1)
-        rows = bounds_scan(cfg)
+        rows = rows_of("orbit-bounds", field="7", degree=2, sample=12, seed=1)
         assert rows and all(r["pass"] for r in rows)
         csv_text = rows_to_csv_text(rows, BOUNDS_CSV_COLUMNS)
         assert csv_text.splitlines()[0] == ",".join(BOUNDS_CSV_COLUMNS)
 
     @staticmethod
     def _per_pair_bounds_rows(cfg):
-        """bounds_scan's rows, built pair by pair: each sampled (f, a) is
+        """orbit-bounds' rows, built pair by pair: each sampled (f, a) is
         classified and checked on its own, with one orbit_bound_check per L
         and one envelope_check per B_i."""
         F = FieldSpec.parse(cfg.field)
@@ -159,29 +158,64 @@ class TestScans:
     @pytest.mark.parametrize("sample, seed", [(25, 0), (25, 1), (25, 2), (None, 0)])
     def test_bounds_scan_matches_per_pair_checks(self, field, sample, seed):
         cfg = ScanConfig(field=field, degree=2, sample=sample, seed=seed)
-        assert bounds_scan(cfg) == self._per_pair_bounds_rows(cfg)
+        expected = self._per_pair_bounds_rows(cfg)
+        assert run_checks(cfg, {"orbit-bounds"})["orbit-bounds"] == expected
+        # the other checks share the pass but not the draw
+        assert run_checks(cfg, CHECKS)["orbit-bounds"] == expected
 
     def test_bounds_scan_worker_determinism(self):
-        cfg1 = ScanConfig(field="7", degree=2, sample=8, seed=5, workers=1)
-        cfg2 = ScanConfig(field="7", degree=2, sample=8, seed=5, workers=3)
-        t1 = rows_to_csv_text(bounds_scan(cfg1), BOUNDS_CSV_COLUMNS)
-        t2 = rows_to_csv_text(bounds_scan(cfg2), BOUNDS_CSV_COLUMNS)
-        assert t1 == t2
+        t1, t3 = (
+            rows_to_csv_text(
+                rows_of("orbit-bounds", field="7", degree=2, sample=8, seed=5, workers=w),
+                BOUNDS_CSV_COLUMNS,
+            )
+            for w in (1, 3)
+        )
+        assert t1 == t3
 
     def test_sample_means_the_same_in_every_scan(self):
         cfg = ScanConfig(field="7", degree=2, sample=5)
-        rows, _ = classification_scan(cfg)
-        assert len(rows) == 5
+        assert len(rows_of("classification", field="7", degree=2, sample=5)) == 5
         assert ratio_scan(cfg)["polys"] == 5
-        assert len(classification_scan(ScanConfig(field="7", degree=2))[0]) == 49
+        assert len(rows_of("classification", field="7", degree=2)) == 49
+        # weil and run-bounds cover every f in the same pass as the sample
+        found = run_checks(cfg, CHECKS)
+        assert len(found["classification"]) == len(found["ratios"]) == 5
+        assert {r["f"] for r in found["classification"]} == {str(f) for f in sample_polys(F7, 2, 5, 0)}
+        assert len(found["weil"]) == 49
+        assert {r["f"] for r in found["run-bounds"]} == {
+            r["f"] for r in rows_of("classification", field="7", degree=2)
+            if r["verdict"] == TWO_ORDINARY
+        }
+
+    def test_each_f_is_classified_and_walked_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(f, *args):
+            calls[f] += 1
+            return classify_2_ordinary(f, *args)
+
+        monkeypatch.setattr(scan, "classify_2_ordinary", counted)
+        for field in ("7", "3^2/(2,1,1)"):
+            calls.clear()
+            orbit_table.cache_clear()
+            found = run_checks(ScanConfig(field=field, degree=2, sample=30, seed=2), CHECKS)
+            q = FieldSpec.parse(field).q
+            drawn = {r["f"] for r in found["orbit-bounds"]}
+            assert len(calls) == q * q and max(calls.values()) == 1
+            assert orbit_table.cache_info().misses <= q * q + len(drawn)
 
     def test_sample_must_be_positive(self):
         with pytest.raises(ValueError):
             ScanConfig(field="7", degree=2, sample=0)
 
     def test_run_bounds_scan_passes(self):
-        rows = run_bounds_scan(ScanConfig(field="7", degree=2))
+        rows = rows_of("run-bounds", field="7", degree=2)
         assert rows and all(r["pass"] for r in rows)
+
+    def test_unknown_check(self):
+        with pytest.raises(ValueError, match="unknown check 'ratio'"):
+            run_checks(ScanConfig(field="7", degree=2), {"weil", "ratio"})
 
     def test_ratio_scan_fixed_precision(self):
         s = ratio_scan(ScanConfig(field="3^2", degree=2, sample=20, seed=0))
@@ -240,6 +274,16 @@ class TestCli:
         # over F_9 a residue -1 would read as index 8, the element 2+2x, not -1
         rc, _, err = self.run(capsys, "classify", "--field", "3^2", "--poly=-1,0,1")
         assert rc == 1 and "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--field", "3_1", "--degree", "2"],
+        ["orbit", "--field", "7", "--poly", "0,0,1", "--start", "1_0"],
+        ["classify", "--field", "7", "--poly", "0,4,\u0665"],  # ARABIC-INDIC FIVE
+    ])
+    def test_only_ascii_decimal_digits(self, capsys, argv):
+        # int() would read these as 31, 10 and 0,4,5
+        rc, out, err = self.run(capsys, *argv)
+        assert rc == 1 and out == "" and "error: expected a decimal number" in err
 
     def test_gen_family_index_out_of_range(self, capsys):
         rc, _, err = self.run(
@@ -325,6 +369,26 @@ class TestCli:
         assert all("verdict" in r for r in rows[:25])
         assert all("applies" in r for r in rows[25:])
 
+    def test_scan_rows_pinned(self, capsys, tmp_path):
+        rc, _, _ = self.run(
+            capsys, "scan", "--field", "31", "--degree", "2",
+            "--checks", "classification,weil,orbit-bounds,run-bounds",
+            "--sample", "300", "--seed", "0", "--out", str(tmp_path),
+        )
+        assert rc == 0
+        assert hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest() == (
+            "139db1d204d5cc495af8b0365c47e0db812880e5dbad9fae4223861786c239ba"
+        )
+
+    def test_scan_degree_one_skips_classification(self, capsys):
+        # classification needs degree >= 2; weil and ratios do not classify
+        rc, out, _ = self.run(
+            capsys, "scan", "--field", "7", "--degree", "1", "--checks", "weil,ratios"
+        )
+        assert rc == 0
+        summary = json.loads(out.strip().splitlines()[-1])["summary"]
+        assert summary["weil_failures"] == 0 and summary["ratios"]["polys"] == 7
+
     def test_scan_depth_flag_is_gone(self, capsys):
         rc, _, _ = self.run(
             capsys, "scan", "--field", "7", "--degree", "2", "--depth", "6"
@@ -388,6 +452,5 @@ class TestCli:
 class TestFieldStrings:
     def test_extension_with_modulus(self):
         spec = FieldSpec.parse("3^2/(1,0,1)")
-        cfg = ScanConfig(field="3^2/(1,0,1)", degree=2)
-        rows, counts = classification_scan(cfg)
+        rows = rows_of("classification", field="3^2/(1,0,1)", degree=2)
         assert len(rows) == spec.q**2
