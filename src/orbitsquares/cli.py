@@ -21,7 +21,7 @@ from .classify import (
 )
 from .dynamics import sign_sequence
 from .errors import OrbitSquaresError
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, _parse_decimal
 from .fpoly import Poly
 from . import scan as scan_mod
 
@@ -133,6 +133,14 @@ def cmd_verify_bounds(args) -> int:
     return 2 if (bad or env_bad) else 0
 
 
+def _decimal_flag(text: str) -> int:
+    """argparse type of the integer flags: ASCII decimal digits only."""
+    try:
+        return _parse_decimal(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="orbitsquares",
@@ -145,13 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
         if poly:
             p.add_argument("--poly", required=True, help="coefficients, constant first")
         if degree:
-            p.add_argument("--degree", type=int, required=True)
+            p.add_argument("--degree", type=_decimal_flag, required=True)
         if batch:
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=_decimal_flag, default=1)
             p.add_argument("--out", default=None, help="output directory")
         if sampled:
-            p.add_argument("--sample", type=int, default=None)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--sample", type=_decimal_flag, default=None)
+            p.add_argument("--seed", type=_decimal_flag, default=0)
 
     p = sub.add_parser("classify", help="classify one polynomial")
     common(p, poly=True)

@@ -1,13 +1,13 @@
 """Orbit structure under polynomial iteration: tails, cycles, character
-sign sequences, longest sign runs, and truncated preimage sets/trees."""
+sign sequences and longest sign runs, all read from one orbit table per f."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import FieldElement, make_field
-from .fpoly import Poly, factor
+from .field import FieldElement
+from .fpoly import Poly
 
 
 @dataclass(frozen=True)
@@ -208,146 +208,3 @@ def longest_run(f: Poly, a: FieldElement, target: int) -> RunReport:
     """Longest run of iterates of a with character sign target."""
     check_target(target)
     return orbit_table(f).run[target][a.idx]
-
-
-# --- preimages and trees ---------------------------------------------------
-
-def roots_in_field(f: Poly) -> list[FieldElement]:
-    """Distinct roots of f in its own coefficient field, ascending."""
-    if f.degree < 1:
-        return []
-    out = []
-    for g, _m in factor(f).factors:
-        if g.degree == 1:
-            out.append(-g.coefficient(0))
-    return sorted(out, key=lambda e: e.idx)
-
-
-@lru_cache(maxsize=None)
-def _embedding(base_key, ext_degree: int):
-    """(ext_field, root) realizing base -> F_{q^ext_degree}; deterministic."""
-    p, k, modulus = base_key
-    if ext_degree == 1:
-        base = make_field(p, k, modulus)
-        return base, base.gen
-    ext = make_field(p, k * ext_degree)
-    if k == 1:
-        return ext, ext.one
-    mod_poly = Poly.from_ints(ext, modulus)
-    rs = roots_in_field(mod_poly)
-    return ext, rs[0]
-
-
-def embed(el: FieldElement, ext_degree: int) -> FieldElement:
-    """Image of el under the canonical embedding into F_{q^ext_degree}."""
-    base = el.field
-    ext, root = _embedding(base._key, ext_degree)
-    acc = ext.zero
-    power = ext.one
-    for c in el.coeffs:
-        acc = acc + ext.from_int(c) * power
-        power = power * root
-    return acc
-
-
-def embed_poly(f: Poly, ext_degree: int) -> Poly:
-    ext, _ = _embedding(f.field._key, ext_degree)
-    return Poly(ext, [embed(FieldElement(f.field, c), ext_degree).idx for c in f.coeffs])
-
-
-@dataclass(frozen=True)
-class PreimageLevel:
-    """R_{n,alpha} restricted to the base field plus small extensions."""
-
-    n: int
-    base: FieldElement
-    points: tuple[FieldElement, ...]
-    ext_points: dict[int, tuple[FieldElement, ...]] = dc_field(default_factory=dict)
-    unresolved_degrees: dict[int, int] = dc_field(default_factory=dict)
-
-
-def preimages(
-    f: Poly,
-    alpha: FieldElement,
-    n: int,
-    max_ext: int = 1,
-    budget: int | None = None,
-) -> PreimageLevel:
-    """All beta with f^n(beta) = alpha, rational over extensions <= max_ext.
-
-    Factors of larger degree are only counted (degree -> count with
-    multiplicity of distinct factors)."""
-    if n == 0:
-        return PreimageLevel(n=0, base=alpha, points=(alpha,))
-    g = f.iterate(n, budget) - Poly.constant(alpha)
-    rational = []
-    ext_points: dict[int, list[FieldElement]] = {}
-    unresolved: dict[int, int] = {}
-    for irr, _m in factor(g).factors:
-        e = irr.degree
-        if e == 1:
-            rational.append(-irr.coefficient(0))
-        elif e <= max_ext:
-            lifted = embed_poly(irr, e)
-            ext_points.setdefault(e, []).extend(roots_in_field(lifted))
-        else:
-            unresolved[e] = unresolved.get(e, 0) + 1
-    return PreimageLevel(
-        n=n,
-        base=alpha,
-        points=tuple(sorted(rational, key=lambda x: x.idx)),
-        ext_points={e: tuple(sorted(v, key=lambda x: x.idx)) for e, v in ext_points.items()},
-        unresolved_degrees=unresolved,
-    )
-
-
-@dataclass(frozen=True)
-class TreeRepeat:
-    """Outcome of the truncated repeating-tree search."""
-
-    repeating: bool
-    witness: FieldElement | None
-    levels: tuple[int, int] | None
-    depth: int
-
-
-def tree_is_repeating(
-    f: Poly,
-    alpha: FieldElement,
-    depth: int,
-    max_ext: int = 2,
-) -> TreeRepeat:
-    """Search for beta in R_{n,alpha} with distinct levels n != m sharing beta.
-
-    Points are restricted to extensions of degree <= max_ext.  Instead of
-    expanding the tree downward, every candidate point x of each small
-    extension is pushed forward through a successor table of the embedded f
-    that this search keeps for itself and fills only as its walks reach
-    points, so it stops at the first witness without evaluating the rest:
-    the levels containing x are exactly the n <= depth with f^n(x) = alpha.
-    A negative answer only covers the truncated, bounded-degree tree.
-    """
-    for j in range(1, max_ext + 1):
-        fj = embed_poly(f, j)
-        E = fj.field
-        target = embed(alpha, j).idx
-        succ = [-1] * E.q  # f_j at each index, -1 until a walk reaches it
-        for x in range(E.q):
-            y = x
-            hits = []
-            for n in range(depth + 1):
-                if y == target:
-                    hits.append(n)
-                    if len(hits) == 2:
-                        return TreeRepeat(
-                            repeating=True,
-                            witness=FieldElement(E, x),
-                            levels=(hits[0], hits[1]),
-                            depth=depth,
-                        )
-                if n < depth:
-                    nxt = succ[y]
-                    if nxt < 0:
-                        nxt = succ[y] = fj.eval_i(y)
-                    y = nxt
-    return TreeRepeat(repeating=False, witness=None, levels=None, depth=depth)

@@ -166,11 +166,6 @@ class FieldSpec:
     def one(self):
         return FieldElement(self, self.one_idx)
 
-    @property
-    def gen(self):
-        """The residue class of x modulo the field modulus (for k >= 2)."""
-        return self.from_coords([0, 1] + [0] * (self.k - 2)) if self.k > 1 else self.one
-
     def elements(self):
         """All q elements, in coordinate-lexicographic order."""
         for idx in range(self.q):

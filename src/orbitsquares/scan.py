@@ -31,6 +31,9 @@ from .field import FieldElement, FieldSpec
 from .fpoly import Poly
 
 BOUNDS_CSV_COLUMNS = ["q", "d", "f", "a", "m", "orbit", "L", "maxB", "lhs", "rhs", "pass"]
+# the most monic f a scan enumerates; a larger exhaustive cell is refused
+# before any work item is built (its item list alone would not fit in memory)
+MAX_ENUMERATED_POLYS = 10**6
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,8 @@ def _drawn_starts(candidates, cfg: ScanConfig):
 def run_checks(cfg: ScanConfig, checks) -> dict[str, list]:
     """Each selected check's rows, in CHECKS order, from one item per monic f
     (per sampled f when every check is in SAMPLED_POLYS), which classifies f
-    at most once; orbit-bounds then checks its drawn starts per f."""
+    at most once; orbit-bounds then checks its drawn starts per f.  A cell
+    that enumerates more than MAX_ENUMERATED_POLYS polynomials is refused."""
     checks = frozenset(checks)
     unknown = sorted(checks - set(CHECKS))
     if unknown:
@@ -217,10 +221,18 @@ def run_checks(cfg: ScanConfig, checks) -> dict[str, list]:
             f"unknown check {', '.join(map(repr, unknown))}; known: {', '.join(CHECKS)}"
         )
     F = FieldSpec.parse(cfg.field)
-    if cfg.sample is None:
-        items = [(f, checks) for f in enumerate_polys(F, cfg.degree)]
-    elif checks <= SAMPLED_POLYS:
+    sampled_only = cfg.sample is not None and checks <= SAMPLED_POLYS
+    cap = MAX_ENUMERATED_POLYS
+    # q >= 3 > 2, so capping the exponent at cap's bit length keeps the verdict
+    if not sampled_only and F.q ** min(cfg.degree, cap.bit_length()) > cap:
+        raise ValueError(
+            f"{F.q}^{cfg.degree} monic polynomials are more than the {cap:,} a scan "
+            f"enumerates; --sample draws only those of {', '.join(sorted(SAMPLED_POLYS))}"
+        )
+    if sampled_only:
         items = [(f, checks) for f in sample_polys(F, cfg.degree, cfg.sample, cfg.seed)]
+    elif cfg.sample is None:
+        items = [(f, checks) for f in enumerate_polys(F, cfg.degree)]
     else:
         sampled = set(sample_polys(F, cfg.degree, cfg.sample, cfg.seed))
         unsampled = checks - SAMPLED_POLYS

@@ -1,18 +1,8 @@
-"""Orbits, sign sequences, runs, embeddings and preimage trees."""
+"""Orbits, sign sequences and runs, all read from the orbit table."""
 
 import pytest
 
-from orbitsquares.dynamics import (
-    embed,
-    embed_poly,
-    forward_orbit,
-    longest_run,
-    orbit_table,
-    preimages,
-    roots_in_field,
-    sign_sequence,
-    tree_is_repeating,
-)
+from orbitsquares.dynamics import forward_orbit, longest_run, orbit_table, sign_sequence
 from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import Poly
 from orbitsquares.scan import _ratio_rows, enumerate_polys
@@ -224,157 +214,3 @@ class TestSuccessorTable:
             assert sorted(calls) == list(range(F.q))
             assert table.succ == [eval_i(f, x) for x in range(F.q)]
             assert orbit_table(f) is table and len(calls) == F.q
-
-
-class TestEmbedding:
-    def test_embed_is_homomorphism(self):
-        for a in range(7):
-            for b in range(7):
-                x, y = el(F7, a), el(F7, b)
-                assert embed(x * y, 2) == embed(x, 2) * embed(y, 2)
-                assert embed(x + y, 2) == embed(x, 2) + embed(y, 2)
-
-    def test_embed_extension_base(self):
-        for a in range(9):
-            for b in range(9):
-                x, y = el(F9, a), el(F9, b)
-                assert embed(x * y, 2) == embed(x, 2) * embed(y, 2)
-                assert embed(x + y, 2) == embed(x, 2) + embed(y, 2)
-
-    def test_identity_degree(self):
-        for a in F9.elements():
-            assert embed(a, 1) == a
-
-    def test_embed_poly_respects_evaluation(self):
-        f = P(F7, 1, 2, 1)
-        g = embed_poly(f, 2)
-        for a in F7.elements():
-            assert g.evaluate(embed(a, 2)) == embed(f.evaluate(a), 2)
-
-
-class TestRoots:
-    def test_split_quadratic(self):
-        rs = roots_in_field(P(F7, 6, 0, 1))
-        assert [r.idx for r in rs] == [1, 6]
-
-    def test_no_roots(self):
-        assert roots_in_field(P(F3, 1, 0, 1)) == []
-
-
-class TestPreimages:
-    def test_level_zero(self):
-        lvl = preimages(P(F7, 0, 0, 1), el(F7, 5), 0)
-        assert lvl.points == (el(F7, 5),)
-
-    def test_square_roots(self):
-        lvl = preimages(P(F7, 0, 0, 1), el(F7, 4), 1)
-        assert [p.idx for p in lvl.points] == [2, 5]
-
-    def test_nonresidue_counted(self):
-        lvl = preimages(P(F7, 0, 0, 1), el(F7, 3), 1, max_ext=1)
-        assert lvl.points == ()
-        assert lvl.unresolved_degrees == {2: 1}
-
-    def test_nonresidue_resolved_in_extension(self):
-        lvl = preimages(P(F7, 0, 0, 1), el(F7, 3), 1, max_ext=2)
-        pts = lvl.ext_points[2]
-        assert len(pts) == 2
-        target = embed(el(F7, 3), 2)
-        for p in pts:
-            assert p * p == target
-
-    def test_multiplicity_degree_sum(self):
-        # over the closure the preimage multiset of level n has size d^n
-        f = P(F7, 1, 3, 1)
-        for n in (1, 2, 3):
-            g = f.iterate(n) - Poly.constant(el(F7, 2))
-            from orbitsquares.fpoly import factor
-
-            assert sum(p.degree * m for p, m in factor(g).factors) == 2**n
-
-
-class TestTreeRepeating:
-    def test_fixed_point(self):
-        res = tree_is_repeating(P(F7, 0, 0, 1), F7.one, depth=2)
-        assert res.repeating and res.witness == F7.one
-        assert res.levels == (0, 1)
-
-    def test_vacuous_false(self):
-        # alpha = 0 under x^2+1: no rational preimages at any level
-        res = tree_is_repeating(P(F7, 1, 0, 1), F7.zero, depth=3, max_ext=1)
-        assert not res.repeating
-
-    def test_periodic_zero_forces_repetition(self):
-        # f = x^2 - 1 over F_7: 0 <-> -1 is a 2-cycle, so the tree over
-        # alpha on that cycle repeats.
-        f = P(F7, 6, 0, 1)
-        res = tree_is_repeating(f, el(F7, 6), depth=4, max_ext=2)
-        assert res.repeating
-
-    def test_negative_answer_is_depth_bounded(self):
-        res = tree_is_repeating(P(F7, 1, 0, 1), el(F7, 2), depth=0, max_ext=1)
-        assert res.depth == 0
-
-    def test_early_witness_stops_evaluating(self, monkeypatch):
-        # x^2 fixes 1, so the walk from x = 1 finds levels (0, 1) after one
-        # evaluation; only the points walked are evaluated, never all of F_49
-        calls = []
-        eval_i = Poly.eval_i
-
-        def counted(self, x):
-            calls.append(x)
-            return eval_i(self, x)
-
-        monkeypatch.setattr(Poly, "eval_i", counted)
-        res = tree_is_repeating(P(F7, 0, 0, 1), F7.one, depth=4, max_ext=2)
-        assert res.levels == (0, 1) and res.witness == F7.one
-        assert calls == [0, F7.one_idx]
-
-    @staticmethod
-    def _horner_walk(f, alpha, depth, max_ext):
-        """The truncated search, walking each embedded f by Horner evaluation."""
-        for j in range(1, max_ext + 1):
-            fj = embed_poly(f, j)
-            E = fj.field
-            target = embed(alpha, j).idx
-            for x in range(E.q):
-                y, hits = x, []
-                for n in range(depth + 1):
-                    if y == target:
-                        hits.append(n)
-                        if len(hits) == 2:
-                            return True, x, tuple(hits)
-                    acc = 0
-                    for c in reversed(fj.coeffs):
-                        acc = E.add_i(E.mul_i(acc, y), c)
-                    y = acc
-        return False, None, None
-
-    def test_matches_horner_walk_on_small_quadratics(self):
-        for F in (F3, make_field(5)):
-            for f in enumerate_polys(F, 2, "monic"):
-                for alpha in F.elements():
-                    for depth in range(5):
-                        for max_ext in (1, 2):
-                            res = tree_is_repeating(f, alpha, depth, max_ext)
-                            witness = None if res.witness is None else res.witness.idx
-                            assert (res.repeating, witness, res.levels) == self._horner_walk(
-                                f, alpha, depth, max_ext
-                            ), (F.q, str(f), alpha.idx, depth, max_ext)
-                            assert res.depth == depth
-
-    def test_periodic_alpha_repeats_at_its_period(self):
-        # with depth equal to alpha's period r, only alpha itself meets alpha
-        # twice within depth steps: at levels 0 and r
-        checked = 0
-        for F in (F3, make_field(5)):
-            for f in enumerate_polys(F, 2, "monic"):
-                for alpha in F.elements():
-                    orbit = forward_orbit(f, alpha)
-                    r = orbit.period
-                    if orbit.tail or r > 4:
-                        continue
-                    res = tree_is_repeating(f, alpha, depth=r, max_ext=2)
-                    assert res.repeating and res.witness == alpha and res.levels == (0, r)
-                    checked += 1
-        assert checked > 0

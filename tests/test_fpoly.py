@@ -148,6 +148,13 @@ class TestFactor:
         f = P(F5, 2, 0, 1, 1, 3, 1)
         assert factor(f, seed=0).factors == factor(f, seed=99).factors
 
+    def test_multiplicity_degree_sum(self):
+        # over the closure f^n - alpha has d^n roots counted with multiplicity
+        f = P(F7, 1, 3, 1)
+        for n in (1, 2, 3):
+            g = f.iterate(n) - Poly.constant(F7.from_int(2))
+            assert sum(p.degree * m for p, m in factor(g).factors) == 2**n
+
 
 def _mobius(n):
     out, m, d = 1, n, 2

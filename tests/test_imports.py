@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function is read somewhere in the package.
+"""Every name a package module imports is used in that module, every
+module-level private function is read somewhere in the package, and every
+name in the package's __all__ resolves.
 
 The package's __init__ is left out of the import check: it imports names to
 re-export them."""
@@ -82,3 +83,10 @@ def test_detects_an_orphaned_private_function():
 def test_no_orphaned_private_functions():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert orphaned_private_functions(sources) == []
+
+
+def test_all_names_resolve_once():
+    # a name left in __all__ after its deletion breaks `from orbitsquares import *`
+    names = orbitsquares.__all__
+    assert [n for n, k in Counter(names).items() if k > 1] == []
+    assert [n for n in names if not hasattr(orbitsquares, n)] == []

@@ -217,6 +217,26 @@ class TestScans:
         with pytest.raises(ValueError, match="unknown check 'ratio'"):
             run_checks(ScanConfig(field="7", degree=2), {"weil", "ratio"})
 
+    def test_oversized_exhaustive_cell_is_refused_up_front(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a work item was built before the refusal")
+
+        big = {"field": "31", "degree": 5}  # 31^5 = 28,629,151 monic f
+        allowed = run_checks(ScanConfig(**big, sample=2), {"ratios"})
+        assert len(allowed["ratios"]) == 2
+        monkeypatch.setattr(scan, "enumerate_polys", unreachable)
+        monkeypatch.setattr(scan, "sample_polys", unreachable)
+        for sample, checks in [(None, {"ratios"}), (None, {"weil"}), (3, {"weil"}),
+                               (3, {"classification", "orbit-bounds"})]:
+            with pytest.raises(ValueError, match="31\\^5 monic polynomials are more than"):
+                run_checks(ScanConfig(**big, sample=sample), checks)
+
+    def test_cell_size_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(scan, "MAX_ENUMERATED_POLYS", 9)
+        assert len(rows_of("weil", field="3", degree=2)) == 9
+        with pytest.raises(ValueError, match="more than the 9 "):
+            rows_of("weil", field="3", degree=3)
+
     def test_ratio_scan_fixed_precision(self):
         s = ratio_scan(ScanConfig(field="3^2", degree=2, sample=20, seed=0))
         assert s["q"] == 9 and s["polys"] == 20
@@ -284,6 +304,20 @@ class TestCli:
         # int() would read these as 31, 10 and 0,4,5
         rc, out, err = self.run(capsys, *argv)
         assert rc == 1 and out == "" and "error: expected a decimal number" in err
+
+    @pytest.mark.parametrize("flag", ["--degree", "--sample", "--seed", "--workers"])
+    @pytest.mark.parametrize("value", ["0_1", "+2", "\u0663"])  # ARABIC-INDIC THREE
+    def test_integer_flags_are_ascii_decimals(self, capsys, flag, value):
+        # int() would read these as 1, 2 and 3, each a valid value of each flag
+        flags = {"--degree": "2", "--checks": "weil", flag: value}
+        argv = [a for item in flags.items() for a in item]
+        rc, out, err = self.run(capsys, "scan", "--field", "3", *argv)
+        assert rc == 1 and out == ""
+        assert f"argument {flag}: expected a decimal number" in err
+
+    def test_oversized_exhaustive_cell_exits_1(self, capsys):
+        rc, out, err = self.run(capsys, "scan", "--field", "31", "--degree", "10")
+        assert rc == 1 and out == "" and "error: 31^10 monic polynomials" in err
 
     def test_gen_family_index_out_of_range(self, capsys):
         rc, _, err = self.run(
