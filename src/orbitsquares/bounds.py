@@ -8,8 +8,11 @@ arithmetic; nothing here uses floating point for a pass/fail decision.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 
 from .classify import TWO_ORDINARY, classify_2_ordinary
 from .dynamics import RunReport, check_target, longest_run, orbit_table
@@ -57,36 +60,75 @@ def weil_check(f: Poly) -> WeilCheck:
     )
 
 
+class _BoundTables:
+    """Bound data of one f that no start changes, each part built on first use:
+    window sums by L, and |T(L)| counts by target sign."""
+
+    def __init__(self, f: Poly):
+        self.f = f
+        self.sums = {}
+        self.sizes = {}
+
+    def window_sums(self, L: int) -> list[Fraction]:
+        if L < 1:
+            raise ValueError("window length L must be >= 1")
+        if L not in self.sums:
+            self.sums[L] = _window_sums(self.f, L)
+        return self.sums[L]
+
+    def t_set_sizes(self, target: int) -> list[int]:
+        if target not in self.sizes:
+            self.sizes[target] = _t_set_sizes(self.f, target)
+        return self.sizes[target]
+
+
+@lru_cache(maxsize=1)
+def _bound_tables(f: Poly) -> _BoundTables:
+    """A one-entry memo like orbit_table's, so every start and every L of one f
+    read the same tables."""
+    return _BoundTables(f)
+
+
+def _window_sums(f: Poly, L: int) -> list[Fraction]:
+    """H[y] = sum_x prod_{l=1..L} (1 + chi(f^l y) chi(f^l x)) / 2^L by y's index,
+    from one Counter of the sign windows (chi(f^l x))_{l=1..L}.
+
+    A factor 1 + u v is 2 for equal nonzero signs, 0 for unequal ones and 1
+    when either is 0.  So a zero-free window gets 2^L from each x with the
+    same window, plus what the few x whose window holds a 0 add; a window
+    that holds a 0 is summed over every window class."""
+    succ = orbit_table(f).succ
+    first = [f.field.chi_i(y) for y in succ]
+    windows = [(s,) for s in first]
+    for _ in range(L - 1):
+        windows = [(s, *windows[y]) for s, y in zip(first, succ)]
+    count = Counter(windows)
+    zeroed = [(w, n) for w, n in count.items() if 0 in w]
+
+    def total(w, classes):
+        return sum(n * prod(1 + u * s for u, s in zip(w, v)) for v, n in classes)
+
+    scale = 2**L
+    sums = {
+        w: Fraction(total(w, count.items()) if 0 in w else scale * n + total(w, zeroed), scale)
+        for w, n in count.items()
+    }
+    return [sums[w] for w in windows]
+
+
 def compute_B(f: Poly, a: FieldElement, i: int, L: int) -> Fraction:
     """Exact B_i = sum_x prod_{l=1..L} (1 + s_a(l+i) chi(f^l(x)))/2.
 
-    The signs s_a(i+1..i+L) come from walking f's orbit table from a, and
-    each x's iterates from walking it from x (cost O(i + qL) lookups); the
-    result is a rational with denominator dividing 2^L.  Sign indices follow
-    the l >= 1 convention: s_a(l) = chi(f^l(a))."""
-    if L < 1:
-        raise ValueError("window length L must be >= 1")
-    F = f.field
-    chi = F.chi_i
+    The signs s_a(i+1..i+L) are the sign window of f^i(a), so B_i is f's
+    window sum at f^i(a): i orbit-table steps and one lookup.  The result is
+    a rational with denominator dividing 2^L.  Sign indices follow the
+    l >= 1 convention: s_a(l) = chi(f^l(a))."""
+    sums = _bound_tables(f).window_sums(L)
     succ = orbit_table(f).succ
     y = a.idx
     for _ in range(i):
         y = succ[y]
-    s = [0]  # s[l] = s_a(l + i) for l = 1..L
-    for _ in range(L):
-        y = succ[y]
-        s.append(chi(y))
-    total = 0
-    for x in range(F.q):
-        y = x
-        num = 1
-        for ell in range(1, L + 1):
-            y = succ[y]
-            num *= 1 + s[ell] * chi(y)
-            if num == 0:
-                break
-        total += num
-    return Fraction(total, 2**L)
+    return sums[y]
 
 
 @dataclass(frozen=True)
@@ -112,12 +154,18 @@ class OrbitBoundReport:
 
 def orbit_bound_check(f: Poly, a: FieldElement, L: int) -> OrbitBoundReport:
     """|O_f(a)| <= 2L + 1 + sum_i B_i, and the uniform form with B = max B_i;
-    the sign period m and |O_f(a)| are read from f's orbit table."""
+    the sign period m and |O_f(a)| are read from f's orbit table, and each B_i
+    from f's window sums along a's orbit."""
     table = orbit_table(f)
     if table.sign_tail[a.idx]:
         raise NotPurelyPeriodic("orbit bound requires a purely periodic sign sequence")
     m = table.sign_period[a.idx]
-    bs = tuple(compute_B(f, a, i, L) for i in range(m))
+    sums = _bound_tables(f).window_sums(L)
+    bs, y = [], a.idx
+    for _ in range(m):  # B_i is the window sum at f^i(a)
+        bs.append(sums[y])
+        y = table.succ[y]
+    bs = tuple(bs)
     lhs = table.tail[a.idx] + table.cycle[a.idx]
     rhs_sum = 2 * L + 1 + sum(bs)
     rhs_uniform = 2 * L + 1 + m * max(bs)
@@ -152,15 +200,27 @@ def envelope_check(f: Poly, a: FieldElement, i: int, L: int) -> EnvelopeCheck:
     return EnvelopeCheck(B_i=b, i=i, L=L, passed=envelope_holds(b, f.field.q, f.degree, L))
 
 
+def _t_set_sizes(f: Poly, target: int) -> list[int]:
+    """|T(L)| for L = 0, 1, ..., M, where every L > M has |T(M)|: one histogram
+    of ahead[target][f(x)] (-1: unbounded), summed from the top."""
+    table = orbit_table(f)
+    ahead = table.ahead[target]
+    hist = Counter(ahead[y] for y in table.succ)
+    sizes = [hist[-1]]
+    for n in range(max(hist), -1, -1):
+        sizes.append(sizes[-1] + hist[n])
+    return sizes[::-1]
+
+
 def t_set_size(f: Poly, L: int, target: int = 1) -> int:
     """|T(L)|: x with chi(f^i(x)) == target (so in particular nonzero) for i=1..L,
-    i.e. f(x) starts a run of at least L target signs (ahead -1: unbounded)."""
+    i.e. f(x) starts a run of at least L target signs; one lookup in f's
+    |T(L)| counts for target."""
     check_target(target)
     if L < 0:
         raise ValueError("L must be nonnegative")
-    table = orbit_table(f)
-    ahead = table.ahead[target]
-    return sum(not 0 <= ahead[y] < L for y in table.succ)
+    sizes = _bound_tables(f).t_set_sizes(target)
+    return sizes[min(L, len(sizes) - 1)]
 
 
 @dataclass(frozen=True)
@@ -189,6 +249,17 @@ class RunBoundSide:
         }
 
 
+def _run_bound_row(name: str, q: int, a: int, square: dict, nonsquare: dict) -> dict:
+    return {
+        "f": name,
+        "a": a,
+        "q": q,
+        "square": square,
+        "nonsquare": nonsquare,
+        "pass": square["pass"] and nonsquare["pass"],
+    }
+
+
 @dataclass(frozen=True)
 class RunBoundReport:
     f: Poly
@@ -201,32 +272,39 @@ class RunBoundReport:
         return self.square.passed and self.nonsquare.passed
 
     def to_json(self):
-        return {
-            "f": str(self.f),
-            "a": self.a.idx,
-            "q": self.f.field.q,
-            "square": self.square.to_json(),
-            "nonsquare": self.nonsquare.to_json(),
-            "pass": self.passed,
-        }
+        return _run_bound_row(
+            str(self.f), self.f.field.q, self.a.idx, self.square.to_json(), self.nonsquare.to_json()
+        )
+
+
+def _run_bound_side(f: Poly, run: RunReport) -> RunBoundSide:
+    """One sign's side of the run bound: it depends on f and the run only."""
+    S = max(0, (run.length - 1) // 4)
+    if run.cycle_constant:
+        return RunBoundSide(target=run.target, run=run, S=S, t_sizes=(), excluded=True)
+    t_sizes = tuple(t_set_size(f, L, target=run.target) for L in range(1, S + 1))
+    return RunBoundSide(target=run.target, run=run, S=S, t_sizes=t_sizes, excluded=False)
 
 
 def run_bound_check(f: Poly, a: FieldElement) -> RunBoundReport:
     """With R the longest run and S = floor((R-1)/4): S <= |T(L)| for L <= S."""
-    sides = {}
-    for target in (1, -1):
-        run = longest_run(f, a, target)
-        S = max(0, (run.length - 1) // 4)
-        if run.cycle_constant:
-            sides[target] = RunBoundSide(
-                target=target, run=run, S=S, t_sizes=(), excluded=True
-            )
-            continue
-        sizes = tuple(t_set_size(f, L, target=target) for L in range(1, S + 1))
-        sides[target] = RunBoundSide(
-            target=target, run=run, S=S, t_sizes=sizes, excluded=False
-        )
-    return RunBoundReport(f=f, a=a, square=sides[1], nonsquare=sides[-1])
+    return RunBoundReport(
+        f=f, a=a,
+        square=_run_bound_side(f, longest_run(f, a, 1)),
+        nonsquare=_run_bound_side(f, longest_run(f, a, -1)),
+    )
+
+
+def run_bound_rows(f: Poly) -> list[dict]:
+    """run_bound_check(f, a).to_json() for every start a of f, by index.  The
+    rows share one side dict per distinct run of f, so they are read-only."""
+    run = orbit_table(f).run
+    sides = {r: _run_bound_side(f, r).to_json() for r in {*run[1], *run[-1]}}
+    name, q = str(f), f.field.q
+    return [
+        _run_bound_row(name, q, a, sides[sq], sides[ns])
+        for a, (sq, ns) in enumerate(zip(run[1], run[-1]))
+    ]
 
 
 def choose_L(q: int, d: int) -> int:

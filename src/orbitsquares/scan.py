@@ -22,7 +22,7 @@ from .bounds import (
     choose_L,
     envelope_holds,
     orbit_bound_check,
-    run_bound_check,
+    run_bound_rows,
     weil_check,
 )
 from .classify import TWO_ORDINARY, classify_2_ordinary
@@ -31,8 +31,8 @@ from .field import FieldElement, FieldSpec
 from .fpoly import Poly
 
 BOUNDS_CSV_COLUMNS = ["q", "d", "f", "a", "m", "orbit", "L", "maxB", "lhs", "rhs", "pass"]
-# the most monic f a scan enumerates; a larger exhaustive cell is refused
-# before any work item is built (its item list alone would not fit in memory)
+# the most monic f a scan enumerates or --sample draws; a larger cell or
+# sample is refused before any work item is built (it would not fit in memory)
 MAX_ENUMERATED_POLYS = 10**6
 
 
@@ -110,7 +110,7 @@ def _run_bound_rows(f: Poly, report):
     """Run-bound rows for every start of f, or none when f is in forms (a)-(e)."""
     if report.verdict != TWO_ORDINARY:
         return []
-    return [run_bound_check(f, a).to_json() for a in f.field.elements()]
+    return run_bound_rows(f)
 
 
 def _ratio_rows(f: Poly, report):
@@ -213,16 +213,19 @@ def run_checks(cfg: ScanConfig, checks) -> dict[str, list]:
     """Each selected check's rows, in CHECKS order, from one item per monic f
     (per sampled f when every check is in SAMPLED_POLYS), which classifies f
     at most once; orbit-bounds then checks its drawn starts per f.  A cell
-    that enumerates more than MAX_ENUMERATED_POLYS polynomials is refused."""
+    that enumerates, or a sample that draws, more than MAX_ENUMERATED_POLYS
+    polynomials is refused."""
     checks = frozenset(checks)
     unknown = sorted(checks - set(CHECKS))
     if unknown:
         raise ValueError(
             f"unknown check {', '.join(map(repr, unknown))}; known: {', '.join(CHECKS)}"
         )
+    cap = MAX_ENUMERATED_POLYS
+    if cfg.sample is not None and cfg.sample > cap:
+        raise ValueError(f"--sample {cfg.sample:,} is more than the {cap:,} a scan draws")
     F = FieldSpec.parse(cfg.field)
     sampled_only = cfg.sample is not None and checks <= SAMPLED_POLYS
-    cap = MAX_ENUMERATED_POLYS
     # q >= 3 > 2, so capping the exponent at cap's bit length keeps the verdict
     if not sampled_only and F.q ** min(cfg.degree, cap.bit_length()) > cap:
         raise ValueError(

@@ -1,10 +1,15 @@
 """Character sums, windowed sums, and the orbit/run inequalities."""
 
+import json
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
+from orbitsquares import bounds
 from orbitsquares.bounds import (
     char_sum,
     choose_L,
@@ -15,16 +20,19 @@ from orbitsquares.bounds import (
     t_set_size,
     weil_check,
 )
-from orbitsquares.dynamics import sign_sequence
+from orbitsquares.classify import TWO_ORDINARY
+from orbitsquares.cli import main
+from orbitsquares.dynamics import orbit_table, sign_sequence
 from orbitsquares.errors import NotPurelyPeriodic, NotTwoOrdinary
-from orbitsquares.field import FieldElement, make_field
+from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import Poly
-from orbitsquares.scan import enumerate_polys
+from orbitsquares.scan import _run_bound_rows, enumerate_polys, sample_polys
 
 F3 = make_field(3)
 F7 = make_field(7)
 F9 = make_field(3, 2)
 F25 = make_field(5, 2)
+F9_OTHER = FieldSpec.parse("3^2/(2,1,1)")
 
 
 def P(field, *ints):
@@ -136,37 +144,106 @@ class TestComputeB:
                         assert compute_B(f, a, i, L) == expanded
 
 
+def walk_B(walks, signs, L):
+    """Reference B: the per-x L-step walk, sum_x prod_{l=1..L} (1 + signs[l] w_x[l]) / 2^L,
+    with w_x = walks[x] the Horner-walked signs chi(f^l(x)), l = 0, 1, ..."""
+    total = 0
+    for w in walks:
+        num = 1
+        for ell in range(1, L + 1):
+            num *= 1 + signs[ell] * w[ell]
+            if num == 0:
+                break
+        total += num
+    return Fraction(total, 2**L)
+
+
 class TestTableAgainstHorner:
-    """compute_B and t_set_size against sums over Horner-walked iterates."""
+    """compute_B, orbit_bound_check's B_i and t_set_size against sums over
+    Horner-walked iterates."""
 
     def check(self, f):
+        """Every start, periodic or not, with i = 0..3 and L = 1..4.  Returns
+        whether a start's window held a 0, and whether, for a zero-free one,
+        some x's window did: the table's two zero-window branches."""
         F = f.field
         chi = F.chi_i
-        walks = [[chi(y) for y in horner_iterates(f, x, 3)] for x in range(F.q)]
+        walks = [[chi(y) for y in horner_iterates(f, x, 4)] for x in range(F.q)]
         for L in range(4):
             for target in (1, -1):
                 expected = sum(all(w[ell] == target for ell in range(1, L + 1)) for w in walks)
                 assert t_set_size(f, L, target=target) == expected
+        memo = {}
+
+        def reference(signs):  # walk_B depends on the start only through its signs
+            if signs not in memo:
+                memo[signs] = walk_B(walks, signs, len(signs) - 1)
+            return memo[signs]
+
+        x_window_zero = [any(0 in w[1:L + 1] for w in walks) for L in range(5)]
+        zero_start = zero_x = False
         for a in F.elements():
-            ss = sign_sequence(f, a)
-            s_a = [chi(y) for y in horner_iterates(f, a.idx, ss.sign_period + 2)]
-            for i in range(ss.sign_period):
+            s_a = [chi(y) for y in horner_iterates(f, a.idx, 7)]
+            for i in range(4):
+                for L in range(1, 5):
+                    signs = tuple(s_a[i:i + L + 1])
+                    assert compute_B(f, a, i, L) == reference(signs), (str(f), a.idx, i, L)
+                    if 0 in signs[1:]:
+                        zero_start = True
+                    else:
+                        zero_x |= x_window_zero[L]
+            if sign_sequence(f, a).purely_periodic:
                 for L in (1, 2):
-                    total = 0
-                    for w in walks:
-                        num = 1
-                        for ell in range(1, L + 1):
-                            num *= 1 + s_a[ell + i] * w[ell]
-                        total += num
-                    assert compute_B(f, a, i, L) == Fraction(total, 2**L)
+                    B = orbit_bound_check(f, a, L).B_values
+                    s_a = [chi(y) for y in horner_iterates(f, a.idx, len(B) + L)]
+                    assert list(B) == [reference(tuple(s_a[i:i + L + 1])) for i in range(len(B))]
+        return zero_start, zero_x
+
+    def check_cell(self, polys):
+        reached = [self.check(f) for f in polys]
+        assert any(z for z, _ in reached) and any(x for _, x in reached)
 
     def test_every_monic_quadratic_f9(self):
-        for f in enumerate_polys(F9, 2):
-            self.check(f)
+        self.check_cell(enumerate_polys(F9, 2))
 
     def test_every_monic_quadratic_f25(self):
-        for f in enumerate_polys(F25, 2):
-            self.check(f)
+        self.check_cell(enumerate_polys(F25, 2))
+
+    @pytest.mark.parametrize("p", [31, 101])
+    def test_seeded_quadratics_and_cubics(self, p):
+        F = make_field(p)
+        # x^2 has 0 as a fixed point, and x^2 - 1 has 0 on the 2-cycle 0 -> -1 -> 0
+        special = [P(F, 0, 0, 1), P(F, p - 1, 0, 1)]
+        self.check_cell(special + sample_polys(F, 2, 3, seed=p) + sample_polys(F, 3, 3, seed=p))
+
+
+class TestWorkCounts:
+    def test_bounds_scan_builds_each_window_table_once(self, monkeypatch, tmp_path):
+        def unreachable(*args):
+            raise AssertionError("the scan path ran the per-x walk")
+
+        built = Counter()
+
+        def counted(f, L):
+            built[str(f), L] += 1
+            return window_sums(f, L)
+
+        window_sums = bounds._window_sums
+        monkeypatch.setattr(sys.modules[__name__], "walk_B", unreachable)
+        monkeypatch.setattr(bounds, "_window_sums", counted)
+        bounds._bound_tables.cache_clear()
+        orbit_table.cache_clear()
+        rc = main([
+            "scan", "--field", "31", "--degree", "2",
+            "--checks", "classification,weil,orbit-bounds,run-bounds",
+            "--sample", "300", "--seed", "4", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        rows = [json.loads(line) for line in (tmp_path / "rows.jsonl").read_text().splitlines()]
+        drawn = {(r["f"], r["L"]) for r in rows if "L" in r}
+        assert len(drawn) > 100
+        assert built == Counter(drawn)  # once per (drawn f, L), and for no other f
+        assert orbit_table.cache_info().misses <= 1223
 
 
 class TestOrbitBound:
@@ -237,7 +314,7 @@ class TestTSetSize:
         # L runs past q, where only orbits ending on an all-target cycle stay in T(L)
         F = f.field
         walks = [[F.chi_i(y) for y in horner_iterates(f, x, F.q + 1)] for x in range(F.q)]
-        for L in range(1, F.q + 2):
+        for L in range(F.q + 2):
             for target in (1, -1):
                 expected = sum(all(s == target for s in w[1:L + 1]) for w in walks)
                 assert t_set_size(f, L, target=target) == expected, (str(f), L, target)
@@ -248,6 +325,14 @@ class TestTSetSize:
 
     def test_matches_horner_on_f9_quadratics(self):
         for f in enumerate_polys(F9, 2):
+            self.check_every_window(f)
+
+    def test_matches_horner_on_other_f9_modulus_quadratics(self):
+        for f in enumerate_polys(F9_OTHER, 2):
+            self.check_every_window(f)
+
+    def test_matches_horner_on_f25_quadratics(self):
+        for f in enumerate_polys(F25, 2):
             self.check_every_window(f)
 
 
@@ -264,6 +349,18 @@ class TestRunBound:
             f = P(F7, fi % 7, fi // 7, 1)
             for ai in range(7):
                 assert run_bound_check(f, el(F7, ai)).passed
+
+    @pytest.mark.parametrize(
+        "field, degree",
+        [(F7, 3), (F9, 2), (F9_OTHER, 2), (F25, 2)],
+        ids=["7-cubics", "9-quadratics", "9/(2,1,1)-quadratics", "25-quadratics"],
+    )
+    def test_per_f_rows_match_per_start_checks(self, field, degree):
+        # scan's rows gate on the verdict only; this stub lets every f through
+        two_ordinary = SimpleNamespace(verdict=TWO_ORDINARY)
+        for f in enumerate_polys(field, degree):
+            expected = [run_bound_check(f, a).to_json() for a in field.elements()]
+            assert _run_bound_rows(f, two_ordinary) == expected, str(f)
 
 
 class TestChooseL:

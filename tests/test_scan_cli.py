@@ -164,14 +164,19 @@ class TestScans:
         assert run_checks(cfg, CHECKS)["orbit-bounds"] == expected
 
     def test_bounds_scan_worker_determinism(self):
-        t1, t3 = (
-            rows_to_csv_text(
-                rows_of("orbit-bounds", field="7", degree=2, sample=8, seed=5, workers=w),
-                BOUNDS_CSV_COLUMNS,
-            )
+        # run-bounds rows of one f share their side dicts, in a worker as in-process
+        out1, out3 = (
+            run_checks(ScanConfig(field="7", degree=2, sample=8, seed=5, workers=w),
+                       {"orbit-bounds", "run-bounds"})
             for w in (1, 3)
         )
-        assert t1 == t3
+        assert rows_to_csv_text(out1["orbit-bounds"], BOUNDS_CSV_COLUMNS) == rows_to_csv_text(
+            out3["orbit-bounds"], BOUNDS_CSV_COLUMNS
+        )
+        assert out1["run-bounds"]
+        assert [json.dumps(r, sort_keys=True) for r in out1["run-bounds"]] == [
+            json.dumps(r, sort_keys=True) for r in out3["run-bounds"]
+        ]
 
     def test_sample_means_the_same_in_every_scan(self):
         cfg = ScanConfig(field="7", degree=2, sample=5)
@@ -318,6 +323,40 @@ class TestCli:
     def test_oversized_exhaustive_cell_exits_1(self, capsys):
         rc, out, err = self.run(capsys, "scan", "--field", "31", "--degree", "10")
         assert rc == 1 and out == "" and "error: 31^10 monic polynomials" in err
+
+    def test_oversized_sample_exits_1(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a work item was built before the refusal")
+
+        monkeypatch.setattr(scan, "MAX_ENUMERATED_POLYS", 9)
+        rc, out, _ = self.run(capsys, "scan", "--field", "31", "--degree", "10",
+                              "--sample", "9", "--checks", "ratios")
+        assert rc == 0 and json.loads(out.strip().splitlines()[-1])["summary"]["ratios"]["polys"] == 9
+        monkeypatch.setattr(scan, "sample_polys", unreachable)
+        monkeypatch.setattr(scan, "enumerate_polys", unreachable)
+        for checks in ("ratios", "classification,ratios", "orbit-bounds"):
+            rc, out, err = self.run(capsys, "scan", "--field", "31", "--degree", "10",
+                                    "--sample", "10", "--checks", checks)
+            assert rc == 1 and out == "" and "error: --sample 10 is more than the 9 " in err
+
+    def test_summary_failed_and_csv_paths_leave_rows_unchanged(self, capsys, monkeypatch, tmp_path):
+        rows, before = [], []
+
+        def recorded(cfg, checks):
+            found = run_checks(cfg, checks)
+            rows.extend(r for part in found.values() for r in part)
+            before.extend(json.dumps(r, sort_keys=True) for r in rows)
+            return found
+
+        monkeypatch.setattr(scan, "run_checks", recorded)
+        rc, _, _ = self.run(capsys, "scan", "--field", "7", "--degree", "2", "--checks",
+                            ",".join(CHECKS), "--sample", "10", "--out", str(tmp_path))
+        assert rc == 0
+        run_rows = [r for r in rows if "square" in r]
+        assert len({id(r["square"]) for r in run_rows}) < len(run_rows)  # the sides are shared
+        assert not any(map(scan.failed, rows))
+        rows_to_csv_text(rows, BOUNDS_CSV_COLUMNS)
+        assert [json.dumps(r, sort_keys=True) for r in rows] == before
 
     def test_gen_family_index_out_of_range(self, capsys):
         rc, _, err = self.run(
