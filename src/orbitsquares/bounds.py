@@ -9,9 +9,8 @@ arithmetic; nothing here uses floating point for a pass/fail decision.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import prod
 
 from .classify import TWO_ORDINARY, classify_2_ordinary
@@ -35,13 +34,7 @@ class WeilCheck:
     margin_sq: int | None = None  # (d-1)^2 q - sum^2
 
     def to_json(self):
-        return {
-            "applies": self.applies,
-            "reason": self.reason,
-            "sum": self.sum,
-            "passed": self.passed,
-            "margin_sq": self.margin_sq,
-        }
+        return asdict(self)
 
 
 def weil_check(f: Poly) -> WeilCheck:
@@ -60,33 +53,14 @@ def weil_check(f: Poly) -> WeilCheck:
     )
 
 
-class _BoundTables:
-    """Bound data of one f that no start changes, each part built on first use:
-    window sums by L, and |T(L)| counts by target sign."""
-
-    def __init__(self, f: Poly):
-        self.f = f
-        self.sums = {}
-        self.sizes = {}
-
-    def window_sums(self, L: int) -> list[Fraction]:
-        if L < 1:
-            raise ValueError("window length L must be >= 1")
-        if L not in self.sums:
-            self.sums[L] = _window_sums(self.f, L)
-        return self.sums[L]
-
-    def t_set_sizes(self, target: int) -> list[int]:
-        if target not in self.sizes:
-            self.sizes[target] = _t_set_sizes(self.f, target)
-        return self.sizes[target]
-
-
-@lru_cache(maxsize=1)
-def _bound_tables(f: Poly) -> _BoundTables:
-    """A one-entry memo like orbit_table's, so every start and every L of one f
-    read the same tables."""
-    return _BoundTables(f)
+def _per_f(f: Poly, build, arg):
+    """build(f, arg), kept with f's orbit table on first use, so every start of
+    f reads one copy and it is dropped with the table."""
+    memo = orbit_table(f).derived
+    key = (build, arg)
+    if key not in memo:
+        memo[key] = build(f, arg)
+    return memo[key]
 
 
 def _window_sums(f: Poly, L: int) -> list[Fraction]:
@@ -97,6 +71,8 @@ def _window_sums(f: Poly, L: int) -> list[Fraction]:
     when either is 0.  So a zero-free window gets 2^L from each x with the
     same window, plus what the few x whose window holds a 0 add; a window
     that holds a 0 is summed over every window class."""
+    if L < 1:
+        raise ValueError("window length L must be >= 1")
     succ = orbit_table(f).succ
     first = [f.field.chi_i(y) for y in succ]
     windows = [(s,) for s in first]
@@ -123,7 +99,7 @@ def compute_B(f: Poly, a: FieldElement, i: int, L: int) -> Fraction:
     window sum at f^i(a): i orbit-table steps and one lookup.  The result is
     a rational with denominator dividing 2^L.  Sign indices follow the
     l >= 1 convention: s_a(l) = chi(f^l(a))."""
-    sums = _bound_tables(f).window_sums(L)
+    sums = _per_f(f, _window_sums, L)
     succ = orbit_table(f).succ
     y = a.idx
     for _ in range(i):
@@ -160,7 +136,7 @@ def orbit_bound_check(f: Poly, a: FieldElement, L: int) -> OrbitBoundReport:
     if table.sign_tail[a.idx]:
         raise NotPurelyPeriodic("orbit bound requires a purely periodic sign sequence")
     m = table.sign_period[a.idx]
-    sums = _bound_tables(f).window_sums(L)
+    sums = _per_f(f, _window_sums, L)
     bs, y = [], a.idx
     for _ in range(m):  # B_i is the window sum at f^i(a)
         bs.append(sums[y])
@@ -219,7 +195,7 @@ def t_set_size(f: Poly, L: int, target: int = 1) -> int:
     check_target(target)
     if L < 0:
         raise ValueError("L must be nonnegative")
-    sizes = _bound_tables(f).t_set_sizes(target)
+    sizes = _per_f(f, _t_set_sizes, target)
     return sizes[min(L, len(sizes) - 1)]
 
 

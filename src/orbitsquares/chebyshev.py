@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .field import prime_factors
 from .fpoly import Poly
 
 
@@ -141,16 +142,8 @@ def tilde_chebyshev(d: int) -> IntPoly:
 
 def euler_phi(n: int) -> int:
     out = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
+    for r in prime_factors(n):
+        out -= out // r
     return out
 
 

@@ -27,19 +27,29 @@ ORDINARY = "Ordinary"
 NOT_ORDINARY = "NotOrdinary"
 
 
+def _recurrence(n: int, i: int, even_family: bool) -> tuple[int, int]:
+    """(i(2i-1), c) of the (d)/(e) recurrence i(2i-1) B a_i = c a_(i-1) on the
+    coefficients a_0..a_n of the monic root: c = -2(n+i-1)(n-i+1) for the
+    even family (d), c = -2(n-i+1)(n+i) for the odd family (e)."""
+    return i * (2 * i - 1), -2 * (n - i + 1) * (n + i - 1 if even_family else n + i)
+
+
 def _recurrence_holds(coeffs: list[FieldElement], B: FieldElement, n: int, even_family: bool) -> bool:
-    """i(2i-1)B a_i == -2(n+i-1)(n-i+1)a_{i-1} (even) or
-    i(2i-1)B a_i == -2(n-i+1)(n+i)a_{i-1} (odd), checked without division."""
+    """The recurrence at every i = 1..n, checked without division."""
     F = B.field
     for i in range(1, n + 1):
-        lhs = F.from_int(i * (2 * i - 1)) * B * coeffs[i]
-        if even_family:
-            rhs = F.from_int(-2 * (n + i - 1) * (n - i + 1)) * coeffs[i - 1]
-        else:
-            rhs = F.from_int(-2 * (n - i + 1) * (n + i)) * coeffs[i - 1]
-        if lhs != rhs:
+        lead, num = _recurrence(n, i, even_family)
+        if F.from_int(lead) * B * coeffs[i] != F.from_int(num) * coeffs[i - 1]:
             return False
     return True
+
+
+def _witness_json(witness: dict) -> dict:
+    """A witness with field elements as indices and polynomials as strings."""
+    return {
+        k: v.idx if isinstance(v, FieldElement) else str(v) if isinstance(v, Poly) else v
+        for k, v in witness.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -48,15 +58,7 @@ class FormMatch:
     witness: dict
 
     def to_json(self):
-        out = {"form": self.form}
-        for k, v in self.witness.items():
-            if isinstance(v, FieldElement):
-                out[k] = v.idx
-            elif isinstance(v, Poly):
-                out[k] = str(v)
-            else:
-                out[k] = v
-        return out
+        return {"form": self.form, **_witness_json(self.witness)}
 
 
 @dataclass(frozen=True)
@@ -70,16 +72,14 @@ class ClassificationReport:
         return any(m.form == form for m in self.matched_forms)
 
     def to_json(self):
-        ow = None
-        if self.ordinary_witness is not None:
-            ow = {
-                k: (v.idx if isinstance(v, FieldElement) else v)
-                for k, v in self.ordinary_witness.items()
-            }
+        ow = self.ordinary_witness
         return {
             "verdict": self.verdict,
             "forms": [m.to_json() for m in self.matched_forms],
-            "ordinary": {"verdict": self.ordinary_verdict, "witness": ow},
+            "ordinary": {
+                "verdict": self.ordinary_verdict,
+                "witness": None if ow is None else _witness_json(ow),
+            },
         }
 
 
@@ -178,7 +178,7 @@ class HnSequence:
     repeat: tuple[int, int]  # first (i, j), i < j, with C_i == C_j
 
 
-def hn_sequence(A: FieldElement, B: FieldElement, d: int, max_n: int | None = None) -> HnSequence:
+def hn_sequence(A: FieldElement, B: FieldElement, d: int) -> HnSequence:
     """H_n = W_n/Z_n with Z_0=A, W_0=-B, Z_n=A Z_{n-1}^d, W_n=A W_{n-1}^d - B,
     and the first repeat of the root chain C_n they determine.
 
@@ -192,7 +192,7 @@ def hn_sequence(A: FieldElement, B: FieldElement, d: int, max_n: int | None = No
     k > 1, d must be a power of p.
 
     Runs until the first repeat, which the pigeonhole guarantees within q
-    steps; max_n only tightens that cap."""
+    steps."""
     if A.is_zero():
         raise ZeroA("A must be nonzero")
     F = A.field
@@ -205,11 +205,10 @@ def hn_sequence(A: FieldElement, B: FieldElement, d: int, max_n: int | None = No
         e += 1
     if k > 1 and rest != 1:
         raise ValueError(f"d = {d} is not a power of p = {p} over F_{F.q}")
-    cap = F.q if max_n is None else max_n
     Z, W = A, -B
     values: list[FieldElement] = []
     seen = {0: 0}  # C_0 = 0
-    for n in range(cap):
+    for n in range(F.q):
         H = W / Z
         values.append(H)
         C = (-H) ** (p ** ((-e * (n + 1)) % k))
@@ -258,16 +257,13 @@ def generate_family(params: FamilyParams, d: int) -> Poly:
         raise SqrtDoesNotExist(f"{seed_sq!r} has no square root in F_{F.q}")
     a = [seed_sq.sqrt() if params.sign == 1 else -seed_sq.sqrt()]
     for i in range(1, n + 1):
-        div = F.from_int(i * (2 * i - 1)) * B
+        lead, num = _recurrence(n, i, even_family)
+        div = F.from_int(lead) * B
         if div.is_zero():
             raise RecurrenceDivisorVanishes(
                 f"i(2i-1)B vanishes at i={i} in characteristic {F.p}"
             )
-        if even_family:
-            num = F.from_int(-2 * (n + i - 1) * (n - i + 1))
-        else:
-            num = F.from_int(-2 * (n - i + 1) * (n + i))
-        a.append(num * a[i - 1] / div)
+        a.append(F.from_int(num) * a[i - 1] / div)
     core = Poly.from_elements(F, a)
     if core.degree != n:
         raise FamilyDegenerate(
@@ -339,9 +335,9 @@ def oracle_2_ordinary(f: Poly, depth: int, seed: int = 0, budget: int | None = N
     return _oracle(f, depth, seed, budget, need_odd=True)
 
 
-def oracle_ordinary(f: Poly, depth: int, seed: int = 0, budget: int | None = None) -> OracleResult:
+def oracle_ordinary(f: Poly, depth: int, budget: int | None = None) -> OracleResult:
     """Look for a level n <= depth at which no new factor at all appears."""
-    return _oracle(f, depth, seed, budget, need_odd=False)
+    return _oracle(f, depth, 0, budget, need_odd=False)
 
 
 # --- linear conjugacy ------------------------------------------------------

@@ -70,20 +70,18 @@ def cmd_gen_family(args) -> int:
     return 0
 
 
-def _emit(rows, columns, args, summary=None) -> None:
+def _emit(rows, columns, args, summary) -> None:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         scan_mod.write_jsonl(rows, os.path.join(args.out, "rows.jsonl"))
         if columns:
             scan_mod.write_csv(rows, columns, os.path.join(args.out, "rows.csv"))
-        if summary is not None:
-            with open(os.path.join(args.out, "summary.json"), "w") as fh:
-                json.dump(summary, fh, sort_keys=True, indent=2)
+        with open(os.path.join(args.out, "summary.json"), "w") as fh:
+            json.dump(summary, fh, sort_keys=True, indent=2)
     else:
         for r in rows:
             print(json.dumps(r, sort_keys=True))
-        if summary is not None:
-            print(json.dumps({"summary": summary}, sort_keys=True))
+        print(json.dumps({"summary": summary}, sort_keys=True))
 
 
 def _config(args) -> scan_mod.ScanConfig:

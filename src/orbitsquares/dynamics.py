@@ -3,7 +3,7 @@ sign sequences and longest sign runs, all read from one orbit table per f."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .field import FieldElement
@@ -56,7 +56,9 @@ class OrbitTable:
     minimal eventual period sign_period[x] from l = sign_tail[x] on.  For a
     target sign t, ahead[t][x] counts the iterates x, f(x), ... before the
     first one without sign t (-1 if there is none), and run[t][x] is
-    longest_run's report.  Read-only."""
+    longest_run's report.  Read-only except derived, where bounds keeps the
+    window sums and |T(L)| counts it builds from the table on first use, so
+    they live exactly as long as the table."""
 
     succ: list[int]
     tail: list[int]
@@ -65,6 +67,7 @@ class OrbitTable:
     sign_period: list[int]
     ahead: dict[int, list[int]]
     run: dict[int, list[RunReport]]
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @lru_cache(maxsize=1)

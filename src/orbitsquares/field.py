@@ -17,6 +17,7 @@ coordinates once the tables are built.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .errors import (
     DivisionByZero,
@@ -37,18 +38,7 @@ def _parse_decimal(text: str) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    return n > 1 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -82,15 +72,9 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """
     if k == 1:
         return (0, 1)
-    for idx in range(p**k):
-        coeffs = []
-        rem = idx
-        for i in range(k):
-            coeffs.append(rem // p ** (k - 1 - i))
-            rem %= p ** (k - 1 - i)
-        cand = coeffs + [1]
-        if _is_irreducible(p, cand):
-            return tuple(cand)
+    for lower in product(range(p), repeat=k):
+        if _is_irreducible(p, lower + (1,)):
+            return lower + (1,)
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
@@ -336,10 +320,16 @@ class FieldSpec:
 _FIELDS: dict[tuple, FieldSpec] = {}
 
 
-def make_field(p: int, k: int = 1, modulus: tuple | None = None) -> FieldSpec:
+def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     """The one cached FieldSpec per field, however it is named: the cache is
-    keyed by the modulus a missing one resolves to, the smallest irreducible
-    (which the constructor then need not test again)."""
+    keyed by the modulus as a tuple, a missing one resolving to the smallest
+    irreducible (which the constructor then need not test again).  Every
+    valid monic linear modulus names F_p itself, so it resolves the same way;
+    an invalid one reaches the constructor, which refuses it."""
+    if modulus is not None:
+        modulus = tuple(modulus)
+        if k == 1 and len(modulus) == 2 and modulus[1] == 1 and 0 <= modulus[0] < p:
+            modulus = None
     key = (p, k, smallest_irreducible(p, k) if modulus is None and k >= 1 else modulus)
     if key not in _FIELDS:
         _FIELDS[key] = FieldSpec(p, k, modulus)

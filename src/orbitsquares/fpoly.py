@@ -146,12 +146,9 @@ class Poly:
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: FieldSpec, coeffs, *, normalize: bool = True):
+    def __init__(self, field: FieldSpec, coeffs):
         self.field = field
-        c = list(coeffs)
-        if normalize:
-            _norm(c)
-        self.coeffs = tuple(c)
+        self.coeffs = tuple(_norm(list(coeffs)))
 
     # -- constructors -------------------------------------------------------
 
@@ -239,7 +236,7 @@ class Poly:
 
     def __neg__(self) -> "Poly":
         F = self.field
-        return Poly(F, [F.neg_i(c) for c in self.coeffs], normalize=False)
+        return Poly(F, [F.neg_i(c) for c in self.coeffs])
 
     def __mul__(self, other) -> "Poly":
         F = self.field

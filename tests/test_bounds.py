@@ -231,7 +231,6 @@ class TestWorkCounts:
         window_sums = bounds._window_sums
         monkeypatch.setattr(sys.modules[__name__], "walk_B", unreachable)
         monkeypatch.setattr(bounds, "_window_sums", counted)
-        bounds._bound_tables.cache_clear()
         orbit_table.cache_clear()
         rc = main([
             "scan", "--field", "31", "--degree", "2",
@@ -361,6 +360,20 @@ class TestRunBound:
         for f in enumerate_polys(field, degree):
             expected = [run_bound_check(f, a).to_json() for a in field.elements()]
             assert _run_bound_rows(f, two_ordinary) == expected, str(f)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: t_set_size(P(F7, 0, 0, 1), -1), ValueError),
+        # x^2 + 1 is 2-ordinary over F_7, and the signs from 0 have a tail
+        (lambda: envelope_check(P(F7, 1, 0, 1), el(F7, 0), 0, 1), NotPurelyPeriodic),
+    ],
+    ids=["negative-L", "envelope-not-purely-periodic"],
+)
+def test_refuses_invalid_input(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestChooseL:

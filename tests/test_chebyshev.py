@@ -100,3 +100,19 @@ class TestReduction:
         F7 = make_field(7)
         assert chebyshev(2).reduce_mod(F7) == Poly.from_ints(F7, [6, 0, 2])
         assert (-chebyshev(2)).reduce_mod(F7) == Poly.from_ints(F7, [1, 0, 5])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: IntPoly([0, 1]).exact_div(IntPoly([0, 2])),  # x / 2x: 2 does not divide 1
+        lambda: IntPoly([1, 1]).exact_div(IntPoly([0, 1])),  # (x + 1) / x leaves 1
+        lambda: tilde_chebyshev(-1),
+        lambda: cyclotomic(0),
+        lambda: psi(0),
+    ],
+    ids=["inexact-leading", "inexact-remainder", "tilde-negative-degree", "cyclotomic-0", "psi-0"],
+)
+def test_refuses_invalid_input(call):
+    with pytest.raises(ValueError):
+        call()

@@ -27,10 +27,12 @@ from orbitsquares.classify import (
 from orbitsquares.dynamics import forward_orbit
 from orbitsquares.errors import (
     DegreeMismatch,
+    DegreeTooSmall,
     MixedFields,
     ParityMismatch,
     RecurrenceDivisorVanishes,
     SqrtDoesNotExist,
+    ZeroA,
 )
 from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import Poly, SquareDecomposition, constant_times_square, factor
@@ -396,6 +398,28 @@ class TestOracles:
             roots = [a for a in F5.elements() if f.evaluate(a).is_zero()]
             if len(roots) == 2:
                 assert not oracle_ordinary(f, 3).certified_not
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: classify_ordinary(P(F7, 1, 1)), DegreeTooSmall),
+        (lambda: classify_2_ordinary(P(F7, 1, 1)), DegreeTooSmall),
+        (lambda: oracle_2_ordinary(P(F7, 3), 2), DegreeTooSmall),
+        (lambda: hn_sequence(F7.zero, F7.one, 2), ZeroA),
+        (lambda: generate_family(FamilyParams("d", F7, F7.zero, F7.one), 2), ValueError),
+        (lambda: generate_family(FamilyParams("d", F7, F7.one, F7.zero), 2), ValueError),
+        (lambda: generate_family(FamilyParams("d", F7, F7.one, F7.one, sign=0), 2), ValueError),
+        (lambda: generate_family(FamilyParams("d", F7, F7.one, F7.one), 3), ParityMismatch),
+        (lambda: generate_family(FamilyParams("f", F7, F7.one, F7.one), 2), ValueError),
+    ],
+    ids=["ordinary-linear", "2-ordinary-linear", "oracle-constant", "hn-A-zero",
+         "family-A-zero", "family-B-zero", "family-sign-zero", "family-d-odd-degree",
+         "family-unknown"],
+)
+def test_refuses_invalid_input(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestConjugacy:

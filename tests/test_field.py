@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from orbitsquares.errors import (
     DivisionByZero,
     EvenCharacteristic,
+    MixedFields,
     NonSquare,
     NotPrime,
     ReducibleModulus,
@@ -93,6 +94,26 @@ class TestConstruction:
         f = Poly(F9, [2, 5, 0, 1])
         h = pickle.loads(pickle.dumps(f))
         assert h == f and h.field is g
+
+    @pytest.mark.parametrize("text", ["7/(3,1)", "7/(0,1)", "7/(6,1)"])
+    def test_prime_field_written_with_a_modulus_is_the_prime_field(self, text):
+        # every monic linear modulus names F_7 itself: one instance, and
+        # polynomials over the two names add
+        F = FieldSpec.parse(text)
+        assert F is F7 and F == F7 and str(F) == "7"
+        assert Poly(F, [1, 2]) + Poly(F7, [3, 4]) == Poly(F7, [4, 6])
+
+    def test_modulus_given_as_a_list_is_keyed_as_its_tuple(self):
+        assert make_field(3, 2, [1, 0, 1]) is F9
+        assert make_field(7, 1, [3, 1]) is F7
+
+    def test_prime_field_modulus_out_of_range_is_refused(self):
+        with pytest.raises(ValueError):
+            FieldSpec.parse("7/(9,1)")
+
+    def test_prime_field_modulus_not_monic_is_refused(self):
+        with pytest.raises(ReducibleModulus):
+            FieldSpec.parse("7/(1,2)")
 
 
 class TestArithmetic:
@@ -212,6 +233,24 @@ class TestElements:
     def test_f7_no_repeats(self):
         es = list(F7.elements())
         assert len(es) == 7 and len(set(es)) == 7
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: FieldSpec.parse("3^0"), ValueError),
+        (lambda: F7.inv_i(0), DivisionByZero),
+        (lambda: 1 / el(F7, 0), DivisionByZero),
+        (lambda: F7.pow_i(3, -1), ValueError),
+        (lambda: FieldSpec.parse("3^2/1,0,1"), ValueError),
+        (lambda: el(F7, 1) + el(F3, 1), MixedFields),
+    ],
+    ids=["degree-0", "inverse-of-0", "int-over-0", "negative-exponent", "modulus-without-parens",
+         "mixed-fields"],
+)
+def test_refuses_invalid_input(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @settings(max_examples=60)

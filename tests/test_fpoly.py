@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitsquares.errors import DegreeBudgetExceeded
-from orbitsquares.field import make_field
+from orbitsquares.errors import BothZero, DegreeBudgetExceeded, DivisionByZero, MixedFields
+from orbitsquares.field import FieldElement, make_field
 from orbitsquares.fpoly import (
     Poly,
     _pack,
@@ -414,6 +414,24 @@ def _deadline(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: P(F7, 1, 1) + 3, TypeError),
+        (lambda: P(F7, 1, 1) + P(F5, 1, 1), MixedFields),
+        (lambda: divmod(P(F7, 1, 1), Poly.zero(F7)), DivisionByZero),
+        (lambda: P(F7, 1, 1).evaluate(FieldElement(F5, 1)), MixedFields),
+        (lambda: P(F7, 1, 1).iterate(-1), ValueError),
+        (lambda: gcd(Poly.zero(F7), Poly.zero(F7)), BothZero),
+    ],
+    ids=["add-int", "add-mixed-fields", "divmod-by-zero", "evaluate-mixed-fields",
+         "negative-iterate", "gcd-of-zeros"],
+)
+def test_refuses_invalid_input(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])

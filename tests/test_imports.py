@@ -1,12 +1,13 @@
 """Every name a package module imports is used in that module, every
-module-level private function is read somewhere in the package, and every
+module-level private function is read somewhere in the package, every
+defaulted parameter of a package function is set by some call, and every
 name in the package's __all__ resolves.
 
 The package's __init__ is left out of the import check: it imports names to
 re-export them."""
 
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ import orbitsquares
 
 PACKAGE = sorted(Path(orbitsquares.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(orbitsquares.__file__).parents[2]
+CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -83,6 +86,73 @@ def test_detects_an_orphaned_private_function():
 def test_no_orphaned_private_functions():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert orphaned_private_functions(sources) == []
+
+
+def _calls_by_name(trees) -> dict[str, list[ast.Call]]:
+    """Every call under trees, by the bare or attribute name it calls."""
+    calls = defaultdict(list)
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                calls[n.func.id if isinstance(n.func, ast.Name) else n.func.attr].append(n)
+    return calls
+
+
+def _sets(call: ast.Call, position: int | None, arg: str) -> bool:
+    """Whether call sets arg: by keyword, by position, or by * or ** unpacking."""
+    return (
+        any(k.arg in (arg, None) for k in call.keywords)
+        or any(isinstance(a, ast.Starred) for a in call.args)
+        or position is not None and len(call.args) > position
+    )
+
+
+def unset_options(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of package functions that no call in callers sets.
+    Calls are matched by name; a method's first parameter is its receiver,
+    and a class's __init__ is called by the class name."""
+    calls = _calls_by_name(map(ast.parse, callers))
+    unset = []
+    for name, src in package.items():
+        tree = ast.parse(src)
+        classes = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        owner = {id(fn): cls for cls in classes for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(id(fn))
+            called = cls.name if cls and fn.name == "__init__" else fn.name
+            positional = fn.args.posonlyargs + fn.args.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            if cls and not static:
+                positional = positional[1:]
+            first = len(positional) - len(fn.args.defaults)
+            options = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            options += [
+                (None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d
+            ]
+            unset += [
+                f"{name}:{called}({arg})"
+                for i, arg in options
+                if not any(_sets(c, i, arg) for c in calls[called])
+            ]
+    return sorted(unset)
+
+
+def test_detects_an_unset_option():
+    package = {
+        "a": "def f(x, y=1, *, z=2):\n    pass\n\ndef g(x, y=1):\n    pass\n\n"
+             "class K:\n    def __init__(self, w=0):\n        pass\n\n"
+             "    def m(self, v=0):\n        pass\n\n"
+             "    @staticmethod\n    def s(u=0):\n        pass\n",
+    }
+    callers = ["f(0, 1)\nf(0, z=3)\ng(0)\nK(5).m()\nK.s(1)\n"]
+    assert unset_options(package, callers) == ["a:g(y)", "a:m(v)"]
+
+
+def test_every_option_is_set_by_some_call():
+    package = {p.name: p.read_text() for p in PACKAGE}
+    assert unset_options(package, [p.read_text() for p in CALLERS]) == []
 
 
 def test_all_names_resolve_once():
