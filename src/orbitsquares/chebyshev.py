@@ -163,8 +163,9 @@ def cyclotomic(n: int) -> IntPoly:
 def psi(n: int) -> IntPoly:
     """The minimal-type factor polynomial of the primitive 2cos(2 pi k/n).
 
-    For n > 2 it is recovered exactly from Phi_n(x) = x^(phi(n)/2) psi_n(x + 1/x)
-    by a triangular change of basis.
+    For n > 2, Phi_n(x) = x^m psi_n(x + 1/x) with m = phi(n)/2.  Phi_n is
+    palindromic of degree 2m, so Phi_n(x)/x^m = c_m + sum_j c_(m+j)(x^j + x^(-j))
+    over its coefficients c_i, and x^j + x^(-j) = tilde_T_j(x + 1/x).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -173,16 +174,8 @@ def psi(n: int) -> IntPoly:
     if n == 2:
         return IntPoly([2, 1])
     m = euler_phi(n) // 2
-    target = cyclotomic(n)
-    # basis_j = x^(m-j) (x^2+1)^j has leading term x^(m+j)
-    basis = [IntPoly([0] * (m - j) + [1]) * IntPoly([1, 0, 1]) ** j for j in range(m + 1)]
-    residual = target
-    coeffs = [0] * (m + 1)
-    for j in range(m, -1, -1):
-        b = residual.coefficient(m + j)
-        coeffs[j] = b
-        if b:
-            residual = residual - IntPoly([b]) * basis[j]
-    if residual != IntPoly([]):
-        raise AssertionError("psi basis solve left a nonzero residual")  # pragma: no cover
-    return IntPoly(coeffs)
+    c = cyclotomic(n).coeffs
+    out = IntPoly([c[m]])
+    for j in range(1, m + 1):
+        out = out + IntPoly([c[m + j]]) * tilde_chebyshev(j)
+    return out

@@ -11,7 +11,6 @@ from . import chebyshev as cheb
 from .errors import (
     DegreeMismatch,
     DegreeTooSmall,
-    FamilyDegenerate,
     MixedFields,
     ParityMismatch,
     RecurrenceDivisorVanishes,
@@ -232,13 +231,15 @@ class FamilyParams:
 
 
 def generate_family(params: FamilyParams, d: int) -> Poly:
-    """Build the exceptional polynomial of degree d from the recurrence."""
+    """Build the exceptional polynomial of degree d >= 2 from the recurrence."""
     F = params.field
     A, B = params.A, params.B
     if A.is_zero() or B.is_zero():
         raise ValueError("family parameters require A != 0 and B != 0")
     if params.sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if d < 2:
+        raise DegreeTooSmall("exceptional families have degree >= 2")
     if params.family == "d":
         if d % 2:
             raise ParityMismatch("even-degree family needs even d")
@@ -264,11 +265,10 @@ def generate_family(params: FamilyParams, d: int) -> Poly:
                 f"i(2i-1)B vanishes at i={i} in characteristic {F.p}"
             )
         a.append(F.from_int(num) * a[i - 1] / div)
+    # core has degree n: a_0 != 0, and every a_i != 0.  No i(2i-1), i <= n,
+    # vanished mod the odd prime p, and those cover every odd number up to
+    # 2n-1, so p > 2n; each factor of num is 2 or lies in [1, 2n].
     core = Poly.from_elements(F, a)
-    if core.degree != n:
-        raise FamilyDegenerate(
-            f"recurrence coefficients vanish before degree {n} (char {F.p})"
-        )
     if even_family:
         return core * core * Poly.constant(A) + Poly.constant(B)
     linear = Poly.from_elements(F, [-B, F.one])
@@ -277,24 +277,22 @@ def generate_family(params: FamilyParams, d: int) -> Poly:
 
 # --- finite-depth factorization oracles ------------------------------------
 
-def iterate_factor_levels(f: Poly, depth: int, seed: int = 0, budget: int | None = None):
+def iterate_factor_levels(f: Poly, depth: int, budget: int | None = None):
     """Yield (n, {irreducible -> multiplicity}) for f^n, n = 1..depth.
 
-    Levels are built incrementally: the factors of f^n are the factors of
-    g(f(x)) over the factors g of f^(n-1), so f^n itself is never
+    Levels are built incrementally from f^0 = x: the factors of f^n are the
+    factors of g(f(x)) over the factors g of f^(n-1), so f^n itself is never
     materialized and per-level work follows the actual factor sizes.  Each
     g is monic irreducible, so factor gets composition=(g, f): the degrees
     of g(f)'s factors are multiples of deg g, and its squarefree gcd is
     gcd(g(f), f')."""
     d = f.degree
-    level = factor(f, seed).as_dict()
-    yield 1, level
-    for n in range(2, depth + 1):
+    level = {Poly.x(f.field): 1}
+    for n in range(1, depth + 1):
         check_degree_budget(d, n, budget)
         nxt: dict[Poly, int] = {}
         for g, m in level.items():
-            comp = g.compose(f)
-            for h, e in factor(comp, seed, composition=(g, f)).factors:
+            for h, e in factor(g.compose(f), composition=(g, f)).factors:
                 nxt[h] = nxt.get(h, 0) + m * e
         level = nxt
         yield n, level
@@ -314,30 +312,28 @@ class OracleResult:
         return f"ConsistentUpTo({self.depth})"
 
 
-def _oracle(f: Poly, depth: int, seed: int, budget: int | None, need_odd: bool) -> OracleResult:
+def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleResult:
     if f.degree < 1:
         raise DegreeTooSmall("oracle needs a nonconstant polynomial")
     seen: set[Poly] = {Poly.x(f.field)}  # f^0 = x
-    for n, level in iterate_factor_levels(f, depth, seed, budget):
-        fresh = [
-            g
-            for g, m in level.items()
-            if (not need_odd or m % 2 == 1) and g not in seen
-        ]
-        if not fresh:
+    for n, level in iterate_factor_levels(f, depth, budget):
+        # no fresh factor (of odd multiplicity, when need_odd) at level n
+        if all(g in seen or need_odd and m % 2 == 0 for g, m in level.items()):
             return OracleResult(certified_not=True, level=n, depth=depth)
-        seen.update(level.keys())
+        seen.update(level)
     return OracleResult(certified_not=False, level=None, depth=depth)
 
 
 def oracle_2_ordinary(f: Poly, depth: int, seed: int = 0, budget: int | None = None) -> OracleResult:
-    """Look for a level n <= depth at which no new odd-multiplicity factor appears."""
-    return _oracle(f, depth, seed, budget, need_odd=True)
+    """Look for a level n <= depth at which no new odd-multiplicity factor appears.
+
+    seed is ignored: factoring draws its random splits from f alone."""
+    return _oracle(f, depth, budget, need_odd=True)
 
 
 def oracle_ordinary(f: Poly, depth: int, budget: int | None = None) -> OracleResult:
     """Look for a level n <= depth at which no new factor at all appears."""
-    return _oracle(f, depth, 0, budget, need_odd=False)
+    return _oracle(f, depth, budget, need_odd=False)
 
 
 # --- linear conjugacy ------------------------------------------------------

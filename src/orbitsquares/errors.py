@@ -65,10 +65,6 @@ class ParityMismatch(OrbitSquaresError):
     pass
 
 
-class FamilyDegenerate(OrbitSquaresError):
-    """The coefficient recurrence collapsed to a polynomial of degree < d."""
-
-
 class NotPurelyPeriodic(OrbitSquaresError):
     pass
 

@@ -78,6 +78,17 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
+def _named_modulus(p: int, k: int, modulus) -> tuple[int, ...] | None:
+    """modulus as a tuple, or None when it names the default field: None
+    itself, or any valid monic linear modulus, since each one names F_p."""
+    if modulus is None:
+        return None
+    modulus = tuple(modulus)
+    if k == 1 and len(modulus) == 2 and modulus[1] == 1 and 0 <= modulus[0] < p:
+        return None
+    return modulus
+
+
 class FieldSpec:
     """A concrete realization of F_{p^k}; immutable after construction."""
 
@@ -92,19 +103,16 @@ class FieldSpec:
             raise EvenCharacteristic("characteristic 2 is not supported")
         if k < 1:
             raise ValueError("extension degree must be >= 1")
+        modulus = _named_modulus(p, k, modulus)
         if modulus is None:
             modulus = smallest_irreducible(p, k)
-        else:
-            modulus = tuple(modulus)
-            if not all(0 <= c < p for c in modulus):
-                raise ValueError(f"modulus coefficients must lie in [0, {p}), got {list(modulus)}")
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ReducibleModulus(
-                    f"modulus must be monic of degree {k}, got {list(modulus)}"
-                )
-            # a monic linear is irreducible, and testing it would recurse into make_field
-            if k > 1 and not _is_irreducible(p, modulus):
-                raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
+        elif not all(0 <= c < p for c in modulus):
+            raise ValueError(f"modulus coefficients must lie in [0, {p}), got {list(modulus)}")
+        elif len(modulus) != k + 1 or modulus[-1] != 1:
+            raise ReducibleModulus(f"modulus must be monic of degree {k}, got {list(modulus)}")
+        # k > 1 here, since every valid linear modulus named F_p above
+        elif not _is_irreducible(p, modulus):
+            raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
         self.p = p
         self.k = k
         self.q = p**k
@@ -323,13 +331,10 @@ _FIELDS: dict[tuple, FieldSpec] = {}
 def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     """The one cached FieldSpec per field, however it is named: the cache is
     keyed by the modulus as a tuple, a missing one resolving to the smallest
-    irreducible (which the constructor then need not test again).  Every
-    valid monic linear modulus names F_p itself, so it resolves the same way;
-    an invalid one reaches the constructor, which refuses it."""
-    if modulus is not None:
-        modulus = tuple(modulus)
-        if k == 1 and len(modulus) == 2 and modulus[1] == 1 and 0 <= modulus[0] < p:
-            modulus = None
+    irreducible (which the constructor then need not test again), as does
+    every name _named_modulus reads as the default; an invalid modulus
+    reaches the constructor, which refuses it."""
+    modulus = _named_modulus(p, k, modulus)
     key = (p, k, smallest_irreducible(p, k) if modulus is None and k >= 1 else modulus)
     if key not in _FIELDS:
         _FIELDS[key] = FieldSpec(p, k, modulus)

@@ -2,8 +2,9 @@
 
 Coefficients are stored as element indices (constant term first, no
 trailing zeros).  Includes composition/iteration with a degree budget,
-gcd, complete factorization (squarefree / distinct-degree / seeded
-equal-degree splitting) and monic square roots, read from the top down.
+gcd, complete factorization (squarefree / distinct-degree / equal-degree
+splitting whose random draws are keyed by the polynomial alone) and monic
+square roots, read from the top down.
 
 Each field kind has one arithmetic kernel.  Over F_p (k == 1) an index is
 the residue itself, so `*`, `divmod` and `pow_mod` work on plain int lists:
@@ -441,9 +442,6 @@ class Factorization:
             out = out * g**m
         return out
 
-    def as_dict(self) -> dict[Poly, int]:
-        return dict(self.factors)
-
 
 def _pth_root(f: Poly) -> Poly:
     """p-th root of f(x) = g(x^p); valid when the derivative vanishes."""
@@ -535,7 +533,10 @@ def is_irreducible(f: Poly) -> bool:
 
 
 def _equal_degree_split(f: Poly, e: int, rng: random.Random) -> list[Poly]:
-    """Cantor-Zassenhaus for a monic product of distinct degree-e irreducibles."""
+    """Cantor-Zassenhaus for a monic product of distinct degree-e irreducibles.
+
+    Each draw a has 0 < deg a < deg f, so gcd(a, f) is 1 or a proper factor;
+    only when it is 1 is gcd(a^((q^e-1)/2) - 1, f) tried."""
     F = f.field
     if f.degree == e:
         return [f]
@@ -545,25 +546,19 @@ def _equal_degree_split(f: Poly, e: int, rng: random.Random) -> list[Poly]:
         a = Poly(F, [rng.randrange(q) for _ in range(f.degree)])
         if a.degree < 1:
             continue
-        g = gcd(a, f) if not a.is_zero() else f
-        if not g.is_one() and g.degree < f.degree:
-            left, right = g, f // g
-        else:
-            b = a.pow_mod(exponent, f)
-            g = gcd(b - Poly.one(F), f)
-            if g.is_one() or g.degree == f.degree:
-                continue
-            left, right = g, f // g
-        return _equal_degree_split(left, e, rng) + _equal_degree_split(right, e, rng)
+        g = gcd(a, f)
+        if g.is_one():
+            g = gcd(a.pow_mod(exponent, f) - Poly.one(F), f)
+        if 0 < g.degree < f.degree:
+            return _equal_degree_split(g, e, rng) + _equal_degree_split(f // g, e, rng)
 
 
-def factor(f: Poly, seed: int = 0, *,
-           composition: tuple[Poly, Poly] | None = None) -> Factorization:
+def factor(f: Poly, *, composition: tuple[Poly, Poly] | None = None) -> Factorization:
     """Complete irreducible factorization with deterministic output order.
 
-    Randomized splitting uses a generator derived from the caller's seed, so
-    identical (f, seed) pairs give identical work; the output order is sorted
-    by (degree, coefficients) regardless.
+    Randomized splitting draws from a generator keyed by the field and f
+    alone, so the same f always costs the same work; the output order is
+    sorted by (degree, coefficients) regardless.
 
     composition=(g, inner) promises f == g(inner) with g monic irreducible;
     only the degrees are checked.  Two facts then cut the work and leave the
@@ -583,7 +578,7 @@ def factor(f: Poly, seed: int = 0, *,
         step = g.degree
     unit = f.leading()
     mf = f.monic()
-    rng = random.Random(repr((seed, f.field._key, f.coeffs)))
+    rng = random.Random(repr((0, f.field._key, f.coeffs)))
     found: dict[Poly, int] = {}
     for sf, mult in _squarefree_decomposition(mf, inner):
         for prod, e in _distinct_degree(sf, step):

@@ -29,11 +29,7 @@ from orbitsquares.classify import (
     oracle_2_ordinary,
     oracle_ordinary,
 )
-from orbitsquares.errors import (
-    FamilyDegenerate,
-    RecurrenceDivisorVanishes,
-    SqrtDoesNotExist,
-)
+from orbitsquares.errors import RecurrenceDivisorVanishes, SqrtDoesNotExist
 from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import Poly
 from orbitsquares.scan import (
@@ -214,7 +210,7 @@ def test_criterion_4_families_and_conjugacy():
                 params = FamilyParams(fam, F, FieldElement(F, Ai), FieldElement(F, Bi), 1)
                 try:
                     f = generate_family(params, d)
-                except (SqrtDoesNotExist, RecurrenceDivisorVanishes, FamilyDegenerate):
+                except (SqrtDoesNotExist, RecurrenceDivisorVanishes):
                     continue
                 generated += 1
                 if not classify_2_ordinary(f).matched(fam):

@@ -21,11 +21,13 @@ from orbitsquares.classify import (
     classify_ordinary,
     generate_family,
     hn_sequence,
+    iterate_factor_levels,
     oracle_2_ordinary,
     oracle_ordinary,
 )
 from orbitsquares.dynamics import forward_orbit
 from orbitsquares.errors import (
+    DegreeBudgetExceeded,
     DegreeMismatch,
     DegreeTooSmall,
     MixedFields,
@@ -393,6 +395,28 @@ class TestOracles:
     def test_ordinary_consistent(self):
         assert not oracle_ordinary(P(F3, 1, 0, 1), 4).certified_not
 
+    def test_first_level_is_the_factorization_of_f(self):
+        # level 1 is factor(x o f) from f^0 = x, which is factor(f) itself
+        for f in list(enumerate_polys(F5, 3, "monic")) + [P(F5, 1, 2, 0, 3), P(F5, 0, 0, 4)]:
+            assert next(iterate_factor_levels(f, 1)) == (1, dict(factor(f).factors))
+
+    def test_oracle_work_does_not_depend_on_seed(self, monkeypatch):
+        calls = []
+        pow_mod = Poly.pow_mod
+
+        def counted(self, e, mod):
+            calls.append((self.coeffs, e, mod.coeffs))
+            return pow_mod(self, e, mod)
+
+        monkeypatch.setattr(Poly, "pow_mod", counted)
+        cubics = [P(F5, *c, 1) for c in [(1, 0, 0), (2, 1, 0), (3, 0, 1), (4, 2, 3), (1, 1, 1)]]
+        runs = []
+        for seed in (0, 99):
+            calls.clear()
+            verdicts = [str(oracle_2_ordinary(f, 4, seed=seed)) for f in cubics]
+            runs.append((verdicts, list(calls)))
+        assert runs[0] == runs[1] and runs[0][1]
+
     def test_distinct_roots_never_certified(self):
         for f in enumerate_polys(F5, 2, "monic"):
             roots = [a for a in F5.elements() if f.evaluate(a).is_zero()]
@@ -412,10 +436,17 @@ class TestOracles:
         (lambda: generate_family(FamilyParams("d", F7, F7.one, F7.one, sign=0), 2), ValueError),
         (lambda: generate_family(FamilyParams("d", F7, F7.one, F7.one), 3), ParityMismatch),
         (lambda: generate_family(FamilyParams("f", F7, F7.one, F7.one), 2), ValueError),
+        (lambda: generate_family(FamilyParams("d", F7, el(F7, 6), F7.one), 0), DegreeTooSmall),
+        (lambda: generate_family(FamilyParams("e", F7, el(F7, 6), F7.one), 1), DegreeTooSmall),
+        (lambda: generate_family(FamilyParams("e", F7, el(F7, 6), F7.one), -1), DegreeTooSmall),
+        (lambda: oracle_2_ordinary(P(F7, 1, 0, 0, 0, 0, 1), 1, budget=4), DegreeBudgetExceeded),
+        (lambda: next(iterate_factor_levels(P(F7, 1, 0, 0, 0, 0, 1), 1, budget=4)),
+         DegreeBudgetExceeded),
     ],
     ids=["ordinary-linear", "2-ordinary-linear", "oracle-constant", "hn-A-zero",
          "family-A-zero", "family-B-zero", "family-sign-zero", "family-d-odd-degree",
-         "family-unknown"],
+         "family-unknown", "family-d-degree-0", "family-e-degree-1", "family-e-degree-minus-1",
+         "oracle-level-1-over-budget", "levels-level-1-over-budget"],
 )
 def test_refuses_invalid_input(call, error):
     with pytest.raises(error):

@@ -103,6 +103,13 @@ class TestConstruction:
         assert F is F7 and F == F7 and str(F) == "7"
         assert Poly(F, [1, 2]) + Poly(F7, [3, 4]) == Poly(F7, [4, 6])
 
+    @pytest.mark.parametrize("modulus", [(3, 1), (0, 1), [6, 1]])
+    def test_constructor_reads_a_linear_modulus_as_the_prime_field(self, modulus):
+        # built directly, uncached, but the same field as make_field's F_7
+        F = FieldSpec(7, 1, modulus)
+        assert F is not F7 and F == F7 and hash(F) == hash(F7)
+        assert Poly(F, [1, 2]) + Poly(F7, [3, 4]) == Poly(F7, [4, 6])
+
     def test_modulus_given_as_a_list_is_keyed_as_its_tuple(self):
         assert make_field(3, 2, [1, 0, 1]) is F9
         assert make_field(7, 1, [3, 1]) is F7

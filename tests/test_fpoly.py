@@ -144,10 +144,6 @@ class TestFactor:
         with pytest.raises(ConstantInput):
             factor(P(F7, 5))
 
-    def test_seed_independence(self):
-        f = P(F5, 2, 0, 1, 1, 3, 1)
-        assert factor(f, seed=0).factors == factor(f, seed=99).factors
-
     def test_multiplicity_degree_sum(self):
         # over the closure f^n - alpha has d^n roots counted with multiplicity
         f = P(F7, 1, 3, 1)
@@ -457,13 +453,13 @@ def test_composition_factor_matches_plain_factor(p, k, degree, depth):
     checked = 0
     for tail in itertools.product(range(F.q), repeat=degree):
         f = Poly(F, list(tail) + [F.one_idx])
-        level, seen = {g for g, _ in factor(f, 3).factors}, set()
+        level, seen = {g for g, _ in factor(f).factors}, set()
         for _ in range(2, depth + 1):
             nxt = set()
             for g in level - seen:
                 comp = g.compose(f)
-                plain = factor(comp, 3)
-                assert factor(comp, 3, composition=(g, f)) == plain, (str(g), str(f))
+                plain = factor(comp)
+                assert factor(comp, composition=(g, f)) == plain, (str(g), str(f))
                 nxt.update(h for h, _ in plain.factors)
                 checked += 1
             seen |= level
