@@ -1,6 +1,7 @@
 """Exact character-sum computations and the proof-level inequalities:
 Weil bound checks, the windowed sums B_i, the orbit-size bound, its
-explicit envelope, the T(L) sets and the run-structure inequality.
+explicit envelope, the T(L) sets and the run-structure inequality, and the
+scan rows of the orbit and run bounds, each gated on its hypothesis.
 
 Every comparison involving sqrt(q) is squared into exact integer/rational
 arithmetic; nothing here uses floating point for a pass/fail decision.
@@ -99,6 +100,8 @@ def compute_B(f: Poly, a: FieldElement, i: int, L: int) -> Fraction:
     window sum at f^i(a): i orbit-table steps and one lookup.  The result is
     a rational with denominator dividing 2^L.  Sign indices follow the
     l >= 1 convention: s_a(l) = chi(f^l(a))."""
+    if i < 0:
+        raise ValueError(f"window index i must be >= 0, got {i}")
     sums = _per_f(f, _window_sums, L)
     succ = orbit_table(f).succ
     y = a.idx
@@ -107,31 +110,29 @@ def compute_B(f: Poly, a: FieldElement, i: int, L: int) -> Fraction:
     return sums[y]
 
 
+def periodic_starts(f: Poly) -> list[int]:
+    """The starts of f, by index, whose sign sequence is purely periodic: the
+    orbit bound's hypothesis."""
+    return [a for a, tail in enumerate(orbit_table(f).sign_tail) if tail == 0]
+
+
 @dataclass(frozen=True)
 class OrbitBoundReport:
-    f: Poly
-    a: FieldElement
-    L: int
     m: int
-    orbit_size: int
     B_values: tuple[Fraction, ...]
     lhs: int
     rhs_sum: Fraction
-    rhs_uniform: Fraction
 
     @property
     def passed(self) -> bool:
         return self.lhs <= self.rhs_sum
 
-    @property
-    def passed_uniform(self) -> bool:
-        return self.lhs <= self.rhs_uniform
-
 
 def orbit_bound_check(f: Poly, a: FieldElement, L: int) -> OrbitBoundReport:
-    """|O_f(a)| <= 2L + 1 + sum_i B_i, and the uniform form with B = max B_i;
-    the sign period m and |O_f(a)| are read from f's orbit table, and each B_i
-    from f's window sums along a's orbit."""
+    """|O_f(a)| <= 2L + 1 + sum_i B_i, which implies the uniform form with
+    B = max B_i, since sum_i B_i <= m B.  The sign period m and |O_f(a)| are
+    read from f's orbit table, and each B_i from f's window sums along a's
+    orbit."""
     table = orbit_table(f)
     if table.sign_tail[a.idx]:
         raise NotPurelyPeriodic("orbit bound requires a purely periodic sign sequence")
@@ -141,13 +142,11 @@ def orbit_bound_check(f: Poly, a: FieldElement, L: int) -> OrbitBoundReport:
     for _ in range(m):  # B_i is the window sum at f^i(a)
         bs.append(sums[y])
         y = table.succ[y]
-    bs = tuple(bs)
-    lhs = table.tail[a.idx] + table.cycle[a.idx]
-    rhs_sum = 2 * L + 1 + sum(bs)
-    rhs_uniform = 2 * L + 1 + m * max(bs)
     return OrbitBoundReport(
-        f=f, a=a, L=L, m=m, orbit_size=lhs, B_values=bs,
-        lhs=lhs, rhs_sum=rhs_sum, rhs_uniform=rhs_uniform,
+        m=m,
+        B_values=tuple(bs),
+        lhs=table.tail[a.idx] + table.cycle[a.idx],
+        rhs_sum=2 * L + 1 + sum(bs),
     )
 
 
@@ -174,6 +173,37 @@ def envelope_check(f: Poly, a: FieldElement, i: int, L: int) -> EnvelopeCheck:
         raise NotPurelyPeriodic("envelope bound requires a purely periodic sign sequence")
     b = compute_B(f, a, i, L)
     return EnvelopeCheck(B_i=b, i=i, L=L, passed=envelope_holds(b, f.field.q, f.degree, L))
+
+
+def orbit_bound_rows(f: Poly, starts, two_ordinary: bool) -> list[dict]:
+    """orbit_bound_check's rows for the purely periodic starts (by index) of f,
+    at L = 1..max(choose_L(q, d), 3).  pass is the sum form, which implies the
+    uniform one.  envelope_pass (None unless f is 2-ordinary) is the envelope
+    at max B_i: envelope_holds is monotone in b, so it then holds at every B_i."""
+    F, d, name = f.field, f.degree, str(f)
+    rows = []
+    for a in starts:
+        for L in range(1, max(choose_L(F.q, d), 3) + 1):
+            ob = orbit_bound_check(f, FieldElement(F, a), L)
+            max_b = max(ob.B_values)
+            rows.append(
+                {
+                    "q": F.q,
+                    "d": d,
+                    "f": name,
+                    "a": a,
+                    "m": ob.m,
+                    "orbit": ob.lhs,
+                    "L": L,
+                    "maxB": str(max_b),
+                    "lhs": ob.lhs,
+                    "rhs": str(ob.rhs_sum),
+                    "pass": ob.passed,
+                    "two_ordinary": two_ordinary,
+                    "envelope_pass": envelope_holds(max_b, F.q, d, L) if two_ordinary else None,
+                }
+            )
+    return rows
 
 
 def _t_set_sizes(f: Poly, target: int) -> list[int]:
@@ -271,9 +301,12 @@ def run_bound_check(f: Poly, a: FieldElement) -> RunBoundReport:
     )
 
 
-def run_bound_rows(f: Poly) -> list[dict]:
-    """run_bound_check(f, a).to_json() for every start a of f, by index.  The
-    rows share one side dict per distinct run of f, so they are read-only."""
+def run_bound_rows(f: Poly, report) -> list[dict]:
+    """run_bound_check(f, a).to_json() for every start a of f, by index, or
+    none unless f's classification report says f is 2-ordinary.  The rows
+    share one side dict per distinct run of f, so they are read-only."""
+    if report.verdict != TWO_ORDINARY:
+        return []
     run = orbit_table(f).run
     sides = {r: _run_bound_side(f, r).to_json() for r in {*run[1], *run[-1]}}
     name, q = str(f), f.field.q
@@ -285,6 +318,8 @@ def run_bound_rows(f: Poly) -> list[dict]:
 
 def choose_L(q: int, d: int) -> int:
     """Largest L with 4^L d^(2L) d^2 <= q, clamped to >= 1 (floor tuning rule)."""
+    if d < 1:
+        raise ValueError(f"degree d must be at least 1, got {d}")
     L = 0
     while (4 ** (L + 1)) * d ** (2 * (L + 1)) * d * d <= q:
         L += 1

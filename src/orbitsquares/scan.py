@@ -18,16 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import product
 
-from .bounds import (
-    choose_L,
-    envelope_holds,
-    orbit_bound_check,
-    run_bound_rows,
-    weil_check,
-)
+from .bounds import orbit_bound_rows, periodic_starts, run_bound_rows, weil_check
 from .classify import TWO_ORDINARY, classify_2_ordinary
 from .dynamics import orbit_table
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 from .fpoly import Poly
 
 BOUNDS_CSV_COLUMNS = ["q", "d", "f", "a", "m", "orbit", "L", "maxB", "lhs", "rhs", "pass"]
@@ -103,14 +97,7 @@ def _weil_rows(f: Poly, report):
 
 def _periodic_start_count(f: Poly, report):
     """orbit-bounds' first phase: how many starts the draw can pick from f."""
-    return [(f, orbit_table(f).sign_tail.count(0), report.verdict == TWO_ORDINARY)]
-
-
-def _run_bound_rows(f: Poly, report):
-    """Run-bound rows for every start of f, or none when f is in forms (a)-(e)."""
-    if report.verdict != TWO_ORDINARY:
-        return []
-    return run_bound_rows(f)
+    return [(f, len(periodic_starts(f)), report.verdict == TWO_ORDINARY)]
 
 
 def _ratio_rows(f: Poly, report):
@@ -130,7 +117,7 @@ _ROWS = {
     "classification": _classification_rows,
     "weil": _weil_rows,
     "orbit-bounds": _periodic_start_count,
-    "run-bounds": _run_bound_rows,
+    "run-bounds": run_bound_rows,
     "ratios": _ratio_rows,
 }
 # scan's checks, in the order they run whatever order they are asked for in
@@ -150,36 +137,9 @@ def _scan_item(item):
 
 def _orbit_bound_rows(item):
     """orbit-bounds' second phase: rows for the drawn purely periodic starts
-    of one f (picks index them in ascending order), at each L."""
+    of one f (picks index them in ascending order)."""
     f, picks, two_ordinary = item
-    F = f.field
-    periodic = [a for a, tail in enumerate(orbit_table(f).sign_tail) if tail == 0]
-    rows = []
-    for a_idx in map(periodic.__getitem__, picks):
-        a = FieldElement(F, a_idx)
-        for L in range(1, max(choose_L(F.q, f.degree), 3) + 1):
-            ob = orbit_bound_check(f, a, L)
-            env_pass = None
-            if two_ordinary:
-                env_pass = all(envelope_holds(b, F.q, f.degree, L) for b in ob.B_values)
-            rows.append(
-                {
-                    "q": F.q,
-                    "d": f.degree,
-                    "f": str(f),
-                    "a": a_idx,
-                    "m": ob.m,
-                    "orbit": ob.orbit_size,
-                    "L": L,
-                    "maxB": str(max(ob.B_values)),
-                    "lhs": ob.lhs,
-                    "rhs": str(ob.rhs_sum),
-                    "pass": bool(ob.passed and ob.passed_uniform),
-                    "two_ordinary": two_ordinary,
-                    "envelope_pass": env_pass,
-                }
-            )
-    return rows
+    return orbit_bound_rows(f, map(periodic_starts(f).__getitem__, picks), two_ordinary)
 
 
 def _pmap(fn, items, workers: int):

@@ -5,9 +5,12 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orbitsquares import bounds
 from orbitsquares.bounds import (
@@ -15,8 +18,10 @@ from orbitsquares.bounds import (
     choose_L,
     compute_B,
     envelope_check,
+    envelope_holds,
     orbit_bound_check,
     run_bound_check,
+    run_bound_rows,
     t_set_size,
     weil_check,
 )
@@ -26,7 +31,7 @@ from orbitsquares.dynamics import orbit_table, sign_sequence
 from orbitsquares.errors import NotPurelyPeriodic, NotTwoOrdinary
 from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import Poly
-from orbitsquares.scan import _run_bound_rows, enumerate_polys, sample_polys
+from orbitsquares.scan import enumerate_polys, sample_polys
 
 F3 = make_field(3)
 F7 = make_field(7)
@@ -248,13 +253,13 @@ class TestWorkCounts:
 class TestOrbitBound:
     def test_pinned_square_map(self):
         r = orbit_bound_check(P(F7, 0, 0, 1), el(F7, 2), 2)
-        assert r.orbit_size == 2 and r.m == 1
+        assert r.lhs == 2 and r.m == 1
         assert r.rhs_sum == Fraction(45, 4)
-        assert r.passed and r.passed_uniform
+        assert r.passed and r.lhs <= 2 * 2 + 1 + r.m * max(r.B_values)
 
     def test_fixed_point_always_passes(self):
         r = orbit_bound_check(Poly.x(F7), el(F7, 4), 1)
-        assert r.orbit_size == 1 and r.passed
+        assert r.lhs == 1 and r.passed
 
     def test_requires_purely_periodic(self):
         with pytest.raises(NotPurelyPeriodic):
@@ -269,7 +274,7 @@ class TestOrbitBound:
                     continue
                 for L in (1, 2):
                     r = orbit_bound_check(f, a, L)
-                    assert r.passed and r.passed_uniform
+                    assert r.passed and r.lhs <= 2 * L + 1 + r.m * max(r.B_values)
 
 
 class TestEnvelope:
@@ -359,7 +364,7 @@ class TestRunBound:
         two_ordinary = SimpleNamespace(verdict=TWO_ORDINARY)
         for f in enumerate_polys(field, degree):
             expected = [run_bound_check(f, a).to_json() for a in field.elements()]
-            assert _run_bound_rows(f, two_ordinary) == expected, str(f)
+            assert run_bound_rows(f, two_ordinary) == expected, str(f)
 
 
 @pytest.mark.parametrize(
@@ -368,12 +373,38 @@ class TestRunBound:
         (lambda: t_set_size(P(F7, 0, 0, 1), -1), ValueError),
         # x^2 + 1 is 2-ordinary over F_7, and the signs from 0 have a tail
         (lambda: envelope_check(P(F7, 1, 0, 1), el(F7, 0), 0, 1), NotPurelyPeriodic),
+        # the signs of x^2 + 1 from 3 are purely periodic, so only i < 0 is wrong
+        (lambda: compute_B(P(F7, 1, 0, 1), el(F7, 3), -1, 2), ValueError),
+        (lambda: compute_B(P(F7, 1, 0, 1), el(F7, 3), -5, 2), ValueError),
+        (lambda: envelope_check(P(F7, 1, 0, 1), el(F7, 3), -3, 1), ValueError),
     ],
-    ids=["negative-L", "envelope-not-purely-periodic"],
+    ids=[
+        "negative-L",
+        "envelope-not-purely-periodic",
+        "B-index-minus-1",
+        "B-index-minus-5",
+        "envelope-index-minus-3",
+    ],
 )
 def test_refuses_invalid_input(call, error):
     with pytest.raises(error):
         call()
+
+
+@given(
+    q=st.integers(1, 10**4),
+    d=st.integers(1, 4),
+    L=st.integers(1, 6),
+    t=st.fractions(-2, 2, max_denominator=1000),
+    drop=st.fractions(0, 2, max_denominator=1000),
+)
+def test_envelope_holds_is_monotone_in_b(q, d, L, t, drop):
+    # b = q/2^L + t d^(L+1) isqrt(q) lies on both sides of the envelope
+    # q/2^L + d^(L+1) sqrt(q) as t runs over [-2, 2]; b' = b - drop scale <= b
+    scale = d ** (L + 1) * isqrt(q)
+    b = Fraction(q, 2**L) + t * scale
+    if envelope_holds(b, q, d, L):
+        assert envelope_holds(b - drop * scale, q, d, L)
 
 
 class TestChooseL:
@@ -390,3 +421,9 @@ class TestChooseL:
                 L = choose_L(q, d)
                 assert L >= prev
                 prev = L
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_refuses_degree_below_one(self, d):
+        # at d = 0 the loop's condition reads 0 <= q and never turns false
+        with pytest.raises(ValueError):
+            choose_L(10**6, d)

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level private function is read somewhere in the package, every
-defaulted parameter of a package function is set by some call, and every
-name in the package's __all__ resolves.
+defaulted parameter of a package function is set by some call, every
+name in the package's __all__ resolves, and no decision path uses floating
+point.
 
 The package's __init__ is left out of the import check: it imports names to
 re-export them."""
@@ -43,6 +44,71 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# math's integer functions; any other math import brings floating point
+INTEGER_MATH = frozenset({"prod", "gcd", "isqrt", "comb"})
+# observational functions, by module, whose floats decide nothing
+FLOAT_EXEMPT = {"scan.py": frozenset({"_ratio_rows"})}
+
+
+def _int_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def float_uses(source: str, exempt: frozenset) -> list[str]:
+    """Float literals, float(...) calls, true divisions of two int literals and
+    math imports other than INTEGER_MATH in source, as "line: what" in source
+    order, outside the bodies of the functions named in exempt."""
+    found, stack = [], [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node, f"float literal {node.value!r}"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append((node, "float() call"))
+        elif (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and _int_literal(node.left) and _int_literal(node.right)
+        ):
+            found.append((node, "true division of int literals"))
+        elif isinstance(node, ast.Import) and any(a.name == "math" for a in node.names):
+            found.append((node, "import math"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [
+                (node, f"from math import {a.name}")
+                for a in node.names if a.name not in INTEGER_MATH
+            ]
+    found.sort(key=lambda hit: (hit[0].lineno, hit[0].col_offset))
+    return [f"{node.lineno}: {what}" for node, what in found]
+
+
+def test_detects_floating_point():
+    src = (
+        "import math\nfrom math import gcd, sqrt\n"
+        "x = 0.5 + float(3) + 1 / -2 + 3 // 2 + 2e3 + 1j\n"
+        "y = x / 2\n"
+        "def observed():\n    return 5 / 6 + float(x)\n"
+    )
+    assert float_uses(src, frozenset({"observed"})) == [
+        "1: import math",
+        "2: from math import sqrt",
+        "3: float literal 0.5",
+        "3: float() call",
+        "3: true division of int literals",
+        "3: float literal 2000.0",
+        "3: float literal 1j",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    assert float_uses(path.read_text(), FLOAT_EXEMPT.get(path.name, frozenset())) == []
 
 
 def _reads(node) -> Counter:

@@ -7,11 +7,11 @@ from collections import Counter
 
 import pytest
 
-from orbitsquares import scan
+from orbitsquares import bounds, scan
 from orbitsquares.bounds import choose_L, envelope_check, orbit_bound_check
 from orbitsquares.classify import TWO_ORDINARY, classify_2_ordinary
 from orbitsquares.cli import main
-from orbitsquares.dynamics import orbit_table, sign_sequence
+from orbitsquares.dynamics import forward_orbit, orbit_table, sign_sequence
 from orbitsquares.field import FieldSpec, make_field
 from orbitsquares.scan import (
     BOUNDS_CSV_COLUMNS,
@@ -115,8 +115,9 @@ class TestScans:
     @staticmethod
     def _per_pair_bounds_rows(cfg):
         """orbit-bounds' rows, built pair by pair: each sampled (f, a) is
-        classified and checked on its own, with one orbit_bound_check per L
-        and one envelope_check per B_i."""
+        classified and checked on its own, with one orbit_bound_check per L,
+        pass from both the sum and the uniform form, and one envelope_check
+        per B_i."""
         F = FieldSpec.parse(cfg.field)
         pairs = [
             (f, a)
@@ -132,6 +133,7 @@ class TestScans:
             two_ordinary = classify_2_ordinary(f).verdict == TWO_ORDINARY
             for L in range(1, max(choose_L(F.q, cfg.degree), 3) + 1):
                 ob = orbit_bound_check(f, a, L)
+                uniform = 2 * L + 1 + ob.m * max(ob.B_values)
                 rows.append(
                     {
                         "q": F.q,
@@ -139,12 +141,12 @@ class TestScans:
                         "f": str(f),
                         "a": a.idx,
                         "m": ob.m,
-                        "orbit": ob.orbit_size,
+                        "orbit": forward_orbit(f, a).size,
                         "L": L,
                         "maxB": str(max(ob.B_values)),
                         "lhs": ob.lhs,
                         "rhs": str(ob.rhs_sum),
-                        "pass": bool(ob.passed and ob.passed_uniform),
+                        "pass": ob.lhs <= min(ob.rhs_sum, uniform),
                         "two_ordinary": two_ordinary,
                         "envelope_pass": all(
                             envelope_check(f, a, i, L).passed for i in range(ob.m)
@@ -510,9 +512,7 @@ class TestCli:
         assert rc == 1 and out == "" and "error:" in err
 
     def test_scan_orbit_bounds_counts_envelope_failures(self, capsys, monkeypatch):
-        import orbitsquares.scan as scan_mod
-
-        monkeypatch.setattr(scan_mod, "envelope_holds", lambda *args: False)
+        monkeypatch.setattr(bounds, "envelope_holds", lambda *args: False)
         rc, out, _ = self.run(
             capsys, "scan", "--field", "7", "--degree", "2",
             "--checks", "orbit-bounds", "--sample", "5",
