@@ -1,23 +1,15 @@
 """Classification machinery: the five exceptional shapes that break
-dynamical 2-ordinarity, finite-depth factorization oracles, exceptional
-family generators from the coefficient recurrences, and linear conjugacy
-search (including conjugacy to Chebyshev polynomials)."""
+dynamical 2-ordinarity, finite-depth factorization oracles, the exceptional
+families (d) and (e) as conjugates of the Chebyshev polynomials +-T_d, and
+linear conjugacy search (including conjugacy to Chebyshev polynomials)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import chebyshev as cheb
-from .errors import (
-    DegreeMismatch,
-    DegreeTooSmall,
-    MixedFields,
-    ParityMismatch,
-    RecurrenceDivisorVanishes,
-    SqrtDoesNotExist,
-    ZeroA,
-)
-from .field import FieldElement, FieldSpec
+from .errors import DegreeMismatch, DegreeTooSmall, MixedFields, ZeroA
+from .field import FieldElement
 from .fpoly import Poly, check_degree_budget, factor, sqrt_part, square_root
 
 TWO_ORDINARY = "TwoOrdinary"
@@ -26,19 +18,15 @@ ORDINARY = "Ordinary"
 NOT_ORDINARY = "NotOrdinary"
 
 
-def _recurrence(n: int, i: int, even_family: bool) -> tuple[int, int]:
-    """(i(2i-1), c) of the (d)/(e) recurrence i(2i-1) B a_i = c a_(i-1) on the
-    coefficients a_0..a_n of the monic root: c = -2(n+i-1)(n-i+1) for the
-    even family (d), c = -2(n-i+1)(n+i) for the odd family (e)."""
-    return i * (2 * i - 1), -2 * (n - i + 1) * (n + i - 1 if even_family else n + i)
-
-
 def _recurrence_holds(coeffs: list[FieldElement], B: FieldElement, n: int, even_family: bool) -> bool:
-    """The recurrence at every i = 1..n, checked without division."""
+    """The (d)/(e) recurrence i(2i-1) B a_i = c a_(i-1) on the coefficients
+    a_0..a_n of the monic root at every i = 1..n, checked without division:
+    c = -2(n+i-1)(n-i+1) for the even family (d), c = -2(n-i+1)(n+i) for the
+    odd family (e)."""
     F = B.field
     for i in range(1, n + 1):
-        lead, num = _recurrence(n, i, even_family)
-        if F.from_int(lead) * B * coeffs[i] != F.from_int(num) * coeffs[i - 1]:
+        c = -2 * (n - i + 1) * (n + i - 1 if even_family else n + i)
+        if F.from_int(i * (2 * i - 1)) * B * coeffs[i] != F.from_int(c) * coeffs[i - 1]:
             return False
     return True
 
@@ -221,58 +209,20 @@ def hn_sequence(A: FieldElement, B: FieldElement, d: int) -> HnSequence:
 
 # --- exceptional family generation -----------------------------------------
 
-@dataclass(frozen=True)
-class FamilyParams:
-    family: str  # "d" (even degree) or "e" (odd degree)
-    field: FieldSpec
-    A: FieldElement
-    B: FieldElement
-    sign: int = 1  # which square-root branch seeds a_0
-
-
-def generate_family(params: FamilyParams, d: int) -> Poly:
-    """Build the exceptional polynomial of degree d >= 2 from the recurrence."""
-    F = params.field
-    A, B = params.A, params.B
-    if A.is_zero() or B.is_zero():
-        raise ValueError("family parameters require A != 0 and B != 0")
-    if params.sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+def generate_family(B: FieldElement, d: int) -> Poly:
+    """The member a(eps T_d(x/a + 1) - 1), a = -B/2, eps = (-1)^d, of shape (d)
+    for even d and (e) for odd d: +-T_d conjugated by phi(x) = a(x - 1).  The
+    identity holds over Z, so it holds in every odd characteristic."""
+    if B.is_zero():
+        raise ValueError("family parameter B must be nonzero")
     if d < 2:
         raise DegreeTooSmall("exceptional families have degree >= 2")
-    if params.family == "d":
-        if d % 2:
-            raise ParityMismatch("even-degree family needs even d")
-        n = d // 2
-        seed_sq = -B / A
-        even_family = True
-    elif params.family == "e":
-        if d % 2 == 0:
-            raise ParityMismatch("odd-degree family needs odd d")
-        n = (d - 1) // 2
-        seed_sq = -F.one / A
-        even_family = False
-    else:
-        raise ValueError(f"unknown family {params.family!r}")
-    if seed_sq.chi() == -1:
-        raise SqrtDoesNotExist(f"{seed_sq!r} has no square root in F_{F.q}")
-    a = [seed_sq.sqrt() if params.sign == 1 else -seed_sq.sqrt()]
-    for i in range(1, n + 1):
-        lead, num = _recurrence(n, i, even_family)
-        div = F.from_int(lead) * B
-        if div.is_zero():
-            raise RecurrenceDivisorVanishes(
-                f"i(2i-1)B vanishes at i={i} in characteristic {F.p}"
-            )
-        a.append(F.from_int(num) * a[i - 1] / div)
-    # core has degree n: a_0 != 0, and every a_i != 0.  No i(2i-1), i <= n,
-    # vanished mod the odd prime p, and those cover every odd number up to
-    # 2n-1, so p > 2n; each factor of num is 2 or lies in [1, 2n].
-    core = Poly.from_elements(F, a)
-    if even_family:
-        return core * core * Poly.constant(A) + Poly.constant(B)
-    linear = Poly.from_elements(F, [-B, F.one])
-    return Poly.constant(A) * linear * core * core
+    check_degree_budget(d, 1)
+    F = B.field
+    eps = F.one if d % 2 == 0 else -F.one
+    a = -B / F.from_int(2)
+    t = cheb.chebyshev(d).reduce_mod(F).compose(Poly.from_elements(F, [F.one, a.inverse()]))
+    return t.shift_const(-eps).scale(eps * a)
 
 
 # --- finite-depth factorization oracles ------------------------------------

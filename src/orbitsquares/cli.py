@@ -13,12 +13,7 @@ import json
 import os
 import sys
 
-from .classify import (
-    FamilyParams,
-    chebyshev_conjugacy,
-    classify_2_ordinary,
-    generate_family,
-)
+from .classify import chebyshev_conjugacy, classify_2_ordinary, generate_family
 from .dynamics import sign_sequence
 from .errors import OrbitSquaresError
 from .field import FieldElement, FieldSpec, _parse_decimal
@@ -46,26 +41,13 @@ def cmd_orbit(args) -> int:
 
 def cmd_gen_family(args) -> int:
     F = FieldSpec.parse(args.field)
-    params = FamilyParams(
-        family=args.family,
-        field=F,
-        A=FieldElement(F, F.parse_index(args.A)),
-        B=FieldElement(F, F.parse_index(args.B)),
-        sign=1 if args.sign == "+" else -1,
-    )
-    f = generate_family(params, args.degree)
-    report = classify_2_ordinary(f)
+    f = generate_family(FieldElement(F, F.parse_index(args.B)), args.degree)
+    sign, w = chebyshev_conjugacy(f)
     out = {
         "poly": str(f),
-        "classification": report.to_json(),
+        "classification": classify_2_ordinary(f).to_json(),
+        "chebyshev_conjugacy": {"sign": sign, "a": w.a.idx, "b": w.b.idx},
     }
-    if F.p >= args.degree:
-        conj = chebyshev_conjugacy(f)
-        if conj is not None:
-            sign, w = conj
-            out["chebyshev_conjugacy"] = {"sign": sign, "a": w.a.idx, "b": w.b.idx}
-        else:
-            out["chebyshev_conjugacy"] = None
     print(json.dumps(out, sort_keys=True))
     return 0
 
@@ -170,10 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-family", help="generate an exceptional family member")
     common(p, degree=True)
-    p.add_argument("--family", choices=["d", "e"], required=True)
-    p.add_argument("--A", required=True, help="element index of A")
-    p.add_argument("--B", required=True, help="element index of B")
-    p.add_argument("--sign", choices=["+", "-"], default="+")
+    p.add_argument(
+        "--B", required=True, help="element index of B; the degree's parity picks (d) or (e)"
+    )
     p.set_defaults(fn=cmd_gen_family)
 
     p = sub.add_parser("scan", help="batch scan with selected checks")

@@ -53,18 +53,6 @@ class ZeroA(OrbitSquaresError):
     pass
 
 
-class SqrtDoesNotExist(OrbitSquaresError):
-    pass
-
-
-class RecurrenceDivisorVanishes(OrbitSquaresError):
-    pass
-
-
-class ParityMismatch(OrbitSquaresError):
-    pass
-
-
 class NotPurelyPeriodic(OrbitSquaresError):
     pass
 

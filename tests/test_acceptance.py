@@ -20,7 +20,6 @@ from orbitsquares.classify import (
     NOT_ORDINARY,
     NOT_TWO_ORDINARY,
     ORDINARY,
-    FamilyParams,
     chebyshev_conjugacy,
     classify_2_ordinary,
     classify_ordinary,
@@ -29,8 +28,7 @@ from orbitsquares.classify import (
     oracle_2_ordinary,
     oracle_ordinary,
 )
-from orbitsquares.errors import RecurrenceDivisorVanishes, SqrtDoesNotExist
-from orbitsquares.field import FieldElement, FieldSpec, make_field
+from orbitsquares.field import FieldElement, FieldSpec
 from orbitsquares.fpoly import Poly
 from orbitsquares.scan import (
     BOUNDS_CSV_COLUMNS,
@@ -198,33 +196,36 @@ def test_criterion_3_finite_case():
 
 
 def test_criterion_4_families_and_conjugacy():
-    cases = [(2, 7), (3, 5), (3, 7), (4, 5), (4, 7), (5, 7), (6, 7), (5, 11), (6, 11)]
+    # (d, q): the last five prime cells and F_9 have p <= 2n - 1, n = d // 2
+    cases = [(2, 7), (3, 5), (3, 7), (4, 5), (4, 7), (5, 7), (6, 7), (5, 11), (6, 11),
+             (4, 3), (5, 3), (6, 5), (7, 5), (8, 7), (4, 9)]
     problems = []
     generated = 0
-    for d, p in cases:
-        F = make_field(p)
+    for d, q in cases:
+        F = field_for(q)
         fam = "d" if d % 2 == 0 else "e"
         signs = set()
-        for Ai in range(1, p):
-            for Bi in range(1, p):
-                params = FamilyParams(fam, F, FieldElement(F, Ai), FieldElement(F, Bi), 1)
-                try:
-                    f = generate_family(params, d)
-                except (SqrtDoesNotExist, RecurrenceDivisorVanishes):
-                    continue
-                generated += 1
-                if not classify_2_ordinary(f).matched(fam):
-                    problems.append((d, p, Ai, Bi, "form not recovered"))
-                    continue
-                conj = chebyshev_conjugacy(f)
-                if conj is None:
-                    problems.append((d, p, Ai, Bi, "no Chebyshev conjugacy"))
-                    continue
-                signs.add(conj[0])
+        for B in F.elements():
+            if B.is_zero():
+                continue
+            f = generate_family(B, d)
+            generated += 1
+            forms = classify_2_ordinary(f).matched_forms
+            if not any(m.form == fam and m.witness["B"] == B for m in forms):
+                problems.append((d, q, B.idx, "form not recovered with witness B"))
+                continue
+            conj = chebyshev_conjugacy(f)
+            if conj is None:
+                problems.append((d, q, B.idx, "no Chebyshev conjugacy"))
+                continue
+            signs.add(conj[0])
+            res = oracle_2_ordinary(f, 2)
+            if (res.certified_not, res.level) != (True, 2):
+                problems.append((d, q, B.idx, f"oracle {res}, not CertifiedNot(2)"))
         if len(signs) != 1:
-            problems.append((d, p, None, None, f"sign not constant: {sorted(signs)}"))
+            problems.append((d, q, None, f"sign not constant: {sorted(signs)}"))
     ok = report(4, "family generation, form recovery, Chebyshev conjugacy",
-                not problems, f"{generated} members generated")
+                not problems, f"{generated} members generated, one per B")
     assert ok, problems[:10]
 
 

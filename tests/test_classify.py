@@ -13,7 +13,6 @@ from orbitsquares.classify import (
     ORDINARY,
     TWO_ORDINARY,
     ClassificationReport,
-    FamilyParams,
     FormMatch,
     are_conjugate,
     chebyshev_conjugacy,
@@ -31,13 +30,16 @@ from orbitsquares.errors import (
     DegreeMismatch,
     DegreeTooSmall,
     MixedFields,
-    ParityMismatch,
-    RecurrenceDivisorVanishes,
-    SqrtDoesNotExist,
     ZeroA,
 )
 from orbitsquares.field import FieldElement, FieldSpec, make_field
-from orbitsquares.fpoly import Poly, SquareDecomposition, constant_times_square, factor
+from orbitsquares.fpoly import (
+    DEFAULT_DEGREE_BUDGET,
+    Poly,
+    SquareDecomposition,
+    constant_times_square,
+    factor,
+)
 from orbitsquares.scan import enumerate_polys
 
 F3 = make_field(3)
@@ -311,39 +313,66 @@ class TestHnSequence:
         assert hn_sequence(F9.one, F9.one, 9).repeat[1] <= F9.q
 
 
+def _recurrence_member(A, B, sign, d):
+    """The (d) member A h^2 + B (even d) or (e) member A(x - B) g^2 (odd d)
+    whose monic root's coefficients a_0..a_n, n = d // 2, follow the
+    recurrence i(2i-1) B a_i = c a_(i-1) from a_0 = sign * sqrt(-B/A) (d) or
+    sign * sqrt(-1/A) (e), with c = -2(n+i-1)(n-i+1) (d) or -2(n-i+1)(n+i) (e);
+    None where that root does not exist or some i(2i-1) B vanishes."""
+    F = B.field
+    even, n = d % 2 == 0, d // 2
+    seed_sq = -B / A if even else -F.one / A
+    if seed_sq.chi() == -1:
+        return None
+    a = [seed_sq.sqrt() if sign == 1 else -seed_sq.sqrt()]
+    for i in range(1, n + 1):
+        div = F.from_int(i * (2 * i - 1)) * B
+        if div.is_zero():
+            return None
+        c = -2 * (n - i + 1) * (n + i - 1 if even else n + i)
+        a.append(F.from_int(c) * a[i - 1] / div)
+    core = Poly.from_elements(F, a)
+    if even:
+        return core * core * Poly.constant(A) + Poly.constant(B)
+    return Poly.constant(A) * Poly.from_elements(F, [-B, F.one]) * core * core
+
+
 class TestGenerateFamily:
     def test_pinned_even_family(self):
-        f = generate_family(FamilyParams("d", F7, el(F7, 5), el(F7, 2), 1), 2)
+        f = generate_family(el(F7, 2), 2)
         assert f == P(F7, 0, 4, 5)
         assert classify_2_ordinary(f).matched("d")
 
-    def test_parity_mismatch(self):
-        with pytest.raises(ParityMismatch):
-            generate_family(FamilyParams("e", F7, el(F7, 1), el(F7, 1), 1), 4)
-
-    def test_recurrence_divisor_vanishes(self):
-        with pytest.raises(RecurrenceDivisorVanishes):
-            generate_family(FamilyParams("d", F3, el(F3, 1), el(F3, 2), 1), 4)
-
-    def test_sqrt_does_not_exist(self):
-        # -B/A = 3 is a nonresidue mod 7
-        with pytest.raises(SqrtDoesNotExist):
-            generate_family(FamilyParams("d", F7, el(F7, 1), el(F7, 4), 1), 2)
+    @pytest.mark.parametrize(
+        "field, degrees",
+        [(F7, range(2, 8)), (make_field(3, 2), (2, 3)), (make_field(11), range(2, 10))],
+        ids=["F7", "F9", "F11"],
+    )
+    def test_equals_the_recurrence_wherever_it_is_defined(self, field, degrees):
+        # A and the root's sign never change the recurrence's member: only B does
+        nonzero = [a for a in field.elements() if not a.is_zero()]
+        defined = 0
+        for d in degrees:
+            for B in nonzero:
+                f = generate_family(B, d)
+                for A in nonzero:
+                    for sign in (1, -1):
+                        g = _recurrence_member(A, B, sign, d)
+                        if g is not None:
+                            assert g == f, (d, A.idx, B.idx, sign)
+                            defined += 1
+        assert defined
 
     def test_odd_family_constant_term_is_B(self):
-        for Ai in range(1, 7):
-            for Bi in range(1, 7):
-                try:
-                    f = generate_family(FamilyParams("e", F7, el(F7, Ai), el(F7, Bi), 1), 3)
-                except (SqrtDoesNotExist, RecurrenceDivisorVanishes):
-                    continue
-                assert f.coefficient(0) == el(F7, Bi)
-                assert f.evaluate(el(F7, Bi)).is_zero()
-                assert classify_2_ordinary(f).matched("e")
+        for Bi in range(1, 7):
+            f = generate_family(el(F7, Bi), 3)
+            assert f.coefficient(0) == el(F7, Bi)
+            assert f.evaluate(el(F7, Bi)).is_zero()
+            assert classify_2_ordinary(f).matched("e")
 
     def test_even_family_ode(self):
         # 2n^2 h = (2x - B) h' + 2x(x - B) h''
-        f = generate_family(FamilyParams("d", F7, el(F7, 5), el(F7, 2), 1), 6)
+        f = generate_family(el(F7, 2), 6)
         rep = classify_2_ordinary(f)
         h = next(m for m in rep.matched_forms if m.form == "d").witness["h"]
         n = 3
@@ -357,7 +386,7 @@ class TestGenerateFamily:
 
     def test_odd_family_ode(self):
         # ((2n+1)^2 - 1) g = (8x - 2B) g' + (4x^2 - 4Bx) g''
-        f = generate_family(FamilyParams("e", F7, el(F7, 3), el(F7, 1), 1), 5)
+        f = generate_family(el(F7, 1), 5)
         rep = classify_2_ordinary(f)
         g = next(m for m in rep.matched_forms if m.form == "e").witness["g"]
         n = 2
@@ -370,11 +399,6 @@ class TestGenerateFamily:
                - Poly.constant(F7.from_int(4) * B) * x) \
             * g.derivative().derivative()
         assert lhs == rhs
-
-    def test_sign_branches_negate_core(self):
-        fp = generate_family(FamilyParams("d", F7, el(F7, 5), el(F7, 2), 1), 2)
-        fm = generate_family(FamilyParams("d", F7, el(F7, 5), el(F7, 2), -1), 2)
-        assert fp == fm  # h and -h give the same square
 
 
 class TestOracles:
@@ -431,21 +455,18 @@ class TestOracles:
         (lambda: classify_2_ordinary(P(F7, 1, 1)), DegreeTooSmall),
         (lambda: oracle_2_ordinary(P(F7, 3), 2), DegreeTooSmall),
         (lambda: hn_sequence(F7.zero, F7.one, 2), ZeroA),
-        (lambda: generate_family(FamilyParams("d", F7, F7.zero, F7.one), 2), ValueError),
-        (lambda: generate_family(FamilyParams("d", F7, F7.one, F7.zero), 2), ValueError),
-        (lambda: generate_family(FamilyParams("d", F7, F7.one, F7.one, sign=0), 2), ValueError),
-        (lambda: generate_family(FamilyParams("d", F7, F7.one, F7.one), 3), ParityMismatch),
-        (lambda: generate_family(FamilyParams("f", F7, F7.one, F7.one), 2), ValueError),
-        (lambda: generate_family(FamilyParams("d", F7, el(F7, 6), F7.one), 0), DegreeTooSmall),
-        (lambda: generate_family(FamilyParams("e", F7, el(F7, 6), F7.one), 1), DegreeTooSmall),
-        (lambda: generate_family(FamilyParams("e", F7, el(F7, 6), F7.one), -1), DegreeTooSmall),
+        (lambda: generate_family(F7.zero, 2), ValueError),
+        (lambda: generate_family(F7.one, 0), DegreeTooSmall),
+        (lambda: generate_family(F7.one, 1), DegreeTooSmall),
+        (lambda: generate_family(F7.one, -1), DegreeTooSmall),
+        (lambda: generate_family(F3.one, DEFAULT_DEGREE_BUDGET + 1), DegreeBudgetExceeded),
         (lambda: oracle_2_ordinary(P(F7, 1, 0, 0, 0, 0, 1), 1, budget=4), DegreeBudgetExceeded),
         (lambda: next(iterate_factor_levels(P(F7, 1, 0, 0, 0, 0, 1), 1, budget=4)),
          DegreeBudgetExceeded),
     ],
     ids=["ordinary-linear", "2-ordinary-linear", "oracle-constant", "hn-A-zero",
-         "family-A-zero", "family-B-zero", "family-sign-zero", "family-d-odd-degree",
-         "family-unknown", "family-d-degree-0", "family-e-degree-1", "family-e-degree-minus-1",
+         "family-B-zero", "family-d-degree-0", "family-e-degree-1", "family-e-degree-minus-1",
+         "family-degree-over-budget",
          "oracle-level-1-over-budget", "levels-level-1-over-budget"],
 )
 def test_refuses_invalid_input(call, error):
@@ -497,6 +518,6 @@ class TestConjugacy:
         assert w.apply(P(F7, 0, 4, 5)) == target
 
     def test_chebyshev_conjugacy_odd_family_is_minus(self):
-        f = generate_family(FamilyParams("e", F7, el(F7, 3), el(F7, 1), 1), 3)
+        f = generate_family(el(F7, 1), 3)
         res = chebyshev_conjugacy(f)
         assert res is not None and res[0] == "-"

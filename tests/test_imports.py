@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level private function is read somewhere in the package, every
-defaulted parameter of a package function is set by some call, every
-name in the package's __all__ resolves, and no decision path uses floating
-point.
+error type is raised by some package module, every defaulted parameter of
+a package function is set by some call, every name in the package's
+__all__ resolves, and no decision path uses floating point.
 
 The package's __init__ is left out of the import check: it imports names to
 re-export them."""
@@ -152,6 +152,44 @@ def test_detects_an_orphaned_private_function():
 def test_no_orphaned_private_functions():
     sources = {p.name: p.read_text() for p in PACKAGE}
     assert orphaned_private_functions(sources) == []
+
+
+def _raised(tree) -> set[str]:
+    """The bare or attribute names that raise statements under tree raise."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Raise) and n.exc is not None:
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            names.add(getattr(exc, "id", None) or getattr(exc, "attr", None))
+    return names
+
+
+def orphaned_errors(errors: str, sources: list[str]) -> list[str]:
+    """Classes in errors that no raise statement in sources names, leaving out
+    the bases that other classes in errors derive from."""
+    classes = [n for n in ast.parse(errors).body if isinstance(n, ast.ClassDef)]
+    bases = {b.id for c in classes for b in c.bases if isinstance(b, ast.Name)}
+    raised = set().union(*(_raised(ast.parse(src)) for src in sources))
+    return sorted(c.name for c in classes if c.name not in bases | raised)
+
+
+def test_detects_an_orphaned_error():
+    errors = "".join(
+        f"class {name}({base}):\n    pass\n\n"
+        for name, base in [("Base", "Exception"), ("Called", "Base"), ("Bare", "Base"),
+                           ("Dotted", "Base"), ("Caught", "Base")]
+    )
+    sources = [
+        "raise Called('x')\n",
+        "def f():\n    raise Bare\n",
+        "from . import errors\ntry:\n    raise errors.Dotted()\nexcept Caught:\n    raise\n",
+    ]
+    assert orphaned_errors(errors, sources) == ["Caught"]
+
+
+def test_every_error_is_raised():
+    errors = next(p for p in PACKAGE if p.name == "errors.py").read_text()
+    assert orphaned_errors(errors, [p.read_text() for p in PACKAGE]) == []
 
 
 def _calls_by_name(trees) -> dict[str, list[ast.Call]]:

@@ -362,8 +362,7 @@ class TestCli:
 
     def test_gen_family_index_out_of_range(self, capsys):
         rc, _, err = self.run(
-            capsys, "gen-family", "--field", "7", "--degree", "2",
-            "--family", "d", "--A", "7", "--B", "2",
+            capsys, "gen-family", "--field", "7", "--degree", "2", "--B", "7",
         )
         assert rc == 1 and "error:" in err
 
@@ -378,12 +377,18 @@ class TestCli:
 
     def test_gen_family_roundtrip(self, capsys):
         rc, out, _ = self.run(
-            capsys, "gen-family", "--field", "7", "--degree", "2",
-            "--family", "d", "--A", "5", "--B", "2",
+            capsys, "gen-family", "--field", "7", "--degree", "2", "--B", "2",
         )
         assert rc == 0
         doc = json.loads(out)
         assert doc["poly"] == "0,4,5"
+        assert any(fm["form"] == "d" for fm in doc["classification"]["forms"])
+        assert doc["chebyshev_conjugacy"] is not None
+
+    def test_gen_family_where_p_is_at_most_2n_minus_1(self, capsys):
+        rc, out, _ = self.run(capsys, "gen-family", "--field", "3", "--degree", "4", "--B", "1")
+        assert rc == 0
+        doc = json.loads(out)
         assert any(fm["form"] == "d" for fm in doc["classification"]["forms"])
         assert doc["chebyshev_conjugacy"] is not None
 
