@@ -210,9 +210,6 @@ class Poly:
         idx = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
         return FieldElement(self.field, idx)
 
-    def element_coeffs(self) -> list[FieldElement]:
-        return [FieldElement(self.field, c) for c in self.coeffs]
-
     def _check(self, other: "Poly"):
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")

@@ -83,12 +83,16 @@ def test_criterion_1_weil_exhaustive():
 
 
 def test_criterion_2_classifier_oracle_agreement():
-    cells = [(3, 2, 6), (5, 2, 6), (7, 2, 6), (9, 2, 6), (3, 3, 4), (5, 3, 4)]
+    # (q, degree, depth, kind): the F_3 quartics and quintics have p <= 2n - 1,
+    # n = degree // 2; each holds two non-monic polynomials that meet the
+    # square-root conditions of (d) or (e) outside S_d
+    cells = [(3, 2, 6, "monic"), (5, 2, 6, "monic"), (7, 2, 6, "monic"), (9, 2, 6, "monic"),
+             (3, 3, 4, "monic"), (5, 3, 4, "monic"), (3, 4, 3, "all"), (3, 5, 3, "all")]
     disagreements = []
     checked = 0
-    for q, degree, depth in cells:
+    for q, degree, depth, kind in cells:
         F = field_for(q)
-        for f in enumerate_polys(F, degree, "monic"):
+        for f in enumerate_polys(F, degree, kind):
             checked += 1
             rep = classify_2_ordinary(f)
             res = oracle_2_ordinary(f, depth, budget=4096)

@@ -1,5 +1,7 @@
 """Exceptional-shape classification, family generation, oracles, conjugacy."""
 
+import random
+
 import pytest
 
 import orbitsquares.classify as classify_mod
@@ -13,6 +15,7 @@ from orbitsquares.classify import (
     ORDINARY,
     TWO_ORDINARY,
     ClassificationReport,
+    ConjugacyWitness,
     FormMatch,
     are_conjugate,
     chebyshev_conjugacy,
@@ -181,7 +184,7 @@ def _ref_classify_2(f, fac):
                 hroot = _ref_root(hfac)
                 if hroot is None or hfac.unit * hroot.coefficient(0) ** 2 != -B:
                     continue
-                if classify_mod._recurrence_holds(hroot.element_coeffs(), B, d // 2, True):
+                if generate_family(B, d) == f:
                     matches.append(FormMatch("d", {"A": hfac.unit, "B": B, "h": hroot}))
     else:
         g = _ref_root(fac, odd=Poly.x(F))
@@ -193,7 +196,7 @@ def _ref_classify_2(f, fac):
             if (
                 g is not None
                 and fac.unit * g.coefficient(0) ** 2 == F.from_int(-1)
-                and classify_mod._recurrence_holds(g.element_coeffs(), B, (d - 1) // 2, False)
+                and generate_family(B, d) == f
             ):
                 matches.append(FormMatch("e", {"A": fac.unit, "B": B, "g": g}))
     return ClassificationReport(
@@ -401,6 +404,27 @@ class TestGenerateFamily:
         assert lhs == rhs
 
 
+CENSUS_CELLS = [("3", 4, "all"), ("3", 5, "all"), ("3", 6, "all"), ("5", 4, "all"),
+                ("7", 3, "all"), ("3^2", 3, "all"), ("3^2", 4, "monic")]
+
+
+@pytest.mark.parametrize("field,degree,kind", CENSUS_CELLS)
+def test_recognised_family_members_are_the_generated_ones(field, degree, kind):
+    # the (d)/(e) set of a cell is S_d, one member per B != 0, also where
+    # p <= 2n - 1 (the F_3 cells and F_9 quartics)
+    F = FieldSpec.parse(field)
+    recognised = {
+        f: m.witness["B"]
+        for f in enumerate_polys(F, degree, kind)
+        for m in classify_2_ordinary(f).matched_forms
+        if m.form in "de"
+    }
+    generated = {generate_family(B, degree): B for B in F.elements() if not B.is_zero()}
+    if kind == "monic":
+        generated = {f: B for f, B in generated.items() if f.leading() == F.one}
+    assert recognised == generated
+
+
 class TestOracles:
     def test_square_certified_immediately(self):
         assert str(oracle_2_ordinary(P(F7, 0, 0, 1), 4)) == "CertifiedNot(1)"
@@ -460,13 +484,16 @@ class TestOracles:
         (lambda: generate_family(F7.one, 1), DegreeTooSmall),
         (lambda: generate_family(F7.one, -1), DegreeTooSmall),
         (lambda: generate_family(F3.one, DEFAULT_DEGREE_BUDGET + 1), DegreeBudgetExceeded),
+        (lambda: classify_2_ordinary(P(F7, *[0] * 2049, 2, *[0] * 2048, 1)),  # x^4098 + 2x^2049
+         DegreeBudgetExceeded),
+        (lambda: are_conjugate(P(F7, 1, 1), P(F7, 2, 3)), DegreeTooSmall),
         (lambda: oracle_2_ordinary(P(F7, 1, 0, 0, 0, 0, 1), 1, budget=4), DegreeBudgetExceeded),
         (lambda: next(iterate_factor_levels(P(F7, 1, 0, 0, 0, 0, 1), 1, budget=4)),
          DegreeBudgetExceeded),
     ],
     ids=["ordinary-linear", "2-ordinary-linear", "oracle-constant", "hn-A-zero",
          "family-B-zero", "family-d-degree-0", "family-e-degree-1", "family-e-degree-minus-1",
-         "family-degree-over-budget",
+         "family-degree-over-budget", "classify-degree-over-budget", "conjugacy-degree-1",
          "oracle-level-1-over-budget", "levels-level-1-over-budget"],
 )
 def test_refuses_invalid_input(call, error):
@@ -499,8 +526,6 @@ class TestConjugacy:
     def test_conjugation_preserves_orbit_shape(self):
         f = P(F7, 1, 3, 1)
         w = are_conjugate(f, f)  # identity; then a nontrivial map
-        from orbitsquares.classify import ConjugacyWitness
-
         w = ConjugacyWitness(el(F7, 3), el(F7, 5))
         g = w.apply(f)
         for a in F7.elements():
@@ -521,3 +546,52 @@ class TestConjugacy:
         f = generate_family(el(F7, 1), 3)
         res = chebyshev_conjugacy(f)
         assert res is not None and res[0] == "-"
+
+
+def _first_conjugacies(g):
+    """{f: the first phi(x) = a x + b, a and b in enumeration order, with
+    phi o f o phi^(-1) = g}, found by trying every map: the brute force that
+    are_conjugate's coefficient solve replaces."""
+    F = g.field
+    first = {}
+    for a in F.elements():
+        if a.is_zero():
+            continue
+        for b in F.elements():
+            w = ConjugacyWitness(a, b)
+            f = ConjugacyWitness(a.inverse(), -b / a).apply(g)  # phi^(-1) o g o phi
+            assert w.apply(f) == g
+            first.setdefault(f, w)
+    return first
+
+
+def _key(w):
+    return None if w is None else (w.a.idx, w.b.idx)
+
+
+# p divides d in the F_3 cubics and sextics, F_5 quintics and F_9 cubics
+CONJUGACY_CELLS = [
+    ("3", 2, "all"), ("3", 3, "all"), ("3", 4, "all"), ("3", 6, "all"), ("5", 2, "all"),
+    ("5", 3, "all"), ("5", 5, "monic"), ("7", 2, "all"), ("7", 3, "all"), ("3^2", 2, "all"),
+    ("3^2", 3, "all"), ("3^2/(2,1,1)", 3, "monic"),
+]
+
+
+@pytest.mark.parametrize("field,degree,kind", CONJUGACY_CELLS)
+def test_conjugacy_solve_matches_brute_force(field, degree, kind):
+    F = FieldSpec.parse(field)
+    t = chebyshev(degree).reduce_mod(F)
+    found = 0
+    for g in (t, -t):
+        first = _first_conjugacies(g)
+        for f in enumerate_polys(F, degree, kind):
+            w = are_conjugate(f, g)
+            assert _key(w) == _key(first.get(f)), (str(f), str(g))
+            found += w is not None
+    assert found
+    rng = random.Random(degree)
+    elements = list(F.elements())
+    for _ in range(30):
+        f = Poly(F, [rng.randrange(F.q) for _ in range(degree)] + [rng.randrange(1, F.q)])
+        g = ConjugacyWitness(rng.choice(elements[1:]), rng.choice(elements)).apply(f)
+        assert _key(are_conjugate(f, g)) == _key(_first_conjugacies(g)[f]), (str(f), str(g))

@@ -2,12 +2,16 @@
 module-level private function is read somewhere in the package, every
 error type is raised by some package module, every defaulted parameter of
 a package function is set by some call, every name in the package's
-__all__ resolves, and no decision path uses floating point.
+__all__ and every `module.name` the README cites resolves, and no
+decision path uses floating point.
 
 The package's __init__ is left out of the import check: it imports names to
 re-export them."""
 
 import ast
+import importlib
+import re
+import types
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -264,3 +268,35 @@ def test_all_names_resolve_once():
     names = orbitsquares.__all__
     assert [n for n, k in Counter(names).items() if k > 1] == []
     assert [n for n in names if not hasattr(orbitsquares, n)] == []
+
+
+def stale_cited_names(text: str, modules: dict[str, types.ModuleType]) -> list[str]:
+    """Backticked `module.name` in text, for a module in modules, whose name is
+    neither an attribute of that module nor of a class defined in it."""
+    stale = set()
+    for module_name, name in re.findall(r"`(\w+)\.(\w+)", text):
+        module = modules.get(module_name)
+        if module is None:
+            continue
+        owners = [module] + [
+            v for v in vars(module).values()
+            if isinstance(v, type) and v.__module__ == module.__name__
+        ]
+        if not any(hasattr(o, name) for o in owners):
+            stale.add(f"{module_name}.{name}")
+    return sorted(stale)
+
+
+def test_detects_a_stale_cited_name():
+    module = types.ModuleType("m")
+    exec("def kept():\n    pass\n\nclass K:\n    def _method(self):\n        pass\n",
+         module.__dict__)
+    module.K.__module__ = "m"
+    text = "`m.kept` and `m._method(x)`, `m.gone`, `other.name`, `m.K`, `m.gone` again"
+    assert stale_cited_names(text, {"m": module}) == ["m.gone"]
+
+
+def test_readme_names_resolve():
+    # a name the README still cites after its deletion misleads every reader
+    modules = {p.stem: importlib.import_module(f"orbitsquares.{p.stem}") for p in MODULES}
+    assert stale_cited_names((ROOT / "README.md").read_text(), modules) == []

@@ -392,6 +392,19 @@ class TestCli:
         assert any(fm["form"] == "d" for fm in doc["classification"]["forms"])
         assert doc["chebyshev_conjugacy"] is not None
 
+    def test_gen_family_at_q_211(self, capsys):
+        # the conjugacy is solved from coefficients, not searched over q(q - 1) maps
+        rc, out, _ = self.run(capsys, "gen-family", "--field", "211", "--degree", "3", "--B", "1")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["chebyshev_conjugacy"] == {"sign": "-", "a": 2, "b": 210}
+        assert any(fm["form"] == "e" for fm in doc["classification"]["forms"])
+
+    def test_classify_above_the_degree_budget_exits_1(self, capsys):
+        poly = ",".join(["0"] * 2049 + ["2"] + ["0"] * 2048 + ["1"])  # x^4098 + 2x^2049
+        rc, out, err = self.run(capsys, "classify", "--field", "7", "--poly", poly)
+        assert rc == 1 and out == "" and "exceeds degree budget 4096" in err
+
     def test_verify_weil_out_dir(self, capsys, tmp_path):
         out_dir = tmp_path / "weil"
         rc, _, _ = self.run(
