@@ -61,8 +61,8 @@ def _emit(rows, columns, args, summary) -> None:
         with open(os.path.join(args.out, "summary.json"), "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
     else:
-        for r in rows:
-            print(json.dumps(r, sort_keys=True))
+        for line in scan_mod.json_lines(rows):
+            print(line)
         print(json.dumps({"summary": summary}, sort_keys=True))
 
 

@@ -5,6 +5,10 @@ CSV reports.
 All kernels are pure; worker processes only parallelize over independent
 work items and results are sorted by a canonical key before writing, so
 output bytes are independent of the worker count.
+
+Every emitted row line is `json_lines`' output: the bytes of
+`json.dumps(row, sort_keys=True)`, with each side dict that the run-bound
+rows of one f share encoded once per f.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import product
+from json.encoder import encode_basestring_ascii
 
 from .bounds import orbit_bound_rows, periodic_starts, run_bound_rows, weil_check
 from .classify import TWO_ORDINARY, classify_2_ordinary
@@ -244,10 +249,43 @@ def ratio_scan(cfg: ScanConfig):
 
 # --- emission --------------------------------------------------------------
 
+# json.dumps(row, sort_keys=True) of a run-bound row, keys in sorted order
+_RUN_BOUND_LINE = '{"a": %d, "f": %s, "nonsquare": %s, "pass": %s, "q": %d, "square": %s}'
+_RUN_BOUND_KEYS = frozenset({"a", "f", "nonsquare", "pass", "q", "square"})
+
+
+def json_lines(rows):
+    """json.dumps(r, sort_keys=True) for each row r, byte for byte.  A
+    run-bound row is filled into one template, its side dicts' texts kept
+    by id while f stays the same (run_checks' rows of one f are adjacent),
+    so a side shared by the rows of one f is encoded once.  Each memo entry
+    holds its dict, so no id is reused while the entry lives."""
+    memo, memo_f = {}, None
+    for r in rows:
+        if (type(r) is not dict or r.keys() != _RUN_BOUND_KEYS
+                or type(r["a"]) is not int or type(r["q"]) is not int
+                or type(r["pass"]) is not bool or type(r["f"]) is not str
+                or type(r["square"]) is not dict or type(r["nonsquare"]) is not dict):
+            yield json.dumps(r, sort_keys=True)
+            continue
+        if r["f"] != memo_f:
+            memo, memo_f = {}, r["f"]
+        texts = []
+        for side in (r["nonsquare"], r["square"]):
+            hit = memo.get(id(side))
+            if hit is None:
+                hit = memo[id(side)] = (side, json.dumps(side, sort_keys=True))
+            texts.append(hit[1])
+        yield _RUN_BOUND_LINE % (
+            r["a"], encode_basestring_ascii(r["f"]), texts[0],
+            "true" if r["pass"] else "false", r["q"], texts[1],
+        )
+
+
 def write_jsonl(rows, path):
     with open(path, "w") as fh:
-        for r in rows:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+        for line in json_lines(rows):
+            fh.write(line + "\n")
 
 
 def rows_to_csv_text(rows, columns) -> str:

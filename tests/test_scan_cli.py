@@ -27,6 +27,11 @@ from orbitsquares.scan import (
 
 F5 = make_field(5)
 F7 = make_field(7)
+# the pinned scan: `scan --field 31 --degree 2 --checks classification,weil,
+# orbit-bounds,run-bounds --sample 300 --seed 0`, and its rows.jsonl hash
+PINNED_SCAN = {"field": "31", "degree": 2, "sample": 300, "seed": 0}
+PINNED_CHECKS = ("classification", "weil", "orbit-bounds", "run-bounds")
+PINNED_ROWS_SHA256 = "139db1d204d5cc495af8b0365c47e0db812880e5dbad9fae4223861786c239ba"
 
 
 def rows_of(check, **cfg):
@@ -470,8 +475,18 @@ class TestCli:
         )
         assert rc == 0
         assert hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest() == (
-            "139db1d204d5cc495af8b0365c47e0db812880e5dbad9fae4223861786c239ba"
+            PINNED_ROWS_SHA256
         )
+
+    def test_stdout_rows_equal_rows_jsonl(self, capsys, tmp_path):
+        argv = ["scan", "--field", "7", "--degree", "2", "--checks", ",".join(CHECKS),
+                "--sample", "10"]
+        rc, out, _ = self.run(capsys, *argv)
+        assert rc == 0 and json.loads(out.splitlines()[-1])["summary"]
+        rc, _, _ = self.run(capsys, *argv, "--out", str(tmp_path))
+        assert rc == 0
+        printed = "".join(out.splitlines(keepends=True)[:-1]).encode()
+        assert printed and printed == (tmp_path / "rows.jsonl").read_bytes()
 
     def test_scan_degree_one_skips_classification(self, capsys):
         # classification needs degree >= 2; weil and ratios do not classify
@@ -545,3 +560,86 @@ class TestFieldStrings:
         spec = FieldSpec.parse("3^2/(1,0,1)")
         rows = rows_of("classification", field="3^2/(1,0,1)", degree=2)
         assert len(rows) == spec.q**2
+
+
+def reference_lines(rows):
+    """json_lines' definition: one json.dumps(r, sort_keys=True) per row."""
+    return [json.dumps(r, sort_keys=True) for r in rows]
+
+
+def distinct_sides(rows):
+    """The distinct side dicts of rows' run-bound rows."""
+    return {id(s): s for r in rows if "square" in r for s in (r["square"], r["nonsquare"])}
+
+
+def pinned_rows(workers):
+    found = run_checks(ScanConfig(**PINNED_SCAN, workers=workers), PINNED_CHECKS)
+    return [r for part in found.values() for r in part]
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return pinned_rows(1)
+
+
+class TestEmission:
+    @pytest.mark.parametrize("field", ["7", "3^2"])
+    def test_json_lines_match_json_dumps_on_every_check(self, field):
+        found = run_checks(ScanConfig(field=field, degree=2), CHECKS)
+        rows = [r for part in found.values() for r in part]
+        assert distinct_sides(rows) and list(scan.json_lines(rows)) == reference_lines(rows)
+
+    def test_json_lines_match_json_dumps_on_the_pinned_scan(self, pinned):
+        assert list(scan.json_lines(pinned)) == reference_lines(pinned)
+
+    def test_json_lines_match_json_dumps_on_edge_rows(self):
+        def row(f, a, square, nonsquare, passed=True, q=7):
+            return {"f": f, "a": a, "q": q, "square": square, "nonsquare": nonsquare,
+                    "pass": passed}
+
+        one, two = {"pass": True, "S": 0, "t_sizes": []}, {"pass": False, "S": 2, "t_sizes": [1]}
+        rows = [
+            row("0,0,1", 0, one, two, passed=None),
+            row("0,0,1", 1, one, two, passed=1),
+            row("0,0,1", True, one, two),  # %d would print True as 1
+            row("0,\u0192,1", 2, one, two),  # a non-ASCII f
+            row("0,0,1", 3, one, one),  # one dict as both sides
+            row("1,0,1", 0, two, one),  # sides shared by two f
+            row("0,0,1", 4, two, one),  # the rows of "0,0,1" are not adjacent
+            {**row("0,0,1", 5, one, two), "L": 1},  # not a run-bound row's keys
+            row("0,0,1", 6, {"t_sizes": [1.5]}, {2: "x"}),
+            row("0,0,1", 7, one, two, q=7.0),
+        ]
+        assert list(scan.json_lines(rows)) == reference_lines(rows)
+
+        def fresh(n):
+            # each row and its sides are dropped after use, so a later
+            # side could be built at a freed side's address
+            for a in range(n):
+                yield row("0,0,1", a, {"run_length": a}, {"run_length": -a}, passed=a % 2 == 0)
+
+        assert list(scan.json_lines(fresh(200))) == reference_lines(fresh(200))
+
+    def test_rows_jsonl_pinned_at_any_worker_count(self, pinned, tmp_path):
+        # pickling keeps the sides shared within each f
+        for workers, rows in [(1, pinned), (2, pinned_rows(2))]:
+            path = tmp_path / f"rows-{workers}.jsonl"
+            scan.write_jsonl(rows, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_ROWS_SHA256
+            assert len(distinct_sides(rows)) == 7981
+
+    def test_each_shared_side_is_encoded_once(self, pinned, tmp_path, monkeypatch):
+        # a guard by count, not by time: the per-row encoder made one call
+        # per row, 30,960 on this scan
+        calls = Counter()
+        dumps = json.dumps
+
+        def counted(obj, **kwargs):
+            calls["dumps"] += 1
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(scan.json, "dumps", counted)
+        scan.write_jsonl(pinned, tmp_path / "rows.jsonl")
+        other = sum("square" not in r for r in pinned)
+        assert (len(pinned), other) == (30960, 2161)
+        assert calls["dumps"] <= other + len(distinct_sides(pinned)) == 10142
