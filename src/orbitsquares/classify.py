@@ -1,7 +1,10 @@
 """Classification machinery: the five exceptional shapes that break
-dynamical 2-ordinarity, finite-depth factorization oracles, the exceptional
-families (d) and (e) as conjugates of the Chebyshev polynomials +-T_d, and
-linear conjugacy solved from coefficients (including conjugacy to +-T_d).
+dynamical 2-ordinarity, finite-depth oracles, the exceptional families (d)
+and (e) as conjugates of the Chebyshev polynomials +-T_d, and linear
+conjugacy solved from coefficients (including conjugacy to +-T_d).
+
+The oracles decide from squarefree decompositions of G(f) and the period of
+0 under f, with no irreducible factoring.
 
 Shapes (d) and (e) are membership in S_d = {a(eps T_d(x/a + 1) - 1)}.  Where
 p <= 2n - 1, n = d // 2, some f outside S_d meet the square-root conditions;
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from . import chebyshev as cheb
 from .errors import DegreeMismatch, DegreeTooSmall, MixedFields, ZeroA
 from .field import FieldElement
-from .fpoly import Poly, check_degree_budget, factor, sqrt_part, square_root
+from .fpoly import Poly, _squarefree_decomposition, check_degree_budget, sqrt_part, square_root
 
 TWO_ORDINARY = "TwoOrdinary"
 NOT_TWO_ORDINARY = "NotTwoOrdinary"
@@ -209,28 +212,7 @@ def generate_family(B: FieldElement, d: int) -> Poly:
     return t.shift_const(-eps).scale(eps * a)
 
 
-# --- finite-depth factorization oracles ------------------------------------
-
-def iterate_factor_levels(f: Poly, depth: int, budget: int | None = None):
-    """Yield (n, {irreducible -> multiplicity}) for f^n, n = 1..depth.
-
-    Levels are built incrementally from f^0 = x: the factors of f^n are the
-    factors of g(f(x)) over the factors g of f^(n-1), so f^n itself is never
-    materialized and per-level work follows the actual factor sizes.  Each
-    g is monic irreducible, so factor gets composition=(g, f): the degrees
-    of g(f)'s factors are multiples of deg g, and its squarefree gcd is
-    gcd(g(f), f')."""
-    d = f.degree
-    level = {Poly.x(f.field): 1}
-    for n in range(1, depth + 1):
-        check_degree_budget(d, n, budget)
-        nxt: dict[Poly, int] = {}
-        for g, m in level.items():
-            for h, e in factor(g.compose(f), composition=(g, f)).factors:
-                nxt[h] = nxt.get(h, 0) + m * e
-        level = nxt
-        yield n, level
-
+# --- finite-depth oracles ---------------------------------------------------
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -247,21 +229,45 @@ class OracleResult:
 
 
 def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleResult:
+    """Level n holds pairwise coprime monic squarefree pieces H of f^n, from
+    f^0 = x, each with its multiplicity m and whether its irreducibles are
+    old, that is divide some f^j, j < n.  Coprime G give coprime G(f), so each
+    irreducible of f^(n+1) lies in one H of one G(f)'s squarefree
+    decomposition, with multiplicity m e there.
+
+    A root a of f^j and f^n, j < n, has f^(n-j)(0) = f^n(a) = 0, so old roots
+    need 0 periodic, of period r <= n.  Then a is old iff f^(n-r)(a) = 0: at
+    level r only x is old, and past r, a is old iff f(a) was.  So each piece
+    is all old or all new: x is split off at level r, and later pieces
+    inherit the flag of the G they come from."""
     if f.degree < 1:
         raise DegreeTooSmall("oracle needs a nonconstant polynomial")
-    seen: set[Poly] = {Poly.x(f.field)}  # f^0 = x
-    for n, level in iterate_factor_levels(f, depth, budget):
-        # no fresh factor (of odd multiplicity, when need_odd) at level n
-        if all(g in seen or need_odd and m % 2 == 0 for g, m in level.items()):
+    x = Poly.x(f.field)
+    a, r = f.field.zero, None
+    for n in range(1, depth + 1):
+        a = f.evaluate(a)
+        if a.is_zero():
+            r = n
+            break
+    level = [(x, 1, False)]
+    for n in range(1, depth + 1):
+        check_degree_budget(f.degree, n, budget)
+        level = [(h, m * e, old) for g, m, old in level
+                 for h, e in _squarefree_decomposition(g.compose(f).monic(), f)]
+        if n == r:
+            i = next(i for i, (h, _, _) in enumerate(level) if h.coefficient(0).is_zero())
+            h, m, _ = level[i]
+            level[i:i + 1] = [(x, m, True)] + ([(h // x, m, False)] if h.degree > 1 else [])
+        # no new factor (of odd multiplicity, when need_odd) at level n
+        if all(old or need_odd and m % 2 == 0 for _, m, old in level):
             return OracleResult(certified_not=True, level=n, depth=depth)
-        seen.update(level)
     return OracleResult(certified_not=False, level=None, depth=depth)
 
 
 def oracle_2_ordinary(f: Poly, depth: int, seed: int = 0, budget: int | None = None) -> OracleResult:
     """Look for a level n <= depth at which no new odd-multiplicity factor appears.
 
-    seed is ignored: factoring draws its random splits from f alone."""
+    seed is ignored: the oracle draws nothing at random."""
     return _oracle(f, depth, budget, need_odd=True)
 
 

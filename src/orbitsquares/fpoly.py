@@ -454,11 +454,12 @@ def _squarefree_decomposition(f: Poly, inner: Poly | None = None) -> list[tuple[
     """Monic input; list of (squarefree part, multiplicity), handles char p.
 
     With inner, the caller promises f = g(inner) up to a unit, g monic
-    irreducible.  Then f' = g'(inner) inner', and g is separable, so
-    a g + b g' = 1 for some a, b; at x = inner this makes g'(inner) prime to
-    f, hence gcd(f, f') = gcd(f, inner'), the same gcd from a cofactor of
-    degree deg inner - 1 instead of deg f - 1.  g' != 0, so f' = 0 exactly
-    when inner' = 0, and that p-th-root branch is the same either way."""
+    squarefree, irreducible or not.  Then f' = g'(inner) inner', and a
+    squarefree g over F_q is separable, so a g + b g' = 1 for some a, b; at
+    x = inner this makes g'(inner) prime to f, hence gcd(f, f') =
+    gcd(f, inner'), the same gcd from a cofactor of degree deg inner - 1
+    instead of deg f - 1.  g' != 0, so f' = 0 exactly when inner' = 0, and
+    that p-th-root branch is the same either way."""
     F = f.field
     p = F.p
     out: list[tuple[Poly, int]] = []

@@ -87,6 +87,7 @@ def test_criterion_2_classifier_oracle_agreement():
     # n = degree // 2; each holds two non-monic polynomials that meet the
     # square-root conditions of (d) or (e) outside S_d
     cells = [(3, 2, 6, "monic"), (5, 2, 6, "monic"), (7, 2, 6, "monic"), (9, 2, 6, "monic"),
+             (25, 2, 5, "monic"), (27, 2, 5, "monic"),
              (3, 3, 4, "monic"), (5, 3, 4, "monic"), (3, 4, 3, "all"), (3, 5, 3, "all")]
     disagreements = []
     checked = 0

@@ -1,11 +1,11 @@
 """Exceptional-shape classification, family generation, oracles, conjugacy."""
 
 import random
+import sys
 
 import pytest
 
-import orbitsquares.classify as classify_mod
-import orbitsquares.fpoly as fpoly_mod
+import orbitsquares.fpoly
 from orbitsquares.bounds import weil_check
 
 from orbitsquares.chebyshev import chebyshev
@@ -17,13 +17,13 @@ from orbitsquares.classify import (
     ClassificationReport,
     ConjugacyWitness,
     FormMatch,
+    OracleResult,
     are_conjugate,
     chebyshev_conjugacy,
     classify_2_ordinary,
     classify_ordinary,
     generate_family,
     hn_sequence,
-    iterate_factor_levels,
     oracle_2_ordinary,
     oracle_ordinary,
 )
@@ -40,6 +40,7 @@ from orbitsquares.fpoly import (
     DEFAULT_DEGREE_BUDGET,
     Poly,
     SquareDecomposition,
+    check_degree_budget,
     constant_times_square,
     factor,
 )
@@ -231,12 +232,26 @@ def test_coefficient_shapes_match_factorization_reference(field, degree):
         assert constant_times_square(f) == _ref_constant_times_square(f, fac), f
 
 
-def test_shape_decisions_never_factor(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("factor called")
+def record_calls(monkeypatch, *functions) -> list[str]:
+    """Wrap each function under every name that a package module or Poly
+    binds it to; the returned list gets the function's name at each call."""
+    calls = []
+    holders = [m for n, m in list(sys.modules.items())
+               if n == "orbitsquares" or n.startswith("orbitsquares.")] + [Poly]
+    for fn in functions:
+        def wrapper(*args, fn=fn, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
 
-    for mod in (fpoly_mod, classify_mod):
-        monkeypatch.setattr(mod, "factor", refuse)
+        for holder in holders:
+            for name, value in list(vars(holder).items()):
+                if value is fn:
+                    monkeypatch.setattr(holder, name, wrapper)
+    return calls
+
+
+def test_shape_decisions_never_factor(monkeypatch):
+    calls = record_calls(monkeypatch, factor)
     seen = set()
     for field, degree in [("3", 3), ("3", 5), ("7", 2), ("5", 4), ("3^2", 3)]:
         for f in enumerate_polys(FieldSpec.parse(field), degree, "all"):
@@ -244,7 +259,7 @@ def test_shape_decisions_never_factor(monkeypatch):
             classify_ordinary(f)
             constant_times_square(f)
             weil_check(f)
-    assert seen == {"a", "b", "c", "d", "e"}
+    assert calls == [] and seen == {"a", "b", "c", "d", "e"}
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
@@ -425,6 +440,36 @@ def test_recognised_family_members_are_the_generated_ones(field, degree, kind):
     assert recognised == generated
 
 
+# --- the oracle's slow definition, as a reference --------------------------
+
+def iterate_factor_levels(f: Poly, depth: int, budget: int | None = None):
+    """Yield (n, {irreducible -> multiplicity}) for f^n, n = 1..depth.
+
+    The factors of f^n are the factors of g(f(x)) over the irreducible
+    factors g of f^(n-1), from f^0 = x."""
+    d = f.degree
+    level = {Poly.x(f.field): 1}
+    for n in range(1, depth + 1):
+        check_degree_budget(d, n, budget)
+        nxt: dict[Poly, int] = {}
+        for g, m in level.items():
+            for h, e in factor(g.compose(f), composition=(g, f)).factors:
+                nxt[h] = nxt.get(h, 0) + m * e
+        level = nxt
+        yield n, level
+
+
+def reference_oracle(f: Poly, depth: int, need_odd: bool):
+    """The first level n <= depth at which f^n has no irreducible factor (of
+    odd multiplicity, when need_odd) that divides none of x, f, ..., f^(n-1)."""
+    seen = {Poly.x(f.field)}
+    for n, level in iterate_factor_levels(f, depth):
+        if all(g in seen or need_odd and m % 2 == 0 for g, m in level.items()):
+            return OracleResult(certified_not=True, level=n, depth=depth)
+        seen.update(level)
+    return OracleResult(certified_not=False, level=None, depth=depth)
+
+
 class TestOracles:
     def test_square_certified_immediately(self):
         assert str(oracle_2_ordinary(P(F7, 0, 0, 1), 4)) == "CertifiedNot(1)"
@@ -449,27 +494,37 @@ class TestOracles:
             assert next(iterate_factor_levels(f, 1)) == (1, dict(factor(f).factors))
 
     def test_oracle_work_does_not_depend_on_seed(self, monkeypatch):
-        calls = []
-        pow_mod = Poly.pow_mod
-
-        def counted(self, e, mod):
-            calls.append((self.coeffs, e, mod.coeffs))
-            return pow_mod(self, e, mod)
-
-        monkeypatch.setattr(Poly, "pow_mod", counted)
+        # the oracle decides from squarefree decompositions: it calls neither
+        # factor nor pow_mod, so no seed can reach its work
+        calls = record_calls(monkeypatch, factor, Poly.pow_mod)
         cubics = [P(F5, *c, 1) for c in [(1, 0, 0), (2, 1, 0), (3, 0, 1), (4, 2, 3), (1, 1, 1)]]
-        runs = []
-        for seed in (0, 99):
-            calls.clear()
-            verdicts = [str(oracle_2_ordinary(f, 4, seed=seed)) for f in cubics]
-            runs.append((verdicts, list(calls)))
-        assert runs[0] == runs[1] and runs[0][1]
+        runs = [[str(oracle_2_ordinary(f, 4, seed=seed)) for f in cubics] for seed in (0, 99)]
+        assert calls == [] and runs[0] == runs[1]
+        orbitsquares.fpoly.factor(cubics[3])  # the wrappers do see both
+        assert {"factor", "pow_mod"} <= set(calls)
 
     def test_distinct_roots_never_certified(self):
         for f in enumerate_polys(F5, 2, "monic"):
             roots = [a for a in F5.elements() if f.evaluate(a).is_zero()]
             if len(roots) == 2:
                 assert not oracle_ordinary(f, 3).certified_not
+
+
+@pytest.mark.parametrize(
+    "spec, degree, depth, kind",
+    [("5", 3, 4, "monic"), ("3^2", 2, 4, "monic"), ("3", 4, 3, "all"),
+     ("3", 3, 4, "monic"), ("7", 2, 4, "all")],
+    ids=["F5-cubics", "F9-quadratics", "F3-all-quartics", "F3-cubics", "F7-all-quadratics"],
+)
+def test_oracle_matches_the_factoring_reference(spec, degree, depth, kind):
+    # F_3's cubics hold x^3 + c, whose derivative is 0
+    F = FieldSpec.parse(spec)
+    certified = 0
+    for f in enumerate_polys(F, degree, kind):
+        for need_odd, fast in ((True, oracle_2_ordinary(f, depth)), (False, oracle_ordinary(f, depth))):
+            assert str(fast) == str(reference_oracle(f, depth, need_odd)), (str(f), need_odd)
+            certified += fast.certified_not
+    assert certified
 
 
 @pytest.mark.parametrize(

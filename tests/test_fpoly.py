@@ -14,6 +14,7 @@ from orbitsquares.field import FieldElement, make_field
 from orbitsquares.fpoly import (
     Poly,
     _pack,
+    _squarefree_decomposition,
     _unpack,
     constant_times_square,
     factor,
@@ -508,6 +509,34 @@ def test_composition_with_pth_power_inner(p, k):
         fac = factor(comp, composition=(g, inner))
         assert fac == factor(comp) and fac.expand() == comp
         assert all(m % p == 0 for _, m in fac.factors)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
+def test_squarefree_inner_shortcut_for_reducible_g(p, k):
+    # the inner shortcut needs g squarefree, not irreducible: here g is a
+    # product of 2-3 distinct irreducibles, and the last three inner have
+    # inner' = 0, which takes the p-th-root branch
+    F = make_field(p, k)
+    rng = random.Random(700 + p * k)
+    x = Poly.x(F)
+    pth = [(x - Poly(F, [rng.randrange(1, F.q)])) ** p,
+           x**p + Poly(F, [rng.randrange(1, F.q)]), x ** (2 * p) + x**p]
+    for _ in range(12):
+        parts = set()
+        count = rng.choice((2, 3))
+        while len(parts) < count:
+            parts.add(_random_irreducible(F, rng, rng.randrange(1, 4)))
+        g = Poly.one(F)
+        for h in parts:
+            g = g * h
+        assert _squarefree_decomposition(g) == [(g, 1)]
+        inners = [_random_poly(F, rng, rng.randrange(1, 5)) for _ in range(3)] + pth
+        for inner in inners:
+            comp = g.compose(inner).monic()
+            fast = _squarefree_decomposition(comp, inner)
+            assert fast == _squarefree_decomposition(comp), (str(g), str(inner))
+            if inner in pth:
+                assert all(m % p == 0 for _, m in fast)
 
 
 def test_composition_degrees_checked():
