@@ -242,6 +242,8 @@ def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleRe
     inherit the flag of the G they come from."""
     if f.degree < 1:
         raise DegreeTooSmall("oracle needs a nonconstant polynomial")
+    if depth < 0:
+        raise ValueError(f"oracle depth must be >= 0, got {depth}")
     x = Poly.x(f.field)
     a, r = f.field.zero, None
     for n in range(1, depth + 1):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .field import FieldElement
 from .fpoly import Poly
@@ -34,8 +35,7 @@ class OrbitSummary:
         }
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Longest block of consecutive iterates with the target character sign.
 
     When the whole cycle carries the target sign the index run is unbounded;

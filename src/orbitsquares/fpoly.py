@@ -485,27 +485,20 @@ def _squarefree_decomposition(f: Poly, inner: Poly | None = None) -> list[tuple[
     return out
 
 
-def _distinct_degree(f: Poly, step: int = 1):
+def _distinct_degree(f: Poly):
     """Monic squarefree input; yields (product of irreducibles of degree e, e)
-    by ascending e.
-
-    The caller promises that every irreducible factor of f has degree
-    divisible by step.  Then h = x^(q^e) mod f advances by one pow_mod with
-    exponent q^step and gcd(h - x, f) runs only at e = step, 2 step, ...;
-    the gcds skipped could only be 1.  Once deg f < 2 e, every factor left
-    has degree at least e, so f is irreducible and is yielded whole.  The
-    pairs and their order are those of step = 1, which factor without
-    composition and is_irreducible use.
+    by ascending e.  Once deg f < 2 e, every factor left has degree at least
+    e, so f is irreducible and is yielded whole.
 
     Lazy, so is_irreducible stops at the first split; it also passes input
     that is not squarefree."""
     F = f.field
-    frobenius = F.q**step
+    frobenius = F.q
     x = Poly.x(F)
     h = x % f
     e = 0
     while f.degree > 0:
-        e += step
+        e += 1
         if f.degree < 2 * e:
             yield f, f.degree
             return
@@ -551,35 +544,21 @@ def _equal_degree_split(f: Poly, e: int, rng: random.Random) -> list[Poly]:
             return _equal_degree_split(g, e, rng) + _equal_degree_split(f // g, e, rng)
 
 
-def factor(f: Poly, *, composition: tuple[Poly, Poly] | None = None) -> Factorization:
+def factor(f: Poly) -> Factorization:
     """Complete irreducible factorization with deterministic output order.
 
     Randomized splitting draws from a generator keyed by the field and f
     alone, so the same f always costs the same work; the output order is
     sorted by (degree, coefficients) regardless.
-
-    composition=(g, inner) promises f == g(inner) with g monic irreducible;
-    only the degrees are checked.  Two facts then cut the work and leave the
-    result, and the random splits drawn, unchanged.  A root a of an
-    irreducible factor of f has g(inner(a)) = 0, so F_q(a) contains
-    F_q(inner(a)), of degree e = deg g over F_q: every factor's degree is a
-    multiple of e, and _distinct_degree steps by e.  And g is separable, so
-    the squarefree gcd is gcd(f, inner') (see _squarefree_decomposition).
     """
     if f.degree < 1:
         raise ConstantInput("cannot factor a constant polynomial")
-    inner, step = None, 1
-    if composition is not None:
-        g, inner = composition
-        if g.degree < 1 or inner.degree < 1 or f.degree != g.degree * inner.degree:
-            raise ValueError("composition degrees do not match the input")
-        step = g.degree
     unit = f.leading()
     mf = f.monic()
     rng = random.Random(repr((0, f.field._key, f.coeffs)))
     found: dict[Poly, int] = {}
-    for sf, mult in _squarefree_decomposition(mf, inner):
-        for prod, e in _distinct_degree(sf, step):
+    for sf, mult in _squarefree_decomposition(mf):
+        for prod, e in _distinct_degree(sf):
             for irr in _equal_degree_split(prod, e, rng):
                 found[irr] = found.get(irr, 0) + mult
     ordered = tuple(sorted(found.items(), key=lambda t: t[0].sort_key()))

@@ -453,7 +453,7 @@ def iterate_factor_levels(f: Poly, depth: int, budget: int | None = None):
         check_degree_budget(d, n, budget)
         nxt: dict[Poly, int] = {}
         for g, m in level.items():
-            for h, e in factor(g.compose(f), composition=(g, f)).factors:
+            for h, e in factor(g.compose(f)).factors:
                 nxt[h] = nxt.get(h, 0) + m * e
         level = nxt
         yield n, level
@@ -476,6 +476,9 @@ class TestOracles:
 
     def test_generic_consistent(self):
         assert str(oracle_2_ordinary(P(F7, 1, 0, 1), 4)) == "ConsistentUpTo(4)"
+        # depth 0 checks no level (a negative depth is refused)
+        for oracle in (oracle_2_ordinary, oracle_ordinary):
+            assert str(oracle(P(F7, 1, 0, 1), 0)) == "ConsistentUpTo(0)"
 
     def test_form_d_certified(self):
         res = oracle_2_ordinary(P(F7, 0, 4, 5), 4)
@@ -545,11 +548,14 @@ def test_oracle_matches_the_factoring_reference(spec, degree, depth, kind):
         (lambda: oracle_2_ordinary(P(F7, 1, 0, 0, 0, 0, 1), 1, budget=4), DegreeBudgetExceeded),
         (lambda: next(iterate_factor_levels(P(F7, 1, 0, 0, 0, 0, 1), 1, budget=4)),
          DegreeBudgetExceeded),
+        (lambda: oracle_2_ordinary(P(F7, 1, 0, 1), -3), ValueError),
+        (lambda: oracle_ordinary(P(F7, 1, 0, 1), -1), ValueError),
     ],
     ids=["ordinary-linear", "2-ordinary-linear", "oracle-constant", "hn-A-zero",
          "family-B-zero", "family-d-degree-0", "family-e-degree-1", "family-e-degree-minus-1",
          "family-degree-over-budget", "classify-degree-over-budget", "conjugacy-degree-1",
-         "oracle-level-1-over-budget", "levels-level-1-over-budget"],
+         "oracle-level-1-over-budget", "levels-level-1-over-budget", "oracle-negative-depth",
+         "ordinary-oracle-negative-depth"],
 )
 def test_refuses_invalid_input(call, error):
     with pytest.raises(error):

@@ -444,55 +444,13 @@ def test_negative_exponent_rejected(p, k):
     assert x.pow_mod(0, m) == Poly.one(F) and x**0 == Poly.one(F)
 
 
-# --- factor(composition=(g, inner)) against the plain factorization ---------
-
-@pytest.mark.parametrize("p,k,degree,depth", [(5, 1, 3, 4), (3, 2, 2, 3)])
-def test_composition_factor_matches_plain_factor(p, k, degree, depth):
-    # every g(f) that iterate_factor_levels meets at levels 2..depth, walked
-    # with the plain factor: g irreducible factor of f^(n-1)
-    F = make_field(p, k)
-    checked = 0
-    for tail in itertools.product(range(F.q), repeat=degree):
-        f = Poly(F, list(tail) + [F.one_idx])
-        level, seen = {g for g, _ in factor(f).factors}, set()
-        for _ in range(2, depth + 1):
-            nxt = set()
-            for g in level - seen:
-                comp = g.compose(f)
-                plain = factor(comp)
-                assert factor(comp, composition=(g, f)) == plain, (str(g), str(f))
-                nxt.update(h for h, _ in plain.factors)
-                checked += 1
-            seen |= level
-            level = nxt
-    assert checked > F.q**degree
-
+# --- factoring compositions g(inner), g irreducible or squarefree ---------
 
 def _random_irreducible(F, rng, degree):
     while True:
         g = _random_poly(F, rng, degree, monic=True)
         if is_irreducible(g):
             return g
-
-
-def test_composition_factor_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
-    for p in (3, 5, 7):
-        F = make_field(p)
-        rng = random.Random(400 + p)
-        for _ in range(24):
-            g = _random_irreducible(F, rng, rng.randrange(2, 5))
-            inner = _random_poly(F, rng, rng.randrange(1, 5))
-            comp = g.compose(inner)
-            _, theirs = sympy.Poly(list(reversed(comp.coeffs)), x, modulus=p).factor_list()
-            expected = []
-            for h, m in theirs:
-                c = [int(v) % p for v in reversed(h.all_coeffs())]
-                inv = pow(c[-1], -1, p)
-                expected.append((tuple(v * inv % p for v in c), m))
-            ours = sorted((h.coeffs, m) for h, m in factor(comp, composition=(g, inner)).factors)
-            assert ours == sorted(expected), (str(g), str(inner))
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
@@ -506,9 +464,9 @@ def test_composition_with_pth_power_inner(p, k):
     for degree in (1, 2, 3):
         g = _random_irreducible(F, rng, degree)
         comp = g.compose(inner)
-        fac = factor(comp, composition=(g, inner))
-        assert fac == factor(comp) and fac.expand() == comp
-        assert all(m % p == 0 for _, m in fac.factors)
+        fac = factor(comp)
+        assert fac.expand() == comp
+        assert all(m % p == 0 and is_irreducible(h) for h, m in fac.factors)
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
@@ -539,12 +497,6 @@ def test_squarefree_inner_shortcut_for_reducible_g(p, k):
                 assert all(m % p == 0 for _, m in fast)
 
 
-def test_composition_degrees_checked():
-    g, inner = P(F5, 2, 0, 1), P(F5, 1, 1, 1)
-    with pytest.raises(ValueError):
-        factor(g.compose(inner) * P(F5, 1, 1), composition=(g, inner))
-
-
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
 def test_extension_pow_mod_matches_reference(p, k):
     F = make_field(p, k)
@@ -558,13 +510,17 @@ def test_extension_pow_mod_matches_reference(p, k):
 
 
 def test_factor_matches_sympy():
+    # random f, then compositions g(inner) with g irreducible
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     for p in (3, 5, 7):
         F = make_field(p)
-        rng = random.Random(300 + p)
-        for _ in range(60):
-            f = _random_poly(F, rng, rng.randrange(1, 13))
+        rng, comp_rng = random.Random(300 + p), random.Random(400 + p)
+        inputs = [_random_poly(F, rng, rng.randrange(1, 13)) for _ in range(60)]
+        for _ in range(24):
+            g = _random_irreducible(F, comp_rng, comp_rng.randrange(2, 5))
+            inputs.append(g.compose(_random_poly(F, comp_rng, comp_rng.randrange(1, 5))))
+        for f in inputs:
             _, theirs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
             expected = []
             for g, m in theirs:
