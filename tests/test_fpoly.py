@@ -453,6 +453,27 @@ def _random_irreducible(F, rng, degree):
             return g
 
 
+def test_composition_factor_matches_sympy():
+    # compositions g(inner) with g irreducible, factored by plain factor
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p in (3, 5, 7):
+        F = make_field(p)
+        rng = random.Random(400 + p)
+        for _ in range(24):
+            g = _random_irreducible(F, rng, rng.randrange(2, 5))
+            inner = _random_poly(F, rng, rng.randrange(1, 5))
+            comp = g.compose(inner)
+            _, theirs = sympy.Poly(list(reversed(comp.coeffs)), x, modulus=p).factor_list()
+            expected = []
+            for h, m in theirs:
+                c = [int(v) % p for v in reversed(h.all_coeffs())]
+                inv = pow(c[-1], -1, p)
+                expected.append((tuple(v * inv % p for v in c), m))
+            ours = sorted((h.coeffs, m) for h, m in factor(comp).factors)
+            assert ours == sorted(expected), (str(g), str(inner))
+
+
 @pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
 def test_composition_with_pth_power_inner(p, k):
     # inner = (x - b)^p has inner' = 0, so g(inner) is a p-th power
@@ -510,17 +531,13 @@ def test_extension_pow_mod_matches_reference(p, k):
 
 
 def test_factor_matches_sympy():
-    # random f, then compositions g(inner) with g irreducible
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     for p in (3, 5, 7):
         F = make_field(p)
-        rng, comp_rng = random.Random(300 + p), random.Random(400 + p)
-        inputs = [_random_poly(F, rng, rng.randrange(1, 13)) for _ in range(60)]
-        for _ in range(24):
-            g = _random_irreducible(F, comp_rng, comp_rng.randrange(2, 5))
-            inputs.append(g.compose(_random_poly(F, comp_rng, comp_rng.randrange(1, 5))))
-        for f in inputs:
+        rng = random.Random(300 + p)
+        for _ in range(60):
+            f = _random_poly(F, rng, rng.randrange(1, 13))
             _, theirs = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
             expected = []
             for g, m in theirs:
