@@ -22,8 +22,9 @@ from .fpoly import Poly, constant_times_square
 
 
 def char_sum(f: Poly) -> int:
-    """Sum of chi(f(x)) over the whole field, read from f's orbit table."""
-    return sum(map(f.field.chi_i, orbit_table(f).succ))
+    """Sum of chi(f(x)) over the whole field, read from f's orbit table and
+    the field's sign list."""
+    return sum(map(f.field._chi.__getitem__, orbit_table(f).succ))
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def _window_sums(f: Poly, L: int) -> list[Fraction]:
     if L < 1:
         raise ValueError("window length L must be >= 1")
     succ = orbit_table(f).succ
-    first = [f.field.chi_i(y) for y in succ]
+    first = list(map(f.field._chi.__getitem__, succ))
     windows = [(s,) for s in first]
     for _ in range(L - 1):
         windows = [(s, *windows[y]) for s, y in zip(first, succ)]

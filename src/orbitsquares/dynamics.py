@@ -72,28 +72,30 @@ class OrbitTable:
 
 @lru_cache(maxsize=1)
 def orbit_table(f: Poly) -> OrbitTable:
-    """One evaluation of f per point, then one O(q) pass over f's functional
-    graph; a one-entry memo, so every start of one f reads the same table.
-    Each point joins exactly one walk, which ends at a point placed earlier
-    or closes a new cycle.  A new cycle gets its sign period and runs from
-    two laps of its signs; the walk's tail points are then placed from the
-    cycle outward, each from its successor."""
-    F = f.field
-    q = F.q
-    succ = [f.eval_i(x) for x in range(q)]
-    chi = [F.chi_i(x) for x in range(q)]
+    """f's whole-field value table and the field's sign list, then one O(q)
+    pass over f's functional graph; a one-entry memo, so every start of one f
+    reads the same table.  Each point joins exactly one walk, which ends at a
+    point placed earlier or closes a new cycle.  A new cycle gets its sign
+    period and runs from two laps of its signs; the walk's tail points are
+    then placed from the cycle outward, each from its successor."""
+    q = f.field.q
+    succ = f.value_table()
+    chi = f.field._chi
     tail = [-1] * q  # -1: not walked yet, -2: on the current walk
     cycle = [0] * q
     sign_tail = [0] * q
     sign_period = [0] * q
     ahead = {1: [0] * q, -1: [0] * q}
     run = {1: [None] * q, -1: [None] * q}
+    ahead_sq, ahead_ns, run_sq, run_ns = ahead[1], ahead[-1], run[1], run[-1]
     # A purely periodic x has the signs of cyc_of[x][phase[x]], a point on its
     # cycle (phase[x] is -1 otherwise).  A tail point x is purely periodic iff
     # its successor y is and chi(x) is the sign one phase before y's.
     cyc_of = [None] * q
     phase = [-1] * q
     for start in range(q):
+        if tail[start] != -1:
+            continue
         path = []
         x = start
         while tail[x] == -1:
@@ -125,21 +127,24 @@ def orbit_table(f: Poly) -> OrbitTable:
         for x in reversed(path):
             y = succ[x]
             tail[x], cycle[x], sign_period[x] = tail[y] + 1, cycle[y], sign_period[y]
+            s = chi[x]
             cyc = cyc_of[y]
-            if phase[y] >= 0 and chi[x] == chi[cyc[phase[y] - 1]]:
+            if phase[y] >= 0 and s == chi[cyc[phase[y] - 1]]:
                 cyc_of[x], phase[x] = cyc, (phase[y] - 1) % len(cyc)
             else:
                 sign_tail[x] = sign_tail[y] + 1
-            for t in (1, -1):
-                a = ahead[t][y]
-                a = 0 if chi[x] != t else -1 if a < 0 else a + 1
-                ahead[t][x] = a
-                rep = run[t][y]
-                if a < 0:  # x's whole orbit has sign t: the run counts every point
-                    rep = RunReport(t, tail[x] + cycle[x], cycle_constant=True)
+            # x breaks every run of the other sign: that side keeps y's report
+            # and an ahead count of 0; only the side of chi(x) is extended
+            run_sq[x], run_ns[x] = run_sq[y], run_ns[y]
+            if s:
+                ahead_s, run_s = (ahead_sq, run_sq) if s == 1 else (ahead_ns, run_ns)
+                a = ahead_s[y]
+                a = ahead_s[x] = -1 if a < 0 else a + 1
+                rep = run_s[x]
+                if a < 0:  # x's whole orbit has sign s: the run counts every point
+                    run_s[x] = RunReport(s, tail[x] + cycle[x], cycle_constant=True)
                 elif a > rep.length and not rep.cycle_constant:
-                    rep = RunReport(t, a, cycle_constant=False)
-                run[t][x] = rep
+                    run_s[x] = RunReport(s, a, cycle_constant=False)
     return OrbitTable(succ, tail, cycle, sign_tail, sign_period, ahead, run)
 
 
@@ -192,9 +197,10 @@ class SignSequence:
 def sign_sequence(f: Poly, a: FieldElement) -> SignSequence:
     orbit = forward_orbit(f, a)
     table = orbit_table(f)
+    chi = f.field._chi
     return SignSequence(
         orbit=orbit,
-        signs=tuple(f.field.chi_i(e.idx) for e in orbit.elements),
+        signs=tuple(chi[e.idx] for e in orbit.elements),
         sign_tail=table.sign_tail[a.idx],
         sign_period=table.sign_period[a.idx],
         purely_periodic=table.sign_tail[a.idx] == 0,

@@ -8,7 +8,8 @@ coordinates (c_0, ..., c_{k-1}) (c_0 = constant coordinate) has index
 so that increasing index order coincides with lexicographic order on the
 coordinate vector.  Multiplicative structure is handled with discrete
 exp/log tables w.r.t. the smallest generator (in index order), which makes
-the character, inverses and square roots O(1) and fully deterministic.
+the character, inverses and square roots O(1) and fully deterministic; the
+character of every element is kept as one sign list, built with the tables.
 Over F_p an index is the residue and adds mod p; over F_{p^k}, k > 1,
 addition reads a table of Zech logarithms, so no arithmetic goes through
 coordinates once the tables are built.
@@ -93,7 +94,7 @@ class FieldSpec:
     """A concrete realization of F_{p^k}; immutable after construction."""
 
     __slots__ = (
-        "p", "k", "q", "modulus", "_exp", "_log", "_neg", "_zech", "one_idx", "_key",
+        "p", "k", "q", "modulus", "_exp", "_log", "_neg", "_zech", "_chi", "one_idx", "_key",
     )
 
     def __init__(self, p: int, k: int = 1, modulus=None):
@@ -218,6 +219,10 @@ class FieldSpec:
             cur = mul(cur, gen)
         self._exp = exp
         self._log = log
+        # the quadratic character of every index: the parity of its log
+        chi = [1 - 2 * (e & 1) for e in log]
+        chi[0] = 0
+        self._chi = chi
         # Zech logarithms, zech[n] = log(1 + g^n): the constant coordinate
         # leads the index, so adding one is adding one_idx mod q.  1 + g^n
         # vanishes only at n = (q-1)/2, where g^n = -1; -1 marks it.
@@ -271,9 +276,7 @@ class FieldSpec:
 
     def chi_i(self, a: int) -> int:
         """Quadratic character as a sign in {-1, 0, +1}."""
-        if a == 0:
-            return 0
-        return 1 if self._log[a] % 2 == 0 else -1
+        return self._chi[a]
 
     def sqrt_i(self, a: int) -> int:
         """Canonical square root: the root with the smaller index."""

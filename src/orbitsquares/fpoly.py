@@ -14,6 +14,10 @@ the leading coefficient per step; `pow_mod` reduces each product by a
 Barrett step through a Newton inverse of the reversed modulus.  Over
 F_{p^k} (k > 1) the same operations loop over the field's index kernels,
 whose addition reads Zech logarithms.
+
+`Poly.value_table` evaluates f at every element at once, by one Horner
+pass across the whole field; it is the successor list of every orbit
+table, so no orbit walk evaluates f point by point.
 """
 
 from __future__ import annotations
@@ -350,6 +354,34 @@ class Poly:
         mul, add = F.mul_i, F.add_i
         for c in reversed(self.coeffs):
             acc = add(mul(acc, ai), c)
+        return acc
+
+    def value_table(self) -> list[int]:
+        """f(x) for every element index x, by one Horner pass across the whole
+        field at once.  Over F_{p^k}, k > 1, each step multiplies by x through
+        the log tables and adds a coefficient c through the translation
+        y -> y + c, whose coordinates each shift mod p, so no step reads a
+        Zech logarithm."""
+        F = self.field
+        p, q = F.p, F.q
+        coeffs = self.coeffs[::-1] or (0,)
+        acc = [coeffs[0]] * q
+        if F.k == 1:
+            xs = range(q)
+            for c in coeffs[1:]:
+                acc = [(a * x + c) % p for a, x in zip(acc, xs)]
+            return acc
+        exp2, log = F._exp * 2, F._log  # log[a] + log[x] < 2(q - 1): no reduction
+        for c in coeffs[1:]:
+            acc = [exp2[log[a] + lx] if a else 0 for a, lx in zip(acc, log)]
+            acc[0] = 0  # log[0] is a placeholder: x = 0 sends every a to 0
+            if c:
+                shift = [0]
+                for d in reversed(F.coords(c)):
+                    # a new leading coordinate has weight w; (e + d) % p runs d, ..., d - 1
+                    w = len(shift)
+                    shift = [e * w + r for e in (*range(d, p), *range(d)) for r in shift]
+                acc = list(map(shift.__getitem__, acc))
         return acc
 
     def compose(self, other: "Poly") -> "Poly":

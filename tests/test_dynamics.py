@@ -5,7 +5,7 @@ import pytest
 from orbitsquares.dynamics import forward_orbit, longest_run, orbit_table, sign_sequence
 from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import Poly
-from orbitsquares.scan import _ratio_rows, enumerate_polys
+from orbitsquares.scan import _ratio_rows, enumerate_polys, sample_polys
 
 F3 = make_field(3)
 F7 = make_field(7)
@@ -182,35 +182,39 @@ class TestSuccessorTable:
         for p in (f, g, f, h, f):
             self.check_against_horner(p)
 
-    def test_ratio_item_evaluates_each_point_once(self, monkeypatch):
+    def test_seeded_quadratics_f169(self):
+        for f in sample_polys(make_field(13, 2), 2, 3, seed=169):
+            self.check_against_horner(f)
+
+    @staticmethod
+    def count_value_tables(monkeypatch):
+        """Patch Poly.value_table to log the polynomial of every call."""
         calls = []
-        eval_i = Poly.eval_i
+        value_table = Poly.value_table
 
-        def counted(self, x):
-            calls.append(x)
-            return eval_i(self, x)
+        def counted(self):
+            calls.append(self)
+            return value_table(self)
 
-        monkeypatch.setattr(Poly, "eval_i", counted)
+        monkeypatch.setattr(Poly, "value_table", counted)
+        return calls
+
+    def test_ratio_item_evaluates_each_point_once(self, monkeypatch):
+        # one whole-field value table per memo miss, none on the second read
+        calls = self.count_value_tables(monkeypatch)
         orbit_table.cache_clear()
         f = Poly(F9, (2, 5, 1))
         rows = _ratio_rows(f, None)
-        assert sorted(calls) == list(range(F9.q))
-        assert _ratio_rows(f, None) == rows and len(calls) == F9.q
+        assert calls == [f]
+        assert _ratio_rows(f, None) == rows and calls == [f]
 
     def test_orbit_table_evaluates_each_point_once(self, monkeypatch):
-        calls = []
-        eval_i = Poly.eval_i
-
-        def counted(self, x):
-            calls.append(x)
-            return eval_i(self, x)
-
-        monkeypatch.setattr(Poly, "eval_i", counted)
+        calls = self.count_value_tables(monkeypatch)
         for F in (F7, F25):
             f = P(F, 0, 1, 0, 1)
             orbit_table.cache_clear()
             calls.clear()
             table = orbit_table(f)
-            assert sorted(calls) == list(range(F.q))
-            assert table.succ == [eval_i(f, x) for x in range(F.q)]
-            assert orbit_table(f) is table and len(calls) == F.q
+            assert calls == [f]
+            assert table.succ == [f.eval_i(x) for x in range(F.q)]
+            assert orbit_table(f) is table and calls == [f]

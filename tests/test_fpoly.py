@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitsquares.errors import BothZero, DegreeBudgetExceeded, DivisionByZero, MixedFields
-from orbitsquares.field import FieldElement, make_field
+from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import (
     Poly,
     _pack,
@@ -256,6 +256,26 @@ class TestEvaluate:
 
     def test_constant(self):
         assert P(F7, 4).evaluate(F7.from_int(6)) == F7.from_int(4)
+
+    @pytest.mark.parametrize("spec", ["3", "7", "3^2", "3^2/(2,1,1)", "5^2", "3^3"])
+    def test_value_table_on_every_quadratic(self, spec):
+        # every polynomial of degree <= 2, monic or not, zero and constants included
+        F = FieldSpec.parse(spec)
+        for coeffs in itertools.product(range(F.q), repeat=3):
+            f = Poly(F, coeffs)
+            assert f.value_table() == [f.eval_i(x) for x in range(F.q)]
+
+    @pytest.mark.parametrize("spec", ["13^2", "7^3", "101"])
+    def test_value_table_on_constants_and_samples(self, spec):
+        F = FieldSpec.parse(spec)
+        for c in range(F.q):
+            f = Poly(F, [c])
+            assert f.value_table() == [f.eval_i(x) for x in range(F.q)]
+        rng = random.Random(F.q)
+        for degree in range(2, 6):
+            for _ in range(6):
+                f = _random_poly(F, rng, degree)
+                assert f.value_table() == [f.eval_i(x) for x in range(F.q)]
 
 
 # --- the F_p kernel against the method-call schoolbook ----------------------

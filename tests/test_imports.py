@@ -2,8 +2,9 @@
 module-level private function is read somewhere in the package, every
 error type is raised by some package module, every defaulted parameter of
 a package function is set by some call, every name in the package's
-__all__ and every `module.name` the README cites resolves, and no
-decision path uses floating point.
+__all__ and every `module.name` the README cites resolves, no decision
+path uses floating point, and dynamics, bounds and scan read whole-field
+tables instead of calling Poly.eval_i or FieldSpec.chi_i per point.
 
 The package's __init__ is left out of the import check: it imports names to
 re-export them."""
@@ -113,6 +114,36 @@ def test_detects_floating_point():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_floating_point(path):
     assert float_uses(path.read_text(), FLOAT_EXEMPT.get(path.name, frozenset())) == []
+
+
+# modules whose per-point work reads f's value table and the field's sign list
+TABLE_READERS = ("dynamics.py", "bounds.py", "scan.py")
+POINT_KERNELS = frozenset({"eval_i", "chi_i"})
+
+
+def point_kernel_uses(source: str) -> list[str]:
+    """Every .eval_i or .chi_i in source, called or passed on (as to map), as
+    "line: name" in source order."""
+    hits = sorted(
+        (n.lineno, n.col_offset, n.attr) for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr in POINT_KERNELS
+    )
+    return [f"{line}: {name}" for line, _, name in hits]
+
+
+def test_detects_a_point_kernel_call():
+    src = (
+        "def g(f, F, xs):\n"
+        "    ys = [f.eval_i(x) for x in xs]\n"
+        "    return sum(map(F.chi_i, ys)) + F.add_i(1, 2) + F._chi[0]\n"
+    )
+    assert point_kernel_uses(src) == ["2: eval_i", "3: chi_i"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name in TABLE_READERS],
+                         ids=lambda p: p.name)
+def test_table_readers_call_no_point_kernel(path):
+    assert point_kernel_uses(path.read_text()) == []
 
 
 def _reads(node) -> Counter:
