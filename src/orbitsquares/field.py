@@ -57,6 +57,19 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+# the largest field order whose tables are built: a field holds four or five
+# q-entry lists, and one process at q = 1,000,003 peaked at 466 MB
+MAX_FIELD_ORDER = 2 * 10**6
+
+
+def _check_order(p: int, k: int) -> None:
+    """Refuse p^k > MAX_FIELD_ORDER before any work on the field; for p >= 2
+    a k above the bound's bit length alone decides, so p^k is never computed."""
+    if p > 1 and k >= 1 and (k > MAX_FIELD_ORDER.bit_length() or p**k > MAX_FIELD_ORDER):
+        name = p if k == 1 else f"{p}^{k}"
+        raise ValueError(f"field {name} has more than MAX_FIELD_ORDER = {MAX_FIELD_ORDER} elements")
+
+
 def _is_irreducible(p: int, coeffs) -> bool:
     """Irreducibility over F_p of the monic polynomial with these coefficients."""
     # fpoly imports this module, so it is imported here, at call time.
@@ -98,6 +111,7 @@ class FieldSpec:
     )
 
     def __init__(self, p: int, k: int = 1, modulus=None):
+        _check_order(p, k)
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if p == 2:
@@ -336,7 +350,9 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     keyed by the modulus as a tuple, a missing one resolving to the smallest
     irreducible (which the constructor then need not test again), as does
     every name _named_modulus reads as the default; an invalid modulus
-    reaches the constructor, which refuses it."""
+    reaches the constructor, which refuses it, and so does a field too large
+    to tabulate, before the search for its modulus."""
+    _check_order(p, k)
     modulus = _named_modulus(p, k, modulus)
     key = (p, k, smallest_irreducible(p, k) if modulus is None and k >= 1 else modulus)
     if key not in _FIELDS:

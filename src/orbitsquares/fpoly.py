@@ -6,14 +6,15 @@ gcd, complete factorization (squarefree / distinct-degree / equal-degree
 splitting whose random draws are keyed by the polynomial alone) and monic
 square roots, read from the top down.
 
-Each field kind has one arithmetic kernel.  Over F_p (k == 1) an index is
-the residue itself, so `*`, `divmod` and `pow_mod` work on plain int lists:
-a product packs both coefficient lists into one Python int, multiplies once
-and unpacks with `% p` (Kronecker substitution); long division reduces only
-the leading coefficient per step; `pow_mod` reduces each product by a
-Barrett step through a Newton inverse of the reversed modulus.  Over
-F_{p^k} (k > 1) the same operations loop over the field's index kernels,
-whose addition reads Zech logarithms.
+The field kind enters only two list-level kernels and the value table.  The
+product in `Poly.__mul__`: over F_p (k == 1) an index is the residue
+itself, so both coefficient lists pack into one Python int, multiply once
+and unpack with `% p` (Kronecker substitution); over F_{p^k} (k > 1) it
+loops over the field's index kernels, whose addition reads Zech logarithms.
+Long division in `_divmod`: one fixed-shift loop, which over F_p reduces
+only the leading coefficient per step and over F_{p^k} subtracts through
+the index kernels.  `divmod`, `gcd`, `pow_mod` and `eval_i` are written
+once on top of these, for both field kinds.
 
 `Poly.value_table` evaluates f at every element at once, by one Horner
 pass across the whole field; it is the successor list of every orbit
@@ -80,70 +81,33 @@ def _unpack(n: int, count: int, nb: int):
     return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
 
 
-def _kmul(a, b, p: int, nb: int) -> list[int]:
-    """Product of two nonempty residue lists mod p (Kronecker substitution)."""
-    prod = _pack(a, nb) * _pack(b, nb) if a is not b else _pack(a, nb) ** 2
-    return [c % p for c in _unpack(prod, len(a) + len(b) - 1, nb)]
-
-
-def _divmod_fp(a: list[int], b, p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of residue lists, b nonzero, by integer long
-    division: each step reduces only the leading coefficient, and the
-    remainder is reduced once at the end.  a is consumed."""
+def _divmod(F: FieldSpec, a: list[int], b) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of index lists, b nonzero, by long division
+    with a fixed shift per step; a is consumed.  Over F_p each step reduces
+    only the leading coefficient, and the remainder is reduced once at the
+    end; over F_{p^k} each step adds -c * b through the index kernels."""
     db = len(b) - 1
-    inv = pow(b[-1], -1, p)
     low = b[:db]
     q = [0] * max(0, len(a) - db)
-    for shift in range(len(a) - 1 - db, -1, -1):
-        c = a[shift + db] * inv % p
+    shifts = range(len(a) - 1 - db, -1, -1)
+    if F.k == 1:
+        p = F.p
+        inv = pow(b[-1], -1, p)
+        for shift in shifts:
+            c = a[shift + db] * inv % p
+            if c:
+                q[shift] = c
+                a[shift:shift + db] = [x - c * y for x, y in zip(a[shift:shift + db], low)]
+        return _norm(q), _norm([x % p for x in a[:db]])
+    inv = F.inv_i(b[-1])
+    mul, add = F.mul_i, F.add_i
+    for shift in shifts:
+        c = mul(a[shift + db], inv)
         if c:
             q[shift] = c
-            a[shift:shift + db] = [x - c * y for x, y in zip(a[shift:shift + db], low)]
-    return _norm(q), _norm([x % p for x in a[:db]])
-
-
-def _series_inverse(h, t: int, p: int, nb: int) -> list[int]:
-    """g with g*h = 1 mod x^t, for h[0] = 1, by Newton iteration g <- g(2 - hg)."""
-    g, prec = [1], 1
-    while prec < t:
-        prec = min(2 * prec, t)
-        mask = (1 << 8 * nb * prec) - 1
-        hg = _unpack(_pack(h[:prec], nb) * _pack(g, nb) & mask, prec, nb)
-        two_minus = [-c % p for c in hg]
-        two_minus[0] = (two_minus[0] + 2) % p
-        g = [c % p for c in _unpack(_pack(g, nb) * _pack(two_minus, nb) & mask, prec, nb)]
-    return g[:t]
-
-
-def _powmod_fp(base: list[int], e: int, m, p: int) -> list[int]:
-    """base^e mod m over F_p, for e >= 1, monic m of degree n >= 1, deg base < n.
-
-    Each product c (deg <= 2n-2) is reduced by a Barrett step: with
-    inv = rev(m)^-1 mod x^(n-1), the quotient is the reverse of
-    rev(top of c) * inv mod x^k (k = deg c - n + 1), and c mod m is the low n
-    coefficients of c - quotient * m, so only m's low part enters."""
-    n = len(m) - 1
-    nb = _slot_bytes(p, n)
-    bits = 8 * nb
-    inv = _pack(_series_inverse(m[::-1], n - 1, p, nb), nb)
-    low_m = _pack(m[:n], nb)
-    mask_n = (1 << bits * n) - 1
-
-    def reduce(c):
-        k = len(c) - n
-        if k <= 0:
-            return c
-        top = _pack(c[n:][::-1], nb) * inv & (1 << bits * k) - 1
-        quot = [x % p for x in reversed(_unpack(top, k, nb))]
-        low = _unpack(_pack(quot, nb) * low_m & mask_n, n, nb)
-        return [(x - y) % p for x, y in zip(c, low)]
-
-    r = base
-    for bit in bin(e)[3:]:
-        r = reduce(_kmul(r, r, p, nb))
-        if bit == "1":
-            r = reduce(_kmul(r, base, p, nb))
-    return r
+            nc = F.neg_i(c)
+            a[shift:shift + db] = [add(x, mul(nc, y)) for x, y in zip(a[shift:shift + db], low)]
+    return _norm(q), _norm(a[:db])
 
 
 class Poly:
@@ -250,7 +214,9 @@ class Poly:
             return Poly.zero(F)
         if F.k == 1:
             p = F.p
-            return Poly(F, _kmul(a, b, p, _slot_bytes(p, min(len(a), len(b)))))
+            nb = _slot_bytes(p, min(len(a), len(b)))
+            prod = _pack(a, nb) * _pack(b, nb) if a is not b else _pack(a, nb) ** 2
+            return Poly(F, [c % p for c in _unpack(prod, len(a) + len(b) - 1, nb)])
         out = [0] * (len(a) + len(b) - 1)
         mul, add = F.mul_i, F.add_i
         for i, ai in enumerate(a):
@@ -270,24 +236,8 @@ class Poly:
         F = self.field
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        a = list(self.coeffs)
-        b = other.coeffs
-        if F.k == 1:
-            q, r = _divmod_fp(a, b, F.p)
-            return Poly(F, q), Poly(F, r)
-        db = len(b) - 1
-        inv_lb = F.inv_i(b[-1])
-        q = [0] * max(0, len(a) - db)
-        mul, sub = F.mul_i, F.sub_i
-        while len(a) - 1 >= db and a:
-            shift = len(a) - 1 - db
-            c = mul(a[-1], inv_lb)
-            q[shift] = c
-            for i, bi in enumerate(b):
-                if bi:
-                    a[shift + i] = sub(a[shift + i], mul(c, bi))
-            _norm(a)
-        return Poly(F, q), Poly(F, a)
+        q, r = _divmod(F, list(self.coeffs), other.coeffs)
+        return Poly(F, q), Poly(F, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -310,14 +260,9 @@ class Poly:
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         if e < 0:
             raise ValueError("negative exponent")
-        F = self.field
         base = self % mod
         if e == 0:
-            return Poly.one(F) % mod
-        if base.is_zero():
-            return base
-        if F.k == 1:
-            return Poly(F, _powmod_fp(list(base.coeffs), e, mod.monic().coeffs, F.p))
+            return Poly.one(self.field) % mod
         # left to right, so each multiply is by base, which is sparse when it
         # is x (the first Frobenius power in _distinct_degree)
         r = base
@@ -346,11 +291,6 @@ class Poly:
     def eval_i(self, ai: int) -> int:
         F = self.field
         acc = 0
-        if F.k == 1:
-            p = F.p
-            for c in reversed(self.coeffs):
-                acc = (acc * ai + c) % p
-            return acc
         mul, add = F.mul_i, F.add_i
         for c in reversed(self.coeffs):
             acc = add(mul(acc, ai), c)
@@ -445,15 +385,10 @@ def gcd(f: Poly, g: Poly) -> Poly:
         raise BothZero("gcd(0, 0) is undefined")
     f._check(g)
     F = f.field
-    if F.k == 1:
-        a, b = list(f.coeffs), list(g.coeffs)
-        while b:
-            a, b = b, _divmod_fp(a, b, F.p)[1]
-        return Poly(F, a).monic()
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    a, b = list(f.coeffs), list(g.coeffs)
+    while b:
+        a, b = b, _divmod(F, a, b)[1]
+    return Poly(F, a).monic()
 
 
 # --- factorization ---------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitsquares.cli import main
 from orbitsquares.errors import (
     DivisionByZero,
     EvenCharacteristic,
@@ -15,12 +16,25 @@ from orbitsquares.errors import (
     NotPrime,
     ReducibleModulus,
 )
-from orbitsquares.field import FieldElement, FieldSpec, make_field, smallest_irreducible
+from orbitsquares.field import (
+    MAX_FIELD_ORDER,
+    FieldElement,
+    FieldSpec,
+    make_field,
+    smallest_irreducible,
+)
 from orbitsquares.fpoly import Poly, factor
 
 F3 = make_field(3)
 F7 = make_field(7)
 F9 = make_field(3, 2)
+
+# smallest_irreducible's pick for each field, as first recorded
+PINNED_MODULI = {
+    "13^2": (1, 3, 1), "101^2": (1, 1, 1), "5^4": (1, 0, 1, 1, 1), "7^4": (1, 0, 0, 1, 1),
+    "3^6": (1, 0, 0, 0, 1, 1, 1), "3^8": (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    "7^5": (1, 0, 0, 0, 3, 1), "5^6": (1, 0, 0, 0, 1, 1, 1),
+}
 
 
 def el(field, idx):
@@ -58,6 +72,13 @@ class TestConstruction:
             if factor(f).factors == ((f, 1),):
                 break
         assert smallest_irreducible(p, k) == lower + (1,)
+
+    @pytest.mark.parametrize("spec", PINNED_MODULI)
+    def test_default_modulus_is_pinned(self, spec):
+        # every F_{p^k} index, so every output byte, depends on the modulus;
+        # __wrapped__ searches again instead of reading the cache
+        p, k = map(int, spec.split("^"))
+        assert smallest_irreducible.__wrapped__(p, k) == PINNED_MODULI[spec]
 
     @pytest.mark.parametrize("text", ["3^2/(4,0,1)", "3^2/(-2,0,1)", "3^2/(1,0,4)"])
     def test_modulus_coefficients_are_not_reduced(self, text):
@@ -258,6 +279,42 @@ class TestElements:
 def test_refuses_invalid_input(call, error):
     with pytest.raises(error):
         call()
+
+
+class FieldWorkBegan(Exception):
+    pass
+
+
+def _stop_field_work(monkeypatch):
+    """Make the modulus search and the table build raise FieldWorkBegan."""
+    def began(*args):
+        raise FieldWorkBegan
+
+    monkeypatch.setattr("orbitsquares.field.smallest_irreducible", began)
+    monkeypatch.setattr(FieldSpec, "_build_tables", began)
+
+
+@pytest.mark.parametrize("text", ["1000000007", "3^40", "3^100000000", "2000003", "3^14"])
+def test_field_too_large_to_tabulate_is_refused(text, monkeypatch, capsys):
+    # refused before is_prime, the modulus search, any table or p^k itself
+    _stop_field_work(monkeypatch)
+    p, _, k = text.partition("^")
+    for call in (lambda: FieldSpec.parse(text), lambda: FieldSpec(int(p), int(k or 1))):
+        with pytest.raises(ValueError, match="MAX_FIELD_ORDER"):
+            call()
+    assert main(["classify", "--field", text, "--poly", "0,0,1"]) == 1
+    assert "error: field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,k", [(1999993, 1), (3, 13)])
+def test_largest_tabulated_fields_are_accepted(p, k, monkeypatch):
+    # the largest prime and power of 3 at most MAX_FIELD_ORDER reach the field
+    # work, which is stopped there, before any table is built
+    assert p**k <= MAX_FIELD_ORDER
+    _stop_field_work(monkeypatch)
+    for call in (lambda: make_field(p, k), lambda: FieldSpec(p, k)):
+        with pytest.raises(FieldWorkBegan):
+            call()
 
 
 @settings(max_examples=60)

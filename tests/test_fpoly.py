@@ -278,9 +278,11 @@ class TestEvaluate:
                 assert f.value_table() == [f.eval_i(x) for x in range(F.q)]
 
 
-# --- the F_p kernel against the method-call schoolbook ----------------------
+# --- the list kernels against the method-call schoolbook -------------------
 
 PRIMES = (3, 5, 7, 31, 101)
+# long division and gcd run one loop for both field kinds
+FIELDS = tuple(map(str, PRIMES)) + ("3^2", "3^2/(2,1,1)", "5^2", "3^3")
 
 
 def _ref_mul(a: Poly, b: Poly) -> Poly:
@@ -364,10 +366,10 @@ class TestFpKernelAgainstReference:
                 assert top * top == _ref_mul(top, top), (p, m)
                 assert top * Poly(F, [p - 1] * (m + 3)) == _ref_mul(top, Poly(F, [p - 1] * (m + 3)))
 
-    @pytest.mark.parametrize("p", PRIMES)
-    def test_divmod(self, p):
-        F = make_field(p)
-        rng = random.Random(100 + p)
+    @pytest.mark.parametrize("spec", FIELDS)
+    def test_divmod(self, spec):
+        F = FieldSpec.parse(spec)
+        rng = random.Random(100 + F.q)
         cases = []
         for monic in (True, False):
             for _ in range(30):
@@ -383,10 +385,10 @@ class TestFpKernelAgainstReference:
             assert divmod(a, b) == expected, (a, b)
             assert a // b == expected[0] and a % b == expected[1], (a, b)
 
-    @pytest.mark.parametrize("p", PRIMES)
-    def test_gcd(self, p):
-        F = make_field(p)
-        rng = random.Random(150 + p)
+    @pytest.mark.parametrize("spec", FIELDS)
+    def test_gcd(self, spec):
+        F = FieldSpec.parse(spec)
+        rng = random.Random(150 + F.q)
         for _ in range(30):
             g = _random_poly(F, rng, rng.randrange(0, 8))
             a = _ref_mul(g, _random_poly(F, rng, rng.randrange(-1, 30)))

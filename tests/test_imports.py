@@ -3,8 +3,10 @@ module-level private function is read somewhere in the package, every
 error type is raised by some package module, every defaulted parameter of
 a package function is set by some call, every name in the package's
 __all__ and every `module.name` the README cites resolves, no decision
-path uses floating point, and dynamics, bounds and scan read whole-field
-tables instead of calling Poly.eval_i or FieldSpec.chi_i per point.
+path uses floating point, dynamics, bounds and scan read whole-field
+tables instead of calling Poly.eval_i or FieldSpec.chi_i per point, and
+only fpoly's product, long division and value table branch on the field
+kind.
 
 The package's __init__ is left out of the import check: it imports names to
 re-export them."""
@@ -144,6 +146,48 @@ def test_detects_a_point_kernel_call():
                          ids=lambda p: p.name)
 def test_table_readers_call_no_point_kernel(path):
     assert point_kernel_uses(path.read_text()) == []
+
+
+# the fpoly functions that may branch on the field kind (F.k): the product,
+# long division and the whole-field value table; the rest are written once
+FIELD_KIND_KERNELS = frozenset({"Poly.__mul__", "_divmod", "Poly.value_table"})
+
+
+def field_kind_branches(source: str, kernels: frozenset) -> list[str]:
+    """Every comparison that reads a .k attribute, outside the functions
+    named in kernels (methods as Class.method), as "line: function"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Compare) and scope not in kernels and any(
+                isinstance(n, ast.Attribute) and n.attr == "k" for n in ast.walk(child)
+            ):
+                found.append((child.lineno, scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return [f"{line}: {scope}" for line, scope in sorted(found)]
+
+
+def test_detects_a_field_kind_branch():
+    src = (
+        "def pow_mod(F):\n    return F.k == 1\n\n"
+        "class Poly:\n"
+        "    def eval_i(self):\n        if 1 < self.field.k:\n            return self.k\n"
+        "    def __mul__(self):\n        return self.field.k == 1\n"
+    )
+    assert field_kind_branches(src, frozenset({"Poly.__mul__"})) == [
+        "2: pow_mod", "6: Poly.eval_i",
+    ]
+
+
+def test_only_the_kernels_branch_on_the_field_kind():
+    source = next(p for p in MODULES if p.name == "fpoly.py").read_text()
+    assert field_kind_branches(source, FIELD_KIND_KERNELS) == []
 
 
 def _reads(node) -> Counter:
