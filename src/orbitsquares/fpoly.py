@@ -7,14 +7,16 @@ splitting whose random draws are keyed by the polynomial alone) and monic
 square roots, read from the top down.
 
 The field kind enters only two list-level kernels and the value table.  The
-product in `Poly.__mul__`: over F_p (k == 1) an index is the residue
-itself, so both coefficient lists pack into one Python int, multiply once
-and unpack with `% p` (Kronecker substitution); over F_{p^k} (k > 1) it
-loops over the field's index kernels, whose addition reads Zech logarithms.
-Long division in `_divmod`: one fixed-shift loop, which over F_p reduces
-only the leading coefficient per step and over F_{p^k} subtracts through
-the index kernels.  `divmod`, `gcd`, `pow_mod` and `eval_i` are written
-once on top of these, for both field kinds.
+product `_mul`, which `Poly.__mul__` and `Poly.compose`'s Horner loop share:
+over F_p (k == 1) an index is the residue itself, so both coefficient lists
+pack into one Python int, multiply once and unpack with `% p` (Kronecker
+substitution); over F_{p^k} (k > 1) it loops over the field's index
+kernels, whose addition reads Zech logarithms.  Long division in `_divmod`:
+one fixed-shift loop, which over F_p reduces only the leading coefficient
+per step and over F_{p^k} subtracts through the index kernels.  `divmod`,
+`gcd`, `pow_mod` and `eval_i` are written once on top of these, for both
+field kinds.  `_squarefree_decomposition` returns a squarefree input after
+its one gcd, with no divisions by 1.
 
 `Poly.value_table` evaluates f at every element at once, by one Horner
 pass across the whole field; it is the successor list of every orbit
@@ -79,6 +81,27 @@ def _unpack(n: int, count: int, nb: int):
     if nb in _TYPECODES:
         return array(_TYPECODES[nb], raw)
     return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
+
+
+def _mul(F: FieldSpec, a, b) -> list[int]:
+    """Product of index lists.  Over F_p both lists pack into one int, which
+    is multiplied once and unpacked with % p; over F_{p^k} a schoolbook loop
+    runs over the index kernels."""
+    if not a or not b:
+        return []
+    if F.k == 1:
+        p = F.p
+        nb = _slot_bytes(p, min(len(a), len(b)))
+        prod = _pack(a, nb) * _pack(b, nb) if a is not b else _pack(a, nb) ** 2
+        return [c % p for c in _unpack(prod, len(a) + len(b) - 1, nb)]
+    out = [0] * (len(a) + len(b) - 1)
+    mul, add = F.mul_i, F.add_i
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return out
 
 
 def _divmod(F: FieldSpec, a: list[int], b) -> tuple[list[int], list[int]]:
@@ -205,26 +228,10 @@ class Poly:
         return Poly(F, [F.neg_i(c) for c in self.coeffs])
 
     def __mul__(self, other) -> "Poly":
-        F = self.field
         if isinstance(other, FieldElement):
             other = Poly.constant(other)
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(F)
-        if F.k == 1:
-            p = F.p
-            nb = _slot_bytes(p, min(len(a), len(b)))
-            prod = _pack(a, nb) * _pack(b, nb) if a is not b else _pack(a, nb) ** 2
-            return Poly(F, [c % p for c in _unpack(prod, len(a) + len(b) - 1, nb)])
-        out = [0] * (len(a) + len(b) - 1)
-        mul, add = F.mul_i, F.add_i
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
-        return Poly(F, out)
+        return Poly(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
     def scale(self, c: FieldElement) -> "Poly":
         F = self.field
@@ -325,13 +332,16 @@ class Poly:
         return acc
 
     def compose(self, other: "Poly") -> "Poly":
-        """self(other(x)) by Horner over polynomial arguments."""
+        """self(other(x)) by Horner on the index list, through _mul."""
         self._check(other)
         F = self.field
-        acc = Poly.zero(F)
+        b = other.coeffs
+        acc = []
         for c in reversed(self.coeffs):
-            acc = acc * other + Poly(F, [c])
-        return acc
+            acc = _norm(_mul(F, acc, b)) or [0]
+            if c:  # a zero on either side adds nothing, as in _mul
+                acc[0] = F.add_i(acc[0], c) if acc[0] else c
+        return Poly(F, acc)
 
     def iterate(self, n: int, budget: int | None = None) -> "Poly":
         """n-fold self-composition; iterate(0) is x."""
@@ -418,7 +428,9 @@ def _pth_root(f: Poly) -> Poly:
 
 
 def _squarefree_decomposition(f: Poly, inner: Poly | None = None) -> list[tuple[Poly, int]]:
-    """Monic input; list of (squarefree part, multiplicity), handles char p.
+    """Monic nonconstant input; list of (squarefree part, multiplicity),
+    handles char p.  A squarefree f, gcd(f, f') = 1, returns [(f, 1)] after
+    that one gcd.
 
     With inner, the caller promises f = g(inner) up to a unit, g monic
     squarefree, irreducible or not.  Then f' = g'(inner) inner', and a
@@ -436,6 +448,8 @@ def _squarefree_decomposition(f: Poly, inner: Poly | None = None) -> list[tuple[
             out.append((g, m * p))
         return out
     c = gcd(f, fd)
+    if c.is_one():
+        return [(f, 1)]
     w = f // c
     i = 1
     while not w.is_one():

@@ -2,9 +2,11 @@
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
+import orbitsquares.classify
 import orbitsquares.fpoly
 from orbitsquares.bounds import weil_check
 
@@ -514,6 +516,46 @@ class TestOracles:
         assert calls == [] and runs[0] == runs[1]
         orbitsquares.fpoly.factor(cubics[3])  # the wrappers do see both
         assert {"factor", "pow_mod"} <= set(calls)
+
+    def test_a_squarefree_input_costs_one_gcd(self, monkeypatch):
+        # a guard by count, not by time: Yun's loop divided a squarefree
+        # input by 1 three times (f // 1, gcd(w, 1), w // 1), 4,744 _divmod
+        # calls in this pass
+        fpoly = orbitsquares.fpoly
+        gcd, divmod_, decompose = fpoly.gcd, fpoly._divmod, fpoly._squarefree_decomposition
+        calls, in_gcd, squarefree_costs = Counter(), [False], Counter()
+
+        def counted_gcd(f, g):
+            calls["gcd"] += 1
+            outer, in_gcd[0] = in_gcd[0], True
+            try:
+                return gcd(f, g)
+            finally:
+                in_gcd[0] = outer
+
+        def counted_divmod(F, a, b):
+            calls["_divmod"] += 1
+            calls["_divmod outside gcd"] += not in_gcd[0]
+            return divmod_(F, a, b)
+
+        def counted_decompose(f, inner=None):
+            before = calls.copy()
+            out = decompose(f, inner)
+            if out == [(f, 1)]:
+                spent = calls - before
+                squarefree_costs[spent["gcd"], spent["_divmod outside gcd"]] += 1
+            return out
+
+        monkeypatch.setattr(fpoly, "gcd", counted_gcd)
+        monkeypatch.setattr(fpoly, "_divmod", counted_divmod)
+        monkeypatch.setattr(fpoly, "_squarefree_decomposition", counted_decompose)
+        monkeypatch.setattr(orbitsquares.classify, "_squarefree_decomposition", counted_decompose)
+        cubics = list(enumerate_polys(F5, 3, "monic"))
+        assert len(cubics) == 125
+        for f in cubics:
+            oracle_2_ordinary(f, 4)
+        assert squarefree_costs == {(1, 0): 576}
+        assert calls["_divmod"] <= 2440
 
     def test_distinct_roots_never_certified(self):
         for f in enumerate_polys(F5, 2, "monic"):

@@ -14,6 +14,7 @@ from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import (
     Poly,
     _pack,
+    _pth_root,
     _squarefree_decomposition,
     _unpack,
     constant_times_square,
@@ -538,6 +539,84 @@ def test_squarefree_inner_shortcut_for_reducible_g(p, k):
             assert fast == _squarefree_decomposition(comp), (str(g), str(inner))
             if inner in pth:
                 assert all(m % p == 0 for _, m in fast)
+
+
+def _ref_compose(f: Poly, g: Poly) -> Poly:
+    """Horner over Poly arguments, acc * g + c per coefficient, through the
+    schoolbook product."""
+    F = f.field
+    acc = Poly.zero(F)
+    for c in reversed(f.coeffs):
+        acc = _ref_mul(acc, g) + Poly(F, [c])
+    return acc
+
+
+@pytest.mark.parametrize("spec", ["5", "3^2", "3^2/(2,1,1)", "3^3"])
+def test_compose_matches_reference(spec):
+    F = FieldSpec.parse(spec)
+    rng = random.Random(500 + F.q)
+    small = [Poly.zero(F), Poly.one(F), Poly(F, [rng.randrange(1, F.q)]), Poly.x(F)]
+    pairs = [(f, g) for f in small for g in small]
+    for _ in range(40):
+        f = _random_poly(F, rng, rng.randrange(-1, 10))
+        g = _random_poly(F, rng, rng.randrange(-1, 10))
+        pairs += [(f, g), (f, rng.choice(small)), (rng.choice(small), g)]
+    for f, g in pairs:
+        comp = f.compose(g)
+        assert comp == _ref_compose(f, g), (str(f), str(g))
+        assert comp.value_table() == [f.eval_i(g.eval_i(x)) for x in range(F.q)], (str(f), str(g))
+
+
+def _ref_squarefree_decomposition(f: Poly, inner: Poly | None = None) -> list[tuple[Poly, int]]:
+    """Yun's loop with no early return: a squarefree f still divides by 1."""
+    F = f.field
+    p = F.p
+    out = []
+    fd = (f if inner is None else inner).derivative()
+    if fd.is_zero():
+        return [(g, m * p) for g, m in _ref_squarefree_decomposition(_pth_root(f))]
+    c = gcd(f, fd)
+    w = f // c
+    i = 1
+    while not w.is_one():
+        y = gcd(w, c)
+        z = w // y
+        if not z.is_one():
+            out.append((z, i))
+        i += 1
+        w = y
+        c = c // y
+    if not c.is_one():
+        out += [(g, m * p) for g, m in _ref_squarefree_decomposition(_pth_root(c))]
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2)])
+def test_squarefree_decomposition_matches_reference(p, k):
+    F = make_field(p, k)
+    rng = random.Random(800 + p * k)
+    x = Poly.x(F)
+    irreducibles = sorted({_random_irreducible(F, rng, rng.randrange(1, 4)) for _ in range(12)},
+                          key=Poly.sort_key)
+    inners = [_random_poly(F, rng, d, monic=True) for d in (1, 2, 3)]
+    inners += [(x - Poly(F, [rng.randrange(1, F.q)])) ** p, x ** (2 * p) + x**p]  # inner' = 0
+    squarefree = 0
+    for _ in range(30):
+        parts = rng.sample(irreducibles, rng.randrange(1, 4))
+        g = Poly.one(F)
+        for h in parts:
+            g = g * h
+        # squarefree, a square or cube part, and a p-th power part
+        cases = [g, g * parts[0] ** rng.randrange(2, 4), g * parts[-1] ** p * parts[0]]
+        for f in cases:
+            ours = _squarefree_decomposition(f)
+            assert ours == _ref_squarefree_decomposition(f), str(f)
+            squarefree += ours == [(f, 1)]
+        for inner in rng.sample(inners, 2):
+            comp = g.compose(inner).monic()
+            assert _squarefree_decomposition(comp, inner) == \
+                _ref_squarefree_decomposition(comp, inner), (str(g), str(inner))
+    assert 0 < squarefree < 90
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])

@@ -150,7 +150,7 @@ def test_table_readers_call_no_point_kernel(path):
 
 # the fpoly functions that may branch on the field kind (F.k): the product,
 # long division and the whole-field value table; the rest are written once
-FIELD_KIND_KERNELS = frozenset({"Poly.__mul__", "_divmod", "Poly.value_table"})
+FIELD_KIND_KERNELS = frozenset({"_mul", "_divmod", "Poly.value_table"})
 
 
 def field_kind_branches(source: str, kernels: frozenset) -> list[str]:
