@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import prod
 
 from .classify import TWO_ORDINARY, classify_2_ordinary
-from .dynamics import RunReport, check_target, longest_run, orbit_table
+from .dynamics import RunReport, _start, check_target, longest_run, orbit_table
 from .errors import NotPurelyPeriodic, NotTwoOrdinary
 from .field import FieldElement
 from .fpoly import Poly, constant_times_square
@@ -103,9 +103,9 @@ def compute_B(f: Poly, a: FieldElement, i: int, L: int) -> Fraction:
     l >= 1 convention: s_a(l) = chi(f^l(a))."""
     if i < 0:
         raise ValueError(f"window index i must be >= 0, got {i}")
+    y = _start(f, a)
     sums = _per_f(f, _window_sums, L)
     succ = orbit_table(f).succ
-    y = a.idx
     for _ in range(i):
         y = succ[y]
     return sums[y]
@@ -134,19 +134,20 @@ def orbit_bound_check(f: Poly, a: FieldElement, L: int) -> OrbitBoundReport:
     B = max B_i, since sum_i B_i <= m B.  The sign period m and |O_f(a)| are
     read from f's orbit table, and each B_i from f's window sums along a's
     orbit."""
+    x = _start(f, a)
     table = orbit_table(f)
-    if table.sign_tail[a.idx]:
+    if table.sign_tail[x]:
         raise NotPurelyPeriodic("orbit bound requires a purely periodic sign sequence")
-    m = table.sign_period[a.idx]
+    m = table.sign_period[x]
     sums = _per_f(f, _window_sums, L)
-    bs, y = [], a.idx
+    bs, y = [], x
     for _ in range(m):  # B_i is the window sum at f^i(a)
         bs.append(sums[y])
         y = table.succ[y]
     return OrbitBoundReport(
         m=m,
         B_values=tuple(bs),
-        lhs=table.tail[a.idx] + table.cycle[a.idx],
+        lhs=table.tail[x] + table.cycle[x],
         rhs_sum=2 * L + 1 + sum(bs),
     )
 
@@ -168,9 +169,10 @@ def envelope_holds(b: Fraction, q: int, d: int, L: int) -> bool:
 
 def envelope_check(f: Poly, a: FieldElement, i: int, L: int) -> EnvelopeCheck:
     """B_i <= q/2^L + d^(L+1) sqrt(q), compared exactly on the squared branch."""
+    x = _start(f, a)
     if classify_2_ordinary(f).verdict != TWO_ORDINARY:
         raise NotTwoOrdinary("envelope bound requires a dynamically 2-ordinary f")
-    if orbit_table(f).sign_tail[a.idx]:
+    if orbit_table(f).sign_tail[x]:
         raise NotPurelyPeriodic("envelope bound requires a purely periodic sign sequence")
     b = compute_B(f, a, i, L)
     return EnvelopeCheck(B_i=b, i=i, L=L, passed=envelope_holds(b, f.field.q, f.degree, L))

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import chebyshev as cheb
-from .errors import DegreeMismatch, DegreeTooSmall, MixedFields, ZeroA
 from .field import FieldElement
 from .fpoly import Poly, _squarefree_decomposition, check_degree_budget, sqrt_part, square_root
 
@@ -83,7 +82,7 @@ def _form_a(f: Poly) -> dict | None:
 def classify_ordinary(f: Poly):
     """(verdict, witness): NotOrdinary iff f = A(x-B)^(p^e)."""
     if f.degree < 2:
-        raise DegreeTooSmall("classification needs degree >= 2")
+        raise ValueError("classification needs degree >= 2")
     witness = _form_a(f)
     return (ORDINARY, None) if witness is None else (NOT_ORDINARY, witness)
 
@@ -98,7 +97,7 @@ def classify_2_ordinary(f: Poly, seed: int = 0) -> ClassificationReport:
     """
     d = f.degree
     if d < 2:
-        raise DegreeTooSmall("classification needs degree >= 2")
+        raise ValueError("classification needs degree >= 2")
     check_degree_budget(d, 1)
     F = f.field
     A = f.leading()
@@ -168,7 +167,7 @@ def hn_sequence(A: FieldElement, B: FieldElement, d: int) -> HnSequence:
     Runs until the first repeat, which the pigeonhole guarantees within q
     steps."""
     if A.is_zero():
-        raise ZeroA("A must be nonzero")
+        raise ValueError("A must be nonzero")
     F = A.field
     p, k = F.p, F.k
     if d < 1:
@@ -203,7 +202,7 @@ def generate_family(B: FieldElement, d: int) -> Poly:
     if B.is_zero():
         raise ValueError("family parameter B must be nonzero")
     if d < 2:
-        raise DegreeTooSmall("exceptional families have degree >= 2")
+        raise ValueError("exceptional families have degree >= 2")
     check_degree_budget(d, 1)
     F = B.field
     eps = F.one if d % 2 == 0 else -F.one
@@ -241,7 +240,7 @@ def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleRe
     is all old or all new: x is split off at level r, and later pieces
     inherit the flag of the G they come from."""
     if f.degree < 1:
-        raise DegreeTooSmall("oracle needs a nonconstant polynomial")
+        raise ValueError("oracle needs a nonconstant polynomial")
     if depth < 0:
         raise ValueError(f"oracle depth must be >= 0, got {depth}")
     x = Poly.x(f.field)
@@ -305,12 +304,12 @@ def are_conjugate(f: Poly, g: Poly) -> ConjugacyWitness | None:
     which fixes b unless p | d; then it is a condition on a, and every b is
     tried."""
     if f.field != g.field:
-        raise MixedFields("conjugacy requires a common field")
+        raise ValueError("conjugacy requires a common field")
     if f.degree != g.degree:
-        raise DegreeMismatch("conjugacy preserves degree")
+        raise ValueError("conjugacy preserves degree")
     d = f.degree
     if d < 2:
-        raise DegreeTooSmall("conjugacy needs degree >= 2")
+        raise ValueError("conjugacy needs degree >= 2")
     F = f.field
     fd, f1 = f.leading(), f.coefficient(d - 1)
     gd, g1 = g.leading(), g.coefficient(d - 1)

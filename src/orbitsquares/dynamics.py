@@ -148,11 +148,19 @@ def orbit_table(f: Poly) -> OrbitTable:
     return OrbitTable(succ, tail, cycle, sign_tail, sign_period, ahead, run)
 
 
+def _start(f: Poly, a: FieldElement) -> int:
+    """a's index, once a is known to lie in f's field."""
+    if a.field != f.field:
+        raise ValueError("point and polynomial over different fields")
+    return a.idx
+
+
 def forward_orbit(f: Poly, a: FieldElement) -> OrbitSummary:
     """The tail + period points of a's orbit, read from f's orbit table."""
+    x = _start(f, a)
     table = orbit_table(f)
-    tail, period = table.tail[a.idx], table.cycle[a.idx]
-    xs = [a.idx]
+    tail, period = table.tail[x], table.cycle[x]
+    xs = [x]
     while len(xs) < tail + period:
         xs.append(table.succ[xs[-1]])
     return OrbitSummary(
@@ -216,4 +224,4 @@ def check_target(target: int) -> None:
 def longest_run(f: Poly, a: FieldElement, target: int) -> RunReport:
     """Longest run of iterates of a with character sign target."""
     check_target(target)
-    return orbit_table(f).run[target][a.idx]
+    return orbit_table(f).run[target][_start(f, a)]

@@ -1,55 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A malformed or out-of-domain
+argument raises ValueError; a class here names what a ValueError cannot: a
+hypothesis of the paper's theorems that the input fails (NotTwoOrdinary,
+NotPurelyPeriodic), the degree budget of f^n (DegreeBudgetExceeded), or
+division by zero (DivisionByZero, also a ZeroDivisionError)."""
 
 
 class OrbitSquaresError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotPrime(OrbitSquaresError):
-    pass
-
-
-class EvenCharacteristic(OrbitSquaresError):
-    pass
-
-
-class ReducibleModulus(OrbitSquaresError):
-    pass
-
-
-class MixedFields(OrbitSquaresError):
-    pass
-
-
 class DivisionByZero(OrbitSquaresError, ZeroDivisionError):
     pass
 
 
-class NonSquare(OrbitSquaresError):
-    pass
-
-
-class BothZero(OrbitSquaresError):
-    pass
-
-
-class ConstantInput(OrbitSquaresError):
-    pass
-
-
 class DegreeBudgetExceeded(OrbitSquaresError):
-    pass
-
-
-class DegreeTooSmall(OrbitSquaresError):
-    pass
-
-
-class DegreeMismatch(OrbitSquaresError):
-    pass
-
-
-class ZeroA(OrbitSquaresError):
     pass
 
 
@@ -59,4 +23,3 @@ class NotPurelyPeriodic(OrbitSquaresError):
 
 class NotTwoOrdinary(OrbitSquaresError):
     pass
-

@@ -20,14 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import (
-    DivisionByZero,
-    EvenCharacteristic,
-    MixedFields,
-    NonSquare,
-    NotPrime,
-    ReducibleModulus,
-)
+from .errors import DivisionByZero
 
 
 def _parse_decimal(text: str) -> int:
@@ -63,11 +56,18 @@ MAX_FIELD_ORDER = 2 * 10**6
 
 
 def _check_order(p: int, k: int) -> None:
-    """Refuse p^k > MAX_FIELD_ORDER before any work on the field; for p >= 2
-    a k above the bound's bit length alone decides, so p^k is never computed."""
+    """Refuse p^k > MAX_FIELD_ORDER, then a p that is not an odd prime, then k < 1,
+    before any work on the field; for p >= 2 a k above the bound's bit length
+    alone decides, so p^k is never computed."""
     if p > 1 and k >= 1 and (k > MAX_FIELD_ORDER.bit_length() or p**k > MAX_FIELD_ORDER):
         name = p if k == 1 else f"{p}^{k}"
         raise ValueError(f"field {name} has more than MAX_FIELD_ORDER = {MAX_FIELD_ORDER} elements")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p == 2:
+        raise ValueError("characteristic 2 is not supported")
+    if k < 1:
+        raise ValueError("extension degree must be >= 1")
 
 
 def _is_irreducible(p: int, coeffs) -> bool:
@@ -112,22 +112,16 @@ class FieldSpec:
 
     def __init__(self, p: int, k: int = 1, modulus=None):
         _check_order(p, k)
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if p == 2:
-            raise EvenCharacteristic("characteristic 2 is not supported")
-        if k < 1:
-            raise ValueError("extension degree must be >= 1")
         modulus = _named_modulus(p, k, modulus)
         if modulus is None:
             modulus = smallest_irreducible(p, k)
         elif not all(0 <= c < p for c in modulus):
             raise ValueError(f"modulus coefficients must lie in [0, {p}), got {list(modulus)}")
         elif len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ReducibleModulus(f"modulus must be monic of degree {k}, got {list(modulus)}")
+            raise ValueError(f"modulus must be monic of degree {k}, got {list(modulus)}")
         # k > 1 here, since every valid linear modulus named F_p above
         elif not _is_irreducible(p, modulus):
-            raise ReducibleModulus(f"modulus {list(modulus)} is reducible over F_{p}")
+            raise ValueError(f"modulus {list(modulus)} is reducible over F_{p}")
         self.p = p
         self.k = k
         self.q = p**k
@@ -298,7 +292,7 @@ class FieldSpec:
             return 0
         e = self._log[a]
         if e % 2:
-            raise NonSquare(f"element {self.coords(a)} is not a square")
+            raise ValueError(f"element {self.coords(a)} is not a square")
         r = self._exp[e // 2]
         return min(r, self._neg[r])
 
@@ -350,11 +344,12 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     keyed by the modulus as a tuple, a missing one resolving to the smallest
     irreducible (which the constructor then need not test again), as does
     every name _named_modulus reads as the default; an invalid modulus
-    reaches the constructor, which refuses it, and so does a field too large
-    to tabulate, before the search for its modulus."""
+    reaches the constructor, which refuses it, and _check_order refuses an
+    invalid p or k, or a field too large to tabulate, before the search for
+    its modulus."""
     _check_order(p, k)
     modulus = _named_modulus(p, k, modulus)
-    key = (p, k, smallest_irreducible(p, k) if modulus is None and k >= 1 else modulus)
+    key = (p, k, smallest_irreducible(p, k) if modulus is None else modulus)
     if key not in _FIELDS:
         _FIELDS[key] = FieldSpec(p, k, modulus)
     return _FIELDS[key]
@@ -376,7 +371,7 @@ class FieldElement:
     def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
             if other.field != self.field:
-                raise MixedFields("elements belong to different fields")
+                raise ValueError("elements belong to different fields")
             return other.idx
         if isinstance(other, int):
             return self.field.from_int(other).idx

@@ -30,13 +30,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 
-from .errors import (
-    BothZero,
-    ConstantInput,
-    DegreeBudgetExceeded,
-    DivisionByZero,
-    MixedFields,
-)
+from .errors import DegreeBudgetExceeded, DivisionByZero
 from .field import FieldElement, FieldSpec
 
 DEFAULT_DEGREE_BUDGET = 4096
@@ -205,7 +199,7 @@ class Poly:
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
         if other.field != self.field:
-            raise MixedFields("polynomials over different fields")
+            raise ValueError("polynomials over different fields")
 
     # -- ring operations ----------------------------------------------------
 
@@ -289,7 +283,7 @@ class Poly:
     def evaluate(self, a: FieldElement) -> FieldElement:
         if isinstance(a, FieldElement):
             if a.field != self.field:
-                raise MixedFields("point and polynomial over different fields")
+                raise ValueError("point and polynomial over different fields")
             ai = a.idx
         else:
             ai = self.field.from_int(a).idx
@@ -392,7 +386,7 @@ class Poly:
 def gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor."""
     if f.is_zero() and g.is_zero():
-        raise BothZero("gcd(0, 0) is undefined")
+        raise ValueError("gcd(0, 0) is undefined")
     f._check(g)
     F = f.field
     a, b = list(f.coeffs), list(g.coeffs)
@@ -533,7 +527,7 @@ def factor(f: Poly) -> Factorization:
     sorted by (degree, coefficients) regardless.
     """
     if f.degree < 1:
-        raise ConstantInput("cannot factor a constant polynomial")
+        raise ValueError("cannot factor a constant polynomial")
     unit = f.leading()
     mf = f.monic()
     rng = random.Random(repr((0, f.field._key, f.coeffs)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -149,7 +150,7 @@ def _orbit_bound_rows(item):
 
 def _pmap(fn, items, workers: int):
     items = list(items)
-    workers = min(workers, len(items))  # a pool starts every worker at once
+    workers = min(workers, len(items), os.cpu_count() or 1)  # a pool starts every worker at once
     if workers <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as ex:

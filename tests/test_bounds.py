@@ -27,13 +27,14 @@ from orbitsquares.bounds import (
 )
 from orbitsquares.classify import TWO_ORDINARY
 from orbitsquares.cli import main
-from orbitsquares.dynamics import orbit_table, sign_sequence
+from orbitsquares.dynamics import forward_orbit, longest_run, orbit_table, sign_sequence
 from orbitsquares.errors import NotPurelyPeriodic, NotTwoOrdinary
 from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import Poly
 from orbitsquares.scan import enumerate_polys, sample_polys
 
 F3 = make_field(3)
+F5 = make_field(5)
 F7 = make_field(7)
 F9 = make_field(3, 2)
 F25 = make_field(5, 2)
@@ -389,6 +390,25 @@ class TestRunBound:
 def test_refuses_invalid_input(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("check", [
+    lambda f, a: longest_run(f, a, 1),
+    forward_orbit,
+    sign_sequence,
+    lambda f, a: compute_B(f, a, 0, 1),
+    lambda f, a: orbit_bound_check(f, a, 1),
+    lambda f, a: envelope_check(f, a, 0, 1),
+    run_bound_check,
+], ids=["longest_run", "forward_orbit", "sign_sequence", "compute_B", "orbit_bound_check",
+        "envelope_check", "run_bound_check"])
+def test_refuses_a_start_from_another_field(check):
+    # 3 over F_7 is a purely periodic start of the 2-ordinary x^2 + 1, so
+    # only the field of the start is wrong
+    f = P(F7, 1, 0, 1)
+    check(f, el(F7, 3))
+    with pytest.raises(ValueError, match="^point and polynomial over different fields$"):
+        check(f, el(F5, 3))
 
 
 @given(

@@ -2,20 +2,14 @@
 
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitsquares.cli import main
-from orbitsquares.errors import (
-    DivisionByZero,
-    EvenCharacteristic,
-    MixedFields,
-    NonSquare,
-    NotPrime,
-    ReducibleModulus,
-)
+from orbitsquares.errors import DivisionByZero
 from orbitsquares.field import (
     MAX_FIELD_ORDER,
     FieldElement,
@@ -51,15 +45,16 @@ class TestConstruction:
         assert smallest_irreducible(3, 2) == (1, 0, 1)
 
     def test_modulus_degree_mismatch(self):
-        with pytest.raises(ReducibleModulus):
+        message = "modulus must be monic of degree 1, got [1, 0, 1]"
+        with pytest.raises(ValueError, match=re.escape(message)):
             FieldSpec(5, 1, (1, 0, 1))
 
     def test_reducible_modulus_rejected(self):
-        with pytest.raises(ReducibleModulus):
+        with pytest.raises(ValueError, match=re.escape("modulus [2, 0, 1] is reducible over F_3")):
             FieldSpec(3, 2, (2, 0, 1))  # x^2 + 2 = (x-1)(x+1) over F_3
 
     def test_square_of_linear_modulus_rejected(self):
-        with pytest.raises(ReducibleModulus):
+        with pytest.raises(ValueError, match=re.escape("modulus [1, 2, 1] is reducible over F_3")):
             FieldSpec(3, 2, (1, 2, 1))  # (x + 1)^2, not squarefree
 
     @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3),
@@ -87,11 +82,11 @@ class TestConstruction:
             FieldSpec.parse(text)
 
     def test_not_prime(self):
-        with pytest.raises(NotPrime):
+        with pytest.raises(ValueError, match="^9 is not prime$"):
             make_field(9)
 
     def test_even_characteristic(self):
-        with pytest.raises(EvenCharacteristic):
+        with pytest.raises(ValueError, match="^characteristic 2 is not supported$"):
             make_field(2)
 
     def test_make_field_is_cached(self):
@@ -140,7 +135,8 @@ class TestConstruction:
             FieldSpec.parse("7/(9,1)")
 
     def test_prime_field_modulus_not_monic_is_refused(self):
-        with pytest.raises(ReducibleModulus):
+        message = "modulus must be monic of degree 1, got [1, 2]"
+        with pytest.raises(ValueError, match=re.escape(message)):
             FieldSpec.parse("7/(1,2)")
 
 
@@ -239,7 +235,7 @@ class TestSqrt:
         assert F7.sqrt_i(2) == 3  # canonical pick of {3, 4}
 
     def test_sqrt_nonsquare(self):
-        with pytest.raises(NonSquare):
+        with pytest.raises(ValueError, match=re.escape("element (3,) is not a square")):
             F7.sqrt_i(3)
 
     def test_sqrt_squares_back(self):
@@ -264,20 +260,20 @@ class TestElements:
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, message",
     [
-        (lambda: FieldSpec.parse("3^0"), ValueError),
-        (lambda: F7.inv_i(0), DivisionByZero),
-        (lambda: 1 / el(F7, 0), DivisionByZero),
-        (lambda: F7.pow_i(3, -1), ValueError),
-        (lambda: FieldSpec.parse("3^2/1,0,1"), ValueError),
-        (lambda: el(F7, 1) + el(F3, 1), MixedFields),
+        (lambda: FieldSpec.parse("3^0"), ValueError, "extension degree must be >= 1"),
+        (lambda: F7.inv_i(0), DivisionByZero, "inverse of zero"),
+        (lambda: 1 / el(F7, 0), DivisionByZero, "division by zero"),
+        (lambda: F7.pow_i(3, -1), ValueError, "negative exponent"),
+        (lambda: FieldSpec.parse("3^2/1,0,1"), ValueError, "bad modulus syntax"),
+        (lambda: el(F7, 1) + el(F3, 1), ValueError, "elements belong to different fields"),
     ],
     ids=["degree-0", "inverse-of-0", "int-over-0", "negative-exponent", "modulus-without-parens",
          "mixed-fields"],
 )
-def test_refuses_invalid_input(call, error):
-    with pytest.raises(error):
+def test_refuses_invalid_input(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
         call()
 
 
@@ -304,6 +300,23 @@ def test_field_too_large_to_tabulate_is_refused(text, monkeypatch, capsys):
             call()
     assert main(["classify", "--field", text, "--poly", "0,0,1"]) == 1
     assert "error: field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0^2", "0 is not prime"), ("0^3", "0 is not prime"), ("1^2", "1 is not prime"),
+    ("9^2", "9 is not prime"), ("2^3", "characteristic 2 is not supported"),
+])
+def test_invalid_characteristic_is_refused_before_the_modulus_search(text, message, monkeypatch,
+                                                                     capsys):
+    # a p = 0 search finds no irreducible at all, and 9^2 or 2^3 would be
+    # refused only inside the search, by its make_field(p)
+    _stop_field_work(monkeypatch)
+    p, k = map(int, text.split("^"))
+    for call in (lambda: FieldSpec.parse(text), lambda: make_field(p, k)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    assert main(["classify", "--field", text, "--poly", "1,0,1"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("p,k", [(1999993, 1), (3, 13)])

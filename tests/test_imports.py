@@ -1,12 +1,12 @@
 """Every name a package module imports is used in that module, every
 module-level private function is read somewhere in the package, every
-error type is raised by some package module, every defaulted parameter of
-a package function is set by some call, every name in the package's
-__all__ and every `module.name` the README cites resolves, no decision
-path uses floating point, dynamics, bounds and scan read whole-field
-tables instead of calling Poly.eval_i or FieldSpec.chi_i per point, and
-only fpoly's product, long division and value table branch on the field
-kind.
+error type is raised by some package module and named in the README's
+Errors paragraph, every defaulted parameter of a package function is set
+by some call, every name in the package's __all__ and every `module.name`
+the README cites resolves, no decision path uses floating point, dynamics,
+bounds and scan read whole-field tables instead of calling Poly.eval_i or
+FieldSpec.chi_i per point, and only fpoly's product, long division and
+value table branch on the field kind.
 
 The package's __init__ is left out of the import check: it imports names to
 re-export them."""
@@ -269,6 +269,30 @@ def test_detects_an_orphaned_error():
 def test_every_error_is_raised():
     errors = next(p for p in PACKAGE if p.name == "errors.py").read_text()
     assert orphaned_errors(errors, [p.read_text() for p in PACKAGE]) == []
+
+
+def unexplained_errors(errors: str, readme: str) -> list[str]:
+    """Classes in errors that readme's paragraph beginning "Errors:" does not
+    cite as `errors.Name`: a malformed argument raises ValueError, so each
+    class needs a stated reason to exist."""
+    paragraph = next((p for p in readme.split("\n\n") if p.startswith("Errors:")), "")
+    cited = set(re.findall(r"`errors\.(\w+)`", paragraph))
+    classes = [n.name for n in ast.parse(errors).body if isinstance(n, ast.ClassDef)]
+    return sorted(set(classes) - cited)
+
+
+def test_detects_an_unexplained_error():
+    errors = "".join(
+        f"class {name}(Exception):\n    pass\n\n" for name in ("Base", "Kept", "Planted")
+    )
+    readme = "Errors: `errors.Base`, and\n`errors.Kept`.\n\nElsewhere: `errors.Planted`.\n"
+    assert unexplained_errors(errors, readme) == ["Planted"]
+    assert unexplained_errors(errors, "No such paragraph.\n") == ["Base", "Kept", "Planted"]
+
+
+def test_readme_explains_every_error():
+    errors = next(p for p in PACKAGE if p.name == "errors.py").read_text()
+    assert unexplained_errors(errors, (ROOT / "README.md").read_text()) == []
 
 
 def _calls_by_name(trees) -> dict[str, list[ast.Call]]:

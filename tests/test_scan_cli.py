@@ -102,10 +102,13 @@ class TestScans:
                 return map(fn, items)
 
         monkeypatch.setattr(scan, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(scan.os, "cpu_count", lambda: 4)
         rows = rows_of("classification", field="7", degree=2, sample=3, workers=8)
         assert started == [3] and len(rows) == 3
         rows = rows_of("classification", field="7", degree=2, sample=1, workers=8)
         assert started == [3] and len(rows) == 1  # one item runs without a pool
+        rows = rows_of("classification", field="7", degree=2, workers=10**6)
+        assert started == [3, 4] and len(rows) == 49  # nor more workers than CPUs
 
     def test_weil_scan_no_failures(self):
         rows = rows_of("weil", field="5", degree=3)
