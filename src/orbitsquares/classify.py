@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 from . import chebyshev as cheb
 from .field import FieldElement
-from .fpoly import Poly, _squarefree_decomposition, check_degree_budget, sqrt_part, square_root
+from .fpoly import (
+    DEFAULT_DEGREE_BUDGET,
+    Poly,
+    _squarefree_decomposition,
+    check_degree_budget,
+    sqrt_part,
+    square_root,
+)
 
 TWO_ORDINARY = "TwoOrdinary"
 NOT_TWO_ORDINARY = "NotTwoOrdinary"
@@ -227,6 +234,46 @@ class OracleResult:
         return f"ConsistentUpTo({self.depth})"
 
 
+def _open_levels(f: Poly, top: int, need_odd: bool) -> tuple[int | None, set[int]]:
+    """r, the period of 0 under f when it is at most top (else None), and
+    the levels n <= top that f's values leave open: by the rule in _oracle,
+    no other level n <= top certifies."""
+    F, d = f.field, f.degree
+
+    def orbit(xi):  # xi, f(xi), ..., f^top(xi) as indices
+        out = [xi]
+        for _ in range(top):
+            out.append(f.eval_i(out[-1]))
+        return out
+
+    zero = orbit(0)
+    r = next((n for n in range(1, top + 1) if zero[n] == 0), None)
+    e = 1  # the order of 0 in f^r
+    for t in zero[:r or 0]:
+        taylor = f.compose(Poly(F, [t, F.one_idx])).coeffs
+        e *= next(k for k in range(1, d + 1) if taylor[k])
+    if not need_odd:
+        return r, set(range(r, top + 1)) if r is not None and e == d**r else set()
+    chi = F.chi_i
+    lc = [1]  # chi(lc f^n)
+    for _ in range(top):
+        lc.append(chi(f.coeffs[-1]) * lc[-1] ** d)
+
+    def refutes(o, n):
+        if r is None or n < r:
+            return chi(o[n]) == -lc[n]
+        # 0 when y = f^(n-r)(x) is 0, which refutes nothing
+        return chi(o[n]) * chi(o[n - r]) ** e == -lc[n] * lc[n - r] ** e
+
+    left = set(range(1, top + 1))
+    for xi in range(min(F.q, d**top)):
+        if not left:
+            break
+        o = zero if xi == 0 else orbit(xi)
+        left = {n for n in left if not refutes(o, n)}
+    return r, left
+
+
 def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleResult:
     """Level n holds pairwise coprime monic squarefree pieces H of f^n, from
     f^0 = x, each with its multiplicity m and whether its irreducibles are
@@ -238,21 +285,47 @@ def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleRe
     need 0 periodic, of period r <= n.  Then a is old iff f^(n-r)(a) = 0: at
     level r only x is old, and past r, a is old iff f(a) was.  So each piece
     is all old or all new: x is split off at level r, and later pieces
-    inherit the flag of the G they come from."""
+    inherit the flag of the G they come from.
+
+    The loop builds levels only up to the deepest level that f's values
+    leave open; each level past it only meets the degree budget, as it
+    would in the loop.  The rule: let N_n = f^n when 0 is not periodic of
+    period r <= n, else N_n = f^n / (f^(n-r))^e, where f^r = x^e N_r and
+    N_r(0) != 0.  Then f^n = (f^(n-r))^e N_r(f^(n-r)), so N_n = N_r(f^(n-r)),
+    and by the rule above the roots of f^(n-r) are old and those of N_n new.
+    So N_n is a constant times the product of level n's new pieces to their
+    multiplicities, and as the pieces are coprime and squarefree, level n
+    certifies exactly when N_n is constant (ordinary mode) or a constant
+    times a square (2-ordinary mode).
+
+    By the chain rule for orders of vanishing, e is the product over j < r
+    of the order of t_j = f^j(0) as a root of f - f(t_j): the first k >= 1
+    with a nonzero x^k coefficient in f(x + t_j).  N_n is constant exactly
+    when n >= r and e = d^r, so in ordinary mode only the levels from r on
+    are open, and only then.  A constant times a square, c h^2 with h
+    monic, is 0 or of sign chi(c) = chi(lc N_n) at each point; so a point x
+    refutes level n in 2-ordinary mode when chi(N_n(x)) = -chi(lc N_n).
+    For n < r, chi(N_n(x)) = chi(f^n(x)); for n >= r, with
+    y = f^(n-r)(x) != 0, it is chi(f^n(x)) chi(y)^e, as f^n(x) = y^e N_n(x).
+    lc(f^n) = A lc(f^(n-1))^d, A = lc(f), and lc(N_n) = lc(f^n) /
+    lc(f^(n-r))^e.  The points are the first min(q, d^top) indices, top the
+    deepest level within the degree budget, so d^top is the degree of the
+    largest iterate the loop builds."""
     if f.degree < 1:
         raise ValueError("oracle needs a nonconstant polynomial")
     if depth < 0:
         raise ValueError(f"oracle depth must be >= 0, got {depth}")
+    d = f.degree
+    limit = DEFAULT_DEGREE_BUDGET if budget is None else budget
+    top = 0
+    while top < depth and (d < 2 or d ** (top + 1) <= limit):
+        top += 1
+    r, left = _open_levels(f, top, need_odd)
+    open_to = max(left, default=0)
     x = Poly.x(f.field)
-    a, r = f.field.zero, None
-    for n in range(1, depth + 1):
-        a = f.evaluate(a)
-        if a.is_zero():
-            r = n
-            break
     level = [(x, 1, False)]
-    for n in range(1, depth + 1):
-        check_degree_budget(f.degree, n, budget)
+    for n in range(1, open_to + 1):
+        check_degree_budget(d, n, budget)
         level = [(h, m * e, old) for g, m, old in level
                  for h, e in _squarefree_decomposition(g.compose(f).monic(), f)]
         if n == r:
@@ -262,6 +335,8 @@ def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleRe
         # no new factor (of odd multiplicity, when need_odd) at level n
         if all(old or need_odd and m % 2 == 0 for _, m, old in level):
             return OracleResult(certified_not=True, level=n, depth=depth)
+    for n in range(open_to + 1, depth + 1):
+        check_degree_budget(d, n, budget)
     return OracleResult(certified_not=False, level=None, depth=depth)
 
 

@@ -56,18 +56,19 @@ MAX_FIELD_ORDER = 2 * 10**6
 
 
 def _check_order(p: int, k: int) -> None:
-    """Refuse p^k > MAX_FIELD_ORDER, then a p that is not an odd prime, then k < 1,
-    before any work on the field; for p >= 2 a k above the bound's bit length
-    alone decides, so p^k is never computed."""
+    """Refuse p^k > MAX_FIELD_ORDER, then k < 1, then a p that is not an odd
+    prime, before any work on the field; for p >= 2 a k above the bound's bit
+    length alone decides, so p^k is never computed, and a k < 1 is refused
+    before p is trial-divided."""
     if p > 1 and k >= 1 and (k > MAX_FIELD_ORDER.bit_length() or p**k > MAX_FIELD_ORDER):
         name = p if k == 1 else f"{p}^{k}"
         raise ValueError(f"field {name} has more than MAX_FIELD_ORDER = {MAX_FIELD_ORDER} elements")
+    if k < 1:
+        raise ValueError("extension degree must be >= 1")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p == 2:
         raise ValueError("characteristic 2 is not supported")
-    if k < 1:
-        raise ValueError("extension degree must be >= 1")
 
 
 def _is_irreducible(p: int, coeffs) -> bool:

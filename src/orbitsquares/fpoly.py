@@ -44,6 +44,13 @@ def check_degree_budget(d: int, n: int, budget: int | None = None) -> None:
         raise DegreeBudgetExceeded(f"deg {d}^{n} exceeds degree budget {budget}")
 
 
+def _index_in(field: FieldSpec, c: FieldElement) -> int:
+    """c's index, refusing an element of another field."""
+    if c.field != field:
+        raise ValueError("point and polynomial over different fields")
+    return c.idx
+
+
 def _norm(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
@@ -140,8 +147,8 @@ class Poly:
 
     @classmethod
     def from_elements(cls, field: FieldSpec, elems) -> "Poly":
-        return cls(field, [e.idx if isinstance(e, FieldElement) else field.from_int(e).idx
-                           for e in elems])
+        return cls(field, [_index_in(field, e) if isinstance(e, FieldElement)
+                           else field.from_int(e).idx for e in elems])
 
     @classmethod
     def from_ints(cls, field: FieldSpec, ints) -> "Poly":
@@ -229,8 +236,8 @@ class Poly:
 
     def scale(self, c: FieldElement) -> "Poly":
         F = self.field
-        mul = F.mul_i
-        return Poly(F, [mul(ci, c.idx) for ci in self.coeffs])
+        mul, ci = F.mul_i, _index_in(F, c)
+        return Poly(F, [mul(a, ci) for a in self.coeffs])
 
     def __divmod__(self, other: "Poly"):
         self._check(other)
@@ -282,9 +289,7 @@ class Poly:
 
     def evaluate(self, a: FieldElement) -> FieldElement:
         if isinstance(a, FieldElement):
-            if a.field != self.field:
-                raise ValueError("point and polynomial over different fields")
-            ai = a.idx
+            ai = _index_in(self.field, a)
         else:
             ai = self.field.from_int(a).idx
         return FieldElement(self.field, self.eval_i(ai))
@@ -360,7 +365,7 @@ class Poly:
         """self + c (constant)."""
         F = self.field
         out = list(self.coeffs) or [0]
-        out[0] = F.add_i(out[0], c.idx)
+        out[0] = F.add_i(out[0], _index_in(F, c))
         return Poly(F, out)
 
     def __eq__(self, other):

@@ -21,6 +21,7 @@ from orbitsquares.classify import (
     ConjugacyWitness,
     FormMatch,
     OracleResult,
+    _open_levels,
     are_conjugate,
     chebyshev_conjugacy,
     classify_2_ordinary,
@@ -37,6 +38,7 @@ from orbitsquares.fpoly import (
     DEFAULT_DEGREE_BUDGET,
     Poly,
     SquareDecomposition,
+    _squarefree_decomposition,
     check_degree_budget,
     constant_times_square,
     factor,
@@ -476,6 +478,36 @@ def reference_oracles(f: Poly, depth: int) -> tuple[OracleResult, OracleResult]:
                  for n in first.values())
 
 
+def exact_certified_levels(f: Poly, depth: int, need_odd: bool, budget: int | None = None):
+    """Yield each level n <= depth that certifies, by the oracle's level loop
+    alone, with no level ruled out by f's values first; it meets the degree
+    budget at each level before building it."""
+    x = Poly.x(f.field)
+    a, r = f.field.zero, None
+    for n in range(1, depth + 1):
+        a = f.evaluate(a)
+        if a.is_zero():
+            r = n
+            break
+    level = [(x, 1, False)]
+    for n in range(1, depth + 1):
+        check_degree_budget(f.degree, n, budget)
+        level = [(h, m * e, old) for g, m, old in level
+                 for h, e in _squarefree_decomposition(g.compose(f).monic(), f)]
+        if n == r:
+            i = next(i for i, (h, _, _) in enumerate(level) if h.coefficient(0).is_zero())
+            h, m, _ = level[i]
+            level[i:i + 1] = [(x, m, True)] + ([(h // x, m, False)] if h.degree > 1 else [])
+        if all(old or need_odd and m % 2 == 0 for _, m, old in level):
+            yield n
+
+
+def exact_oracle(f: Poly, depth: int, need_odd: bool, budget: int | None = None) -> OracleResult:
+    """The verdict of the level loop alone: its first certifying level."""
+    n = next(exact_certified_levels(f, depth, need_odd, budget), None)
+    return OracleResult(certified_not=n is not None, level=n, depth=depth)
+
+
 class TestOracles:
     def test_square_certified_immediately(self):
         assert str(oracle_2_ordinary(P(F7, 0, 0, 1), 4)) == "CertifiedNot(1)"
@@ -515,7 +547,8 @@ class TestOracles:
     def test_a_squarefree_input_costs_one_gcd(self, monkeypatch):
         # a guard by count, not by time: Yun's loop divided a squarefree
         # input by 1 three times (f // 1, gcd(w, 1), w // 1), 4,744 _divmod
-        # calls in this pass
+        # calls in this pass; building every level to depth 4, with none
+        # ruled out by f's values, ran 663 decompositions and 2,440 _divmod
         fpoly = orbitsquares.fpoly
         gcd, divmod_, decompose = fpoly.gcd, fpoly._divmod, fpoly._squarefree_decomposition
         calls, in_gcd, squarefree_costs = Counter(), [False], Counter()
@@ -534,6 +567,7 @@ class TestOracles:
             return divmod_(F, a, b)
 
         def counted_decompose(f, inner=None):
+            calls["decompose"] += 1
             before = calls.copy()
             out = decompose(f, inner)
             if out == [(f, 1)]:
@@ -549,8 +583,9 @@ class TestOracles:
         assert len(cubics) == 125
         for f in cubics:
             oracle_2_ordinary(f, 4)
-        assert squarefree_costs == {(1, 0): 576}
-        assert calls["_divmod"] <= 2440
+        assert squarefree_costs == {(1, 0): 296}
+        assert calls["decompose"] <= 363
+        assert calls["_divmod"] <= 1470
 
     def test_distinct_roots_never_certified(self):
         for f in enumerate_polys(F5, 2, "monic"):
@@ -562,8 +597,9 @@ class TestOracles:
 @pytest.mark.parametrize(
     "spec, degree, depth, kind",
     [("5", 3, 4, "monic"), ("3^2", 2, 4, "monic"), ("3", 4, 3, "all"),
-     ("3", 3, 4, "monic"), ("7", 2, 4, "all")],
-    ids=["F5-cubics", "F9-quadratics", "F3-all-quartics", "F3-cubics", "F7-all-quadratics"],
+     ("3", 3, 4, "monic"), ("7", 2, 4, "all"), ("5", 1, 4, "all"), ("3^2", 1, 4, "all")],
+    ids=["F5-cubics", "F9-quadratics", "F3-all-quartics", "F3-cubics", "F7-all-quadratics",
+         "F5-all-linear", "F9-all-linear"],
 )
 def test_oracle_matches_the_factoring_reference(spec, degree, depth, kind):
     # F_3's cubics hold x^3 + c, whose derivative is 0
@@ -575,6 +611,46 @@ def test_oracle_matches_the_factoring_reference(spec, degree, depth, kind):
             assert str(ours) == str(ref), (str(f), need_odd)
             certified += ours.certified_not
     assert certified
+
+
+@pytest.mark.parametrize(
+    "spec, degree, depth, kind",
+    [("5", 1, 4, "all"), ("3^2", 1, 4, "all"), ("3", 2, 6, "all"), ("3", 3, 4, "all"),
+     ("3", 4, 3, "all"), ("3", 5, 3, "all"), ("5", 2, 6, "all"), ("7", 2, 6, "all"),
+     ("5", 3, 4, "all"), ("3^2", 2, 6, "monic"), ("5^2", 2, 5, "monic")],
+    ids=lambda v: str(v),
+)
+def test_oracle_matches_its_level_loop(spec, degree, depth, kind):
+    # the oracle builds levels only up to the deepest one f's values leave
+    # open; no level the loop certifies may be ruled out, and the verdicts
+    # must be those of the loop run to depth
+    F = FieldSpec.parse(spec)
+    certified = 0
+    for f in enumerate_polys(F, degree, kind):
+        for need_odd, oracle in ((True, oracle_2_ordinary), (False, oracle_ordinary)):
+            levels = set(exact_certified_levels(f, depth, need_odd))
+            assert levels <= _open_levels(f, depth, need_odd)[1], (str(f), need_odd)
+            ours = oracle(f, depth)
+            assert str(ours) == str(exact_oracle(f, depth, need_odd)), (str(f), need_odd)
+            certified += ours.certified_not
+    assert certified
+
+
+@pytest.mark.parametrize("budget", [3, 9, 27, 80])
+def test_oracle_meets_the_budget_where_its_level_loop_does(budget):
+    raised = 0
+    for f in enumerate_polys(F5, 3, "monic"):
+        for need_odd, oracle in ((True, oracle_2_ordinary), (False, oracle_ordinary)):
+            outcomes = []
+            for run in (lambda: oracle(f, 4, budget=budget),
+                        lambda: exact_oracle(f, 4, need_odd, budget)):
+                try:
+                    outcomes.append(str(run()))
+                except DegreeBudgetExceeded as err:
+                    outcomes.append(f"raised {err}")
+            assert outcomes[0] == outcomes[1], (str(f), need_odd)
+            raised += outcomes[0].startswith("raised")
+    assert raised
 
 
 @pytest.mark.parametrize(

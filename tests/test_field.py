@@ -319,6 +319,23 @@ def test_invalid_characteristic_is_refused_before_the_modulus_search(text, messa
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text", ["100000000000031^0", "9^0", "0^0", "2^0"])
+def test_degree_0_is_refused_before_p_is_trial_divided(text, monkeypatch, capsys):
+    # a 20-digit p would take hours to trial-divide; 9^0 is refused for its
+    # degree, not for 9
+    def trial_division(n):
+        raise AssertionError(f"trial division of {n}")
+
+    monkeypatch.setattr("orbitsquares.field.prime_factors", trial_division)
+    _stop_field_work(monkeypatch)
+    p = int(text.split("^")[0])
+    for call in (lambda: FieldSpec.parse(text), lambda: make_field(p, 0)):
+        with pytest.raises(ValueError, match="^extension degree must be >= 1$"):
+            call()
+    assert main(["classify", "--field", text, "--poly", "1,0,1"]) == 1
+    assert capsys.readouterr().err == "error: extension degree must be >= 1\n"
+
+
 @pytest.mark.parametrize("p,k", [(1999993, 1), (3, 13)])
 def test_largest_tabulated_fields_are_accepted(p, k, monkeypatch):
     # the largest prime and power of 3 at most MAX_FIELD_ORDER reach the field

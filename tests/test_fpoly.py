@@ -455,6 +455,20 @@ def test_refuses_invalid_input(call, error, message):
         call()
 
 
+@pytest.mark.parametrize("c", [FieldElement(F5, 3), FieldElement(make_field(3, 2), 8)],
+                         ids=["F5", "F9"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda c: P(F7, 1, 0, 1).scale(c), lambda c: P(F7, 1, 0, 1).shift_const(c),
+     lambda c: Poly.from_elements(F7, [c, F7.one])],
+    ids=["scale", "shift_const", "from_elements"],
+)
+def test_an_element_of_another_field_is_refused(call, c):
+    # as in evaluate and *, an index is never read in a field it is not from
+    with pytest.raises(ValueError, match="^point and polynomial over different fields$"):
+        call(c)
+
+
 @pytest.mark.parametrize("p,k", [(5, 1), (3, 2)])
 def test_negative_exponent_rejected(p, k):
     F = make_field(p, k)
