@@ -15,10 +15,10 @@ from fractions import Fraction
 from math import prod
 
 from .classify import TWO_ORDINARY, classify_2_ordinary
-from .dynamics import RunReport, _start, check_target, longest_run, orbit_table
+from .dynamics import RunReport, check_target, longest_run, orbit_table
 from .errors import NotPurelyPeriodic, NotTwoOrdinary
 from .field import FieldElement
-from .fpoly import Poly, constant_times_square
+from .fpoly import Poly, _index_in, constant_times_square
 
 
 def char_sum(f: Poly) -> int:
@@ -103,7 +103,7 @@ def compute_B(f: Poly, a: FieldElement, i: int, L: int) -> Fraction:
     l >= 1 convention: s_a(l) = chi(f^l(a))."""
     if i < 0:
         raise ValueError(f"window index i must be >= 0, got {i}")
-    y = _start(f, a)
+    y = _index_in(f.field, a)
     sums = _per_f(f, _window_sums, L)
     succ = orbit_table(f).succ
     for _ in range(i):
@@ -134,7 +134,7 @@ def orbit_bound_check(f: Poly, a: FieldElement, L: int) -> OrbitBoundReport:
     B = max B_i, since sum_i B_i <= m B.  The sign period m and |O_f(a)| are
     read from f's orbit table, and each B_i from f's window sums along a's
     orbit."""
-    x = _start(f, a)
+    x = _index_in(f.field, a)
     table = orbit_table(f)
     if table.sign_tail[x]:
         raise NotPurelyPeriodic("orbit bound requires a purely periodic sign sequence")
@@ -169,7 +169,7 @@ def envelope_holds(b: Fraction, q: int, d: int, L: int) -> bool:
 
 def envelope_check(f: Poly, a: FieldElement, i: int, L: int) -> EnvelopeCheck:
     """B_i <= q/2^L + d^(L+1) sqrt(q), compared exactly on the squared branch."""
-    x = _start(f, a)
+    x = _index_in(f.field, a)
     if classify_2_ordinary(f).verdict != TWO_ORDINARY:
         raise NotTwoOrdinary("envelope bound requires a dynamically 2-ordinary f")
     if orbit_table(f).sign_tail[x]:

@@ -86,14 +86,6 @@ def _form_a(f: Poly) -> dict | None:
     return {"A": A, "B": y ** (F.p ** (-e % F.k)), "e": e}
 
 
-def classify_ordinary(f: Poly):
-    """(verdict, witness): NotOrdinary iff f = A(x-B)^(p^e)."""
-    if f.degree < 2:
-        raise ValueError("classification needs degree >= 2")
-    witness = _form_a(f)
-    return (ORDINARY, None) if witness is None else (NOT_ORDINARY, witness)
-
-
 def classify_2_ordinary(f: Poly, seed: int = 0) -> ClassificationReport:
     """Closed-form membership tests for the five exceptional shapes.
 
@@ -288,9 +280,9 @@ def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleRe
     inherit the flag of the G they come from.
 
     The loop builds levels only up to the deepest level that f's values
-    leave open; each level past it only meets the degree budget, as it
-    would in the loop.  The rule: let N_n = f^n when 0 is not periodic of
-    period r <= n, else N_n = f^n / (f^(n-r))^e, where f^r = x^e N_r and
+    leave open.  Every level through top meets the degree budget, so the
+    budget is checked once: at top + 1, when depth asks for it.  The rule:
+    let N_n = f^n when 0 is not periodic of period r <= n, else N_n = f^n / (f^(n-r))^e, where f^r = x^e N_r and
     N_r(0) != 0.  Then f^n = (f^(n-r))^e N_r(f^(n-r)), so N_n = N_r(f^(n-r)),
     and by the rule above the roots of f^(n-r) are old and those of N_n new.
     So N_n is a constant times the product of level n's new pieces to their
@@ -325,7 +317,6 @@ def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleRe
     x = Poly.x(f.field)
     level = [(x, 1, False)]
     for n in range(1, open_to + 1):
-        check_degree_budget(d, n, budget)
         level = [(h, m * e, old) for g, m, old in level
                  for h, e in _squarefree_decomposition(g.compose(f).monic(), f)]
         if n == r:
@@ -335,8 +326,8 @@ def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleRe
         # no new factor (of odd multiplicity, when need_odd) at level n
         if all(old or need_odd and m % 2 == 0 for _, m, old in level):
             return OracleResult(certified_not=True, level=n, depth=depth)
-    for n in range(open_to + 1, depth + 1):
-        check_degree_budget(d, n, budget)
+    if top < depth:
+        check_degree_budget(d, top + 1, budget)
     return OracleResult(certified_not=False, level=None, depth=depth)
 
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .field import FieldElement
-from .fpoly import Poly
+from .fpoly import Poly, _index_in
 
 
 @dataclass(frozen=True)
@@ -148,16 +148,9 @@ def orbit_table(f: Poly) -> OrbitTable:
     return OrbitTable(succ, tail, cycle, sign_tail, sign_period, ahead, run)
 
 
-def _start(f: Poly, a: FieldElement) -> int:
-    """a's index, once a is known to lie in f's field."""
-    if a.field != f.field:
-        raise ValueError("point and polynomial over different fields")
-    return a.idx
-
-
 def forward_orbit(f: Poly, a: FieldElement) -> OrbitSummary:
     """The tail + period points of a's orbit, read from f's orbit table."""
-    x = _start(f, a)
+    x = _index_in(f.field, a)
     table = orbit_table(f)
     tail, period = table.tail[x], table.cycle[x]
     xs = [x]
@@ -224,4 +217,4 @@ def check_target(target: int) -> None:
 def longest_run(f: Poly, a: FieldElement, target: int) -> RunReport:
     """Longest run of iterates of a with character sign target."""
     check_target(target)
-    return orbit_table(f).run[target][_start(f, a)]
+    return orbit_table(f).run[target][_index_in(f.field, a)]

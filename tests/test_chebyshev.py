@@ -1,24 +1,24 @@
-"""Exact integer Chebyshev, cyclotomic and psi-factor polynomials."""
+"""Exact integer Chebyshev polynomials, and the cyclotomic and psi-factor
+identities on the test-local reference."""
 
 import pytest
-
-from orbitsquares.chebyshev import (
-    IntPoly,
-    chebyshev,
+from chebyshev_ref import (
+    compose,
     cyclotomic,
+    degree,
     euler_phi,
+    exact_div,
+    monic_chebyshev,
+    neg,
+    power,
+    product,
     psi,
     tilde_chebyshev,
 )
+
+from orbitsquares.chebyshev import IntPoly, chebyshev
 from orbitsquares.field import make_field
 from orbitsquares.fpoly import Poly
-
-
-def prod(items):
-    out = IntPoly([1])
-    for it in items:
-        out = out * it
-    return out
 
 
 class TestChebyshev:
@@ -35,13 +35,19 @@ class TestChebyshev:
     def test_composition_identity(self):
         t2 = chebyshev(2)
         for n in range(21):
-            assert t2.compose(chebyshev(n)) == chebyshev(2 * n)
+            assert compose(t2, chebyshev(n)) == chebyshev(2 * n)
 
     def test_tilde_monic_integer(self):
         assert tilde_chebyshev(2) == IntPoly([-2, 0, 1])
         for d in range(1, 12):
             t = tilde_chebyshev(d)
-            assert t.degree == d and t.coeffs[-1] == 1
+            assert degree(t) == d and t.coeffs[-1] == 1
+
+    def test_tilde_is_twice_t_d_at_half_x(self):
+        # the normalization criterion 5 derives from chebyshev(d) agrees
+        # with the tilde_T recurrence
+        for d in range(30):
+            assert monic_chebyshev(d) == tilde_chebyshev(d)
 
     def test_tilde_sum_of_powers_identity(self):
         # tilde_T_d(y + 1/y) = y^d + y^(-d), checked as polynomials in y
@@ -51,7 +57,7 @@ class TestChebyshev:
             acc = IntPoly([])
             # y^d * (y + 1/y)^j = y^(d-j) (y^2+1)^j
             for j, c in enumerate(t.coeffs):
-                term = IntPoly([0] * (d - j) + [1]) * IntPoly([1, 0, 1]) ** j
+                term = IntPoly([0] * (d - j) + [1]) * power(IntPoly([1, 0, 1]), j)
                 acc = acc + IntPoly([c]) * term
             assert acc == IntPoly([1] + [0] * (2 * d - 1) + [1])
 
@@ -85,28 +91,28 @@ class TestPsi:
 
     def test_degree_is_half_phi(self):
         for n in range(3, 20):
-            assert psi(n).degree == euler_phi(n) // 2
+            assert degree(psi(n)) == euler_phi(n) // 2
 
     def test_factorizations_odd_d(self):
         for d in (3, 5, 7, 9, 11, 13, 15):
             t = tilde_chebyshev(d)
             ks = [k for k in range(2, d + 1) if d % k == 0]
-            assert t - IntPoly([2]) == psi(1) * prod(psi(k) for k in ks) ** 2
-            assert t + IntPoly([2]) == psi(2) * prod(psi(2 * k) for k in ks) ** 2
+            assert t - IntPoly([2]) == psi(1) * power(product(psi(k) for k in ks), 2)
+            assert t + IntPoly([2]) == psi(2) * power(product(psi(2 * k) for k in ks), 2)
 
 
 class TestReduction:
     def test_reduce_mod(self):
         F7 = make_field(7)
         assert chebyshev(2).reduce_mod(F7) == Poly.from_ints(F7, [6, 0, 2])
-        assert (-chebyshev(2)).reduce_mod(F7) == Poly.from_ints(F7, [1, 0, 5])
+        assert neg(chebyshev(2)).reduce_mod(F7) == Poly.from_ints(F7, [1, 0, 5])
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: IntPoly([0, 1]).exact_div(IntPoly([0, 2])),  # x / 2x: 2 does not divide 1
-        lambda: IntPoly([1, 1]).exact_div(IntPoly([0, 1])),  # (x + 1) / x leaves 1
+        lambda: exact_div(IntPoly([0, 1]), IntPoly([0, 2])),  # x / 2x: 2 does not divide 1
+        lambda: exact_div(IntPoly([1, 1]), IntPoly([0, 1])),  # (x + 1) / x leaves 1
         lambda: tilde_chebyshev(-1),
         lambda: cyclotomic(0),
         lambda: psi(0),

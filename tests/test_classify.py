@@ -25,7 +25,6 @@ from orbitsquares.classify import (
     are_conjugate,
     chebyshev_conjugacy,
     classify_2_ordinary,
-    classify_ordinary,
     generate_family,
     hn_sequence,
     oracle_2_ordinary,
@@ -121,17 +120,23 @@ class TestClassify2Ordinary:
                     assert Poly.constant(w["A"]) * lin * w["g"] ** 2 == f
 
 
+def ordinary(f: Poly):
+    """The ordinary verdict and witness of f's classification report."""
+    rep = classify_2_ordinary(f)
+    return rep.ordinary_verdict, rep.ordinary_witness
+
+
 class TestClassifyOrdinary:
     def test_linear_power_char_p(self):
-        v, w = classify_ordinary(P(F3, 2) * P(F3, -3 % 3, 1) ** 9)  # 2(x-3)^9 = 2x^9
+        v, w = ordinary(P(F3, 2) * P(F3, -3 % 3, 1) ** 9)  # 2(x-3)^9 = 2x^9
         assert v == NOT_ORDINARY and w["e"] == 2
 
     def test_degree_not_p_power(self):
-        v, _ = classify_ordinary(P(F7, 0, 0, 0, 1))  # x^3, 3 not a power of 7
+        v, _ = ordinary(P(F7, 0, 0, 0, 1))  # x^3, 3 not a power of 7
         assert v == ORDINARY
 
     def test_squarefree(self):
-        v, _ = classify_ordinary(P(F3, 1, 0, 1))
+        v, _ = ordinary(P(F3, 1, 0, 1))
         assert v == ORDINARY
 
 
@@ -227,7 +232,6 @@ def test_coefficient_shapes_match_factorization_reference(field, degree):
         fac = factor(f)
         expected = _ref_classify_2(f, fac)
         assert classify_2_ordinary(f).to_json() == expected.to_json(), f
-        assert classify_ordinary(f) == (expected.ordinary_verdict, expected.ordinary_witness), f
         assert constant_times_square(f) == _ref_constant_times_square(f, fac), f
 
 
@@ -255,7 +259,6 @@ def test_shape_decisions_never_factor(monkeypatch):
     for field, degree in [("3", 3), ("3", 5), ("7", 2), ("5", 4), ("3^2", 3)]:
         for f in enumerate_polys(FieldSpec.parse(field), degree, "all"):
             seen.update(m.form for m in classify_2_ordinary(f).matched_forms)
-            classify_ordinary(f)
             constant_times_square(f)
             weil_check(f)
     assert calls == [] and seen == {"a", "b", "c", "d", "e"}
@@ -274,7 +277,7 @@ def test_classify_ordinary_recovers_every_linear_power(p, k):
                 continue
             for B in F.elements():
                 f = Poly.constant(A) * Poly.from_elements(F, [-B, F.one]) ** (p**e)
-                assert classify_ordinary(f) == (NOT_ORDINARY, {"A": A, "B": B, "e": e})
+                assert ordinary(f) == (NOT_ORDINARY, {"A": A, "B": B, "e": e})
 
 
 class TestHnSequence:
@@ -656,7 +659,8 @@ def test_oracle_meets_the_budget_where_its_level_loop_does(budget):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: classify_ordinary(P(F7, 1, 1)), ValueError, "classification needs degree >= 2"),
+        (lambda: classify_2_ordinary(P(F7, 1, 1)).ordinary_verdict, ValueError,
+         "classification needs degree >= 2"),
         (lambda: classify_2_ordinary(P(F7, 1, 1)), ValueError,
          "classification needs degree >= 2"),
         (lambda: oracle_2_ordinary(P(F7, 3), 2), ValueError,
