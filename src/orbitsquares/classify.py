@@ -1,7 +1,9 @@
 """Classification machinery: the five exceptional shapes that break
 dynamical 2-ordinarity, finite-depth oracles, the exceptional families (d)
 and (e) as conjugates of the Chebyshev polynomials +-T_d, and linear
-conjugacy solved from coefficients (including conjugacy to +-T_d).
+conjugacy solved from coefficients (including conjugacy to +-T_d).  T_d's
+integer coefficients come from its three-term recurrence here, and are
+reduced into F_q.
 
 The oracles decide from squarefree decompositions of G(f) and the period of
 0 under f, with no irreducible factoring.
@@ -14,8 +16,8 @@ through depth 3-6), with no proof for every level."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from . import chebyshev as cheb
 from .field import FieldElement
 from .fpoly import (
     DEFAULT_DEGREE_BUDGET,
@@ -194,6 +196,18 @@ def hn_sequence(A: FieldElement, B: FieldElement, d: int) -> HnSequence:
 
 # --- exceptional family generation -----------------------------------------
 
+@lru_cache(maxsize=None)
+def chebyshev(d: int) -> tuple[int, ...]:
+    """T_d's integer coefficients, constant term first, from T_0 = 1, T_1 = x
+    and T_{n+1} = 2x T_n - T_{n-1}, i.e. c_{n+1}[j] = 2 c_n[j-1] - c_{n-1}[j]."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    a, b = (1,), (0, 1)
+    for _ in range(d):
+        a, b = b, tuple(2 * x - y for x, y in zip((0,) + b, a + (0, 0)))
+    return a
+
+
 def generate_family(B: FieldElement, d: int) -> Poly:
     """The member a(eps T_d(x/a + 1) - 1), a = -B/2, eps = (-1)^d, of shape (d)
     for even d and (e) for odd d: +-T_d conjugated by phi(x) = a(x - 1).  The
@@ -206,7 +220,7 @@ def generate_family(B: FieldElement, d: int) -> Poly:
     F = B.field
     eps = F.one if d % 2 == 0 else -F.one
     a = -B / F.from_int(2)
-    t = cheb.chebyshev(d).reduce_mod(F).compose(Poly.from_elements(F, [F.one, a.inverse()]))
+    t = Poly.from_ints(F, chebyshev(d)).compose(Poly.from_elements(F, [F.one, a.inverse()]))
     return t.shift_const(-eps).scale(eps * a)
 
 
@@ -399,7 +413,7 @@ def chebyshev_conjugacy(f: Poly) -> tuple[str, ConjugacyWitness] | None:
     """Conjugacy of f to +T_d or -T_d reduced into the field; tries + first."""
     d = f.degree
     F = f.field
-    t = cheb.chebyshev(d).reduce_mod(F)
+    t = Poly.from_ints(F, chebyshev(d))
     for sign, target in (("+", t), ("-", -t)):
         w = are_conjugate(f, target)
         if w is not None:

@@ -181,6 +181,8 @@ class SignSequence:
 
     def sign_at(self, ell: int) -> int:
         """chi(f^ell(a)) for any ell >= 0 (periodic extension)."""
+        if ell < 0:
+            raise ValueError(f"orbit index must be nonnegative, got {ell}")
         t, p = self.orbit.tail, self.orbit.period
         if ell < len(self.signs):
             return self.signs[ell]

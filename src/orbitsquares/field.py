@@ -454,6 +454,8 @@ class FieldElement:
     def __lt__(self, other):
         # coordinate-lexicographic order == index order
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return self.idx < o
 
     def __repr__(self):

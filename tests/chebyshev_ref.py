@@ -1,22 +1,65 @@
-"""Reference integer polynomials for the Chebyshev identity tests: the monic
-normalization tilde_T_d (by its own recurrence, and read from chebyshev(d)),
-cyclotomic polynomials, the psi factor polynomials, and the IntPoly
-operations only these need.  No src/ path uses them."""
+"""Reference integer polynomials for the Chebyshev identity tests: a dense
+integer polynomial class, the monic normalization tilde_T_d (by its own
+recurrence, and read from chebyshev(d)), cyclotomic polynomials and the psi
+factor polynomials.  No src/ path uses them."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from orbitsquares.chebyshev import X, IntPoly, chebyshev
+from orbitsquares.classify import chebyshev
 from orbitsquares.field import prime_factors
+
+
+class IntPoly:
+    """Dense integer-coefficient polynomial, constant term first."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        c = list(coeffs)
+        while c and c[-1] == 0:
+            c.pop()
+        self.coeffs = tuple(c)
+
+    def __add__(self, other: "IntPoly") -> "IntPoly":
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return IntPoly(out)
+
+    def __sub__(self, other: "IntPoly") -> "IntPoly":
+        return self + IntPoly([-c for c in other.coeffs])
+
+    def __mul__(self, other: "IntPoly") -> "IntPoly":
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return IntPoly([])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return IntPoly(out)
+
+    def __eq__(self, other):
+        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"IntPoly({list(self.coeffs)})"
+
+
+X = IntPoly([0, 1])
 
 
 def degree(a: IntPoly) -> int:
     return len(a.coeffs) - 1
-
-
-def neg(a: IntPoly) -> IntPoly:
-    return IntPoly([-c for c in a.coeffs])
 
 
 def power(a: IntPoly, e: int) -> IntPoly:
@@ -83,7 +126,7 @@ def tilde_chebyshev(d: int) -> IntPoly:
 def monic_chebyshev(d: int) -> IntPoly:
     """2 T_d(x/2), read from the coefficients c_j of chebyshev(d): 2 c_0 and
     c_j / 2^(j-1) for j >= 1, each exact as 2^(j-1) divides c_j."""
-    c = chebyshev(d).coeffs
+    c = chebyshev(d)
     if any(cj % 2 ** (j - 1) for j, cj in enumerate(c) if j):
         raise ValueError("2^(j-1) does not divide c_j")
     return IntPoly([2 * c[0]] + [cj // 2 ** (j - 1) for j, cj in enumerate(c) if j])

@@ -10,8 +10,6 @@ import pytest
 import orbitsquares.classify
 import orbitsquares.fpoly
 from orbitsquares.bounds import weil_check
-
-from orbitsquares.chebyshev import chebyshev
 from orbitsquares.classify import (
     NOT_ORDINARY,
     NOT_TWO_ORDINARY,
@@ -23,6 +21,7 @@ from orbitsquares.classify import (
     OracleResult,
     _open_levels,
     are_conjugate,
+    chebyshev,
     chebyshev_conjugacy,
     classify_2_ordinary,
     generate_family,
@@ -733,7 +732,7 @@ class TestConjugacy:
         res = chebyshev_conjugacy(P(F7, 0, 4, 5))
         assert res is not None
         sign, w = res
-        target = chebyshev(2).reduce_mod(F7)
+        target = Poly.from_ints(F7, chebyshev(2))
         if sign == "-":
             target = -target
         assert w.apply(P(F7, 0, 4, 5)) == target
@@ -776,7 +775,7 @@ CONJUGACY_CELLS = [
 @pytest.mark.parametrize("field,degree,kind", CONJUGACY_CELLS)
 def test_conjugacy_solve_matches_brute_force(field, degree, kind):
     F = FieldSpec.parse(field)
-    t = chebyshev(degree).reduce_mod(F)
+    t = Poly.from_ints(F, chebyshev(degree))
     found = 0
     for g in (t, -t):
         first = _first_conjugacies(g)

@@ -93,6 +93,12 @@ class TestLongestRun:
         with pytest.raises(ValueError):
             longest_run(P(F7, 6, 0, 1), el(F7, 3), target)
 
+    @pytest.mark.parametrize("ell", [-1, -2, -4])
+    def test_sign_at_refuses_a_negative_index(self, ell):
+        # unchecked, a negative index would read the stored signs from the end
+        with pytest.raises(ValueError):
+            sign_sequence(P(F7, 0, 0, 1), el(F7, 3)).sign_at(ell)
+
 
 def horner_orbit(f, a_idx):
     """Reference walk with no table: one f.eval_i per step to the first repeat.

@@ -172,6 +172,13 @@ class TestArithmetic:
         assert el(F7, 3) + 4 == F7.zero
         assert 2 * el(F7, 4) == el(F7, 1)
 
+    def test_order_leaves_an_operand_it_cannot_coerce_to_python(self):
+        assert el(F7, 1) < 2 and not el(F7, 2) < 1
+        with pytest.raises(TypeError, match="'FieldElement' and 'str'"):
+            el(F7, 1) < "a"
+        with pytest.raises(ValueError, match="different fields"):
+            el(F7, 1) < el(F3, 2)
+
 
 def _schoolbook_mul(F, a, b):
     """Coordinate product of two element indices, reduced by F's monic modulus."""

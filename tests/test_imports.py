@@ -5,8 +5,9 @@ Errors paragraph, every defaulted parameter of a package function is set
 by some call, every name in the package's __all__ and every `module.name`
 the README cites resolves, no decision path uses floating point, dynamics,
 bounds and scan read whole-field tables instead of calling Poly.eval_i or
-FieldSpec.chi_i per point, and only fpoly's product, long division and
-value table branch on the field kind.
+FieldSpec.chi_i per point, only fpoly's product, long division and value
+table branch on the field kind, and no class but fpoly.Poly and
+field.FieldElement defines a product (__mul__): one polynomial class.
 
 The package's __init__ is left out of the import check: it imports names to
 re-export them."""
@@ -188,6 +189,33 @@ def test_detects_a_field_kind_branch():
 def test_only_the_kernels_branch_on_the_field_kind():
     source = next(p for p in MODULES if p.name == "fpoly.py").read_text()
     assert field_kind_branches(source, FIELD_KIND_KERNELS) == []
+
+
+def product_classes(sources: dict[str, str]) -> list[str]:
+    """Every class in sources that defines __mul__, as "module.Class"."""
+    return sorted(
+        f"{name}.{node.name}"
+        for name, src in sources.items()
+        for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(n, ast.FunctionDef) and n.name == "__mul__" for n in node.body)
+    )
+
+
+def test_detects_a_second_polynomial_class():
+    sources = {
+        "fpoly": "class Poly:\n    def __mul__(self, other):\n        pass\n",
+        "chebyshev": "class IntPoly:\n    def __add__(self, other):\n        pass\n\n"
+                     "    def __mul__(self, other):\n        pass\n\n"
+                     "X = IntPoly()\n",
+        "field": "class FieldSpec:\n    def mul_i(self, a, b):\n        pass\n",
+    }
+    assert product_classes(sources) == ["chebyshev.IntPoly", "fpoly.Poly"]
+
+
+def test_one_polynomial_class():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert product_classes(sources) == ["field.FieldElement", "fpoly.Poly"]
 
 
 def _reads(node) -> Counter:
