@@ -18,7 +18,7 @@ from .classify import TWO_ORDINARY, classify_2_ordinary
 from .dynamics import RunReport, check_target, longest_run, orbit_table
 from .errors import NotPurelyPeriodic, NotTwoOrdinary
 from .field import FieldElement
-from .fpoly import Poly, _index_in, constant_times_square
+from .fpoly import Poly, _index_in, is_constant_times_square
 
 
 def char_sum(f: Poly) -> int:
@@ -41,7 +41,7 @@ class WeilCheck:
 
 def weil_check(f: Poly) -> WeilCheck:
     """|sum chi(f)|^2 <= (d-1)^2 q for f that is not a constant times a square."""
-    if constant_times_square(f) is not None:
+    if is_constant_times_square(f):
         return WeilCheck(applies=False, reason="constant-times-square")
     s = char_sum(f)
     d = f.degree
@@ -98,16 +98,19 @@ def compute_B(f: Poly, a: FieldElement, i: int, L: int) -> Fraction:
     """Exact B_i = sum_x prod_{l=1..L} (1 + s_a(l+i) chi(f^l(x)))/2.
 
     The signs s_a(i+1..i+L) are the sign window of f^i(a), so B_i is f's
-    window sum at f^i(a): i orbit-table steps and one lookup.  The result is
-    a rational with denominator dividing 2^L.  Sign indices follow the
-    l >= 1 convention: s_a(l) = chi(f^l(a))."""
+    window sum at f^i(a): one lookup after fewer than tail + cycle steps, as
+    f^i(a) = f^(t + (i - t) mod c)(a) for a's tail t and cycle length c when
+    i >= t (an i < t is below that index and kept).  The result is a rational
+    with denominator dividing 2^L.  Sign indices follow the l >= 1
+    convention: s_a(l) = chi(f^l(a))."""
     if i < 0:
         raise ValueError(f"window index i must be >= 0, got {i}")
     y = _index_in(f.field, a)
     sums = _per_f(f, _window_sums, L)
-    succ = orbit_table(f).succ
-    for _ in range(i):
-        y = succ[y]
+    table = orbit_table(f)
+    t = table.tail[y]
+    for _ in range(min(i, t + (i - t) % table.cycle[y])):
+        y = table.succ[y]
     return sums[y]
 
 

@@ -20,12 +20,12 @@ from functools import lru_cache
 
 from .field import FieldElement
 from .fpoly import (
-    DEFAULT_DEGREE_BUDGET,
     Poly,
     _squarefree_decomposition,
     check_degree_budget,
     sqrt_part,
     square_root,
+    within_degree_budget,
 )
 
 TWO_ORDINARY = "TwoOrdinary"
@@ -322,9 +322,8 @@ def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleRe
     if depth < 0:
         raise ValueError(f"oracle depth must be >= 0, got {depth}")
     d = f.degree
-    limit = DEFAULT_DEGREE_BUDGET if budget is None else budget
     top = 0
-    while top < depth and (d < 2 or d ** (top + 1) <= limit):
+    while top < depth and within_degree_budget(d, top + 1, budget):
         top += 1
     r, left = _open_levels(f, top, need_odd)
     open_to = max(left, default=0)

@@ -1,4 +1,4 @@
-"""Arithmetic in F_{p^k} for odd prime p, with quadratic character and square roots.
+"""Arithmetic in F_{p^k} for odd prime p, with the quadratic character.
 
 Elements are encoded as integer indices.  An element with power-basis
 coordinates (c_0, ..., c_{k-1}) (c_0 = constant coordinate) has index
@@ -8,8 +8,8 @@ coordinates (c_0, ..., c_{k-1}) (c_0 = constant coordinate) has index
 so that increasing index order coincides with lexicographic order on the
 coordinate vector.  Multiplicative structure is handled with discrete
 exp/log tables w.r.t. the smallest generator (in index order), which makes
-the character, inverses and square roots O(1) and fully deterministic; the
-character of every element is kept as one sign list, built with the tables.
+the character and inverses O(1) and fully deterministic; the character of
+every element is kept as one sign list, built with the tables.
 Over F_p an index is the residue and adds mod p; over F_{p^k}, k > 1,
 addition reads a table of Zech logarithms, so no arithmetic goes through
 coordinates once the tables are built.
@@ -150,9 +150,6 @@ class FieldSpec:
         """The image of the integer n in the prime subfield."""
         return FieldElement(self, (n % self.p) * self.p ** (self.k - 1))
 
-    def from_coords(self, coords):
-        return FieldElement(self, self.index(coords))
-
     def parse_index(self, text: str) -> int:
         """An element index written in decimal; anything outside [0, q) is rejected."""
         idx = _parse_decimal(text)
@@ -287,16 +284,6 @@ class FieldSpec:
         """Quadratic character as a sign in {-1, 0, +1}."""
         return self._chi[a]
 
-    def sqrt_i(self, a: int) -> int:
-        """Canonical square root: the root with the smaller index."""
-        if a == 0:
-            return 0
-        e = self._log[a]
-        if e % 2:
-            raise ValueError(f"element {self.coords(a)} is not a square")
-        r = self._exp[e // 2]
-        return min(r, self._neg[r])
-
     # -- misc ---------------------------------------------------------------
 
     @staticmethod
@@ -365,10 +352,6 @@ class FieldElement:
         self.field = field
         self.idx = idx
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coords(self.idx)
-
     def _coerce(self, other) -> int:
         if isinstance(other, FieldElement):
             if other.field != self.field:
@@ -391,12 +374,6 @@ class FieldElement:
         if o is NotImplemented:
             return o
         return FieldElement(self.field, self.field.sub_i(self.idx, o))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.sub_i(o, self.idx))
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg_i(self.idx))
@@ -435,17 +412,13 @@ class FieldElement:
         """Quadratic character: 0 at zero, +1 on nonzero squares, -1 otherwise."""
         return self.field.chi_i(self.idx)
 
-    def sqrt(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.sqrt_i(self.idx))
-
     def is_zero(self) -> bool:
         return self.idx == 0
 
     def __eq__(self, other):
+        # no int operand: 3 and 10 name one element of F_7 but hash apart
         if isinstance(other, FieldElement):
             return self.field == other.field and self.idx == other.idx
-        if isinstance(other, int):
-            return self.idx == self.field.from_int(other).idx
         return NotImplemented
 
     def __hash__(self):
@@ -461,4 +434,4 @@ class FieldElement:
     def __repr__(self):
         if self.field.k == 1:
             return str(self.idx)
-        return f"{self.coeffs}"
+        return f"{self.field.coords(self.idx)}"

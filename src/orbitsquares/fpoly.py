@@ -36,11 +36,18 @@ from .field import FieldElement, FieldSpec
 DEFAULT_DEGREE_BUDGET = 4096
 
 
-def check_degree_budget(d: int, n: int, budget: int | None = None) -> None:
-    """Refuse work on the n-th iterate of a degree-d polynomial when its
-    degree d^n exceeds budget (DEFAULT_DEGREE_BUDGET when None)."""
+def within_degree_budget(d: int, n: int, budget: int | None = None) -> bool:
+    """The degree budget rule: d^n <= budget (DEFAULT_DEGREE_BUDGET when
+    None), and every n when d < 2.  For d >= 2, d^n >= 2^n, so an n at or
+    above the budget's bit length is refused before any power is computed."""
     budget = DEFAULT_DEGREE_BUDGET if budget is None else budget
-    if d >= 2 and d**n > budget:
+    return d < 2 or n < budget.bit_length() and d**n <= budget
+
+
+def check_degree_budget(d: int, n: int, budget: int | None = None) -> None:
+    """Refuse work on an n-th iterate of degree d^n outside the budget."""
+    if not within_degree_budget(d, n, budget):
+        budget = DEFAULT_DEGREE_BUDGET if budget is None else budget
         raise DegreeBudgetExceeded(f"deg {d}^{n} exceeds degree budget {budget}")
 
 
@@ -228,9 +235,7 @@ class Poly:
         F = self.field
         return Poly(F, [F.neg_i(c) for c in self.coeffs])
 
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, FieldElement):
-            other = Poly.constant(other)
+    def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         return Poly(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
@@ -288,11 +293,7 @@ class Poly:
     # -- evaluation / composition / calculus --------------------------------
 
     def evaluate(self, a: FieldElement) -> FieldElement:
-        if isinstance(a, FieldElement):
-            ai = _index_in(self.field, a)
-        else:
-            ai = self.field.from_int(a).idx
-        return FieldElement(self.field, self.eval_i(ai))
+        return FieldElement(self.field, self.eval_i(_index_in(self.field, a)))
 
     def eval_i(self, ai: int) -> int:
         F = self.field
@@ -576,25 +577,7 @@ def square_root(f: Poly) -> Poly | None:
     return h if h is not None and h * h == f else None
 
 
-@dataclass(frozen=True)
-class SquareDecomposition:
-    """f == c * h^2 with h monic; c_is_square reports squareness of c in F_q."""
-
-    c: FieldElement
-    h: Poly
-    c_is_square: bool
-
-
-def constant_times_square(f: Poly) -> SquareDecomposition | None:
-    """Detect f = c*h^2 (every irreducible factor with even multiplicity).
-
-    Returns None when some factor has odd multiplicity.  Constants are
-    treated as c * 1^2; the zero polynomial yields None.
-    """
-    if f.is_zero():
-        return None
-    h = square_root(f.monic())
-    if h is None:
-        return None
-    c = f.leading()
-    return SquareDecomposition(c=c, h=h, c_is_square=c.chi() >= 0)
+def is_constant_times_square(f: Poly) -> bool:
+    """Whether f = c*h^2 for a constant c (every irreducible factor has even
+    multiplicity).  A nonzero constant is c * 1^2; the zero polynomial is not."""
+    return not f.is_zero() and square_root(f.monic()) is not None

@@ -53,7 +53,8 @@ class ScanConfig:
             raise ValueError(f"sample size must be at least 1, got {self.sample}")
 
     def to_json(self):
-        return asdict(self)
+        """The settings that decide the results; workers decides none of them."""
+        return {k: v for k, v in asdict(self).items() if k != "workers"}
 
 
 def enumerate_polys(field: FieldSpec, degree: int, space: str = "monic"):

@@ -108,6 +108,24 @@ class TestComputeB:
         # six nonzero x contribute 1, and x = 0 contributes (1/2)^2
         assert compute_B(P(F7, 0, 0, 1), el(F7, 2), 0, 2) == Fraction(25, 4)
 
+    def test_index_reduced_onto_the_cycle(self):
+        # x^2 + 3 over F_31 from 5: B at i = 10^12 is B at the index of the
+        # same orbit point within one tail plus one cycle
+        F31 = make_field(31)
+        f, a = P(F31, 3, 0, 1), el(F31, 5)
+        o = forward_orbit(f, a)
+        i = 10**12
+        reduced = o.tail + (i - o.tail) % o.period
+        assert reduced < o.tail + o.period
+        assert compute_B(f, a, i, 2) == compute_B(f, a, reduced, 2)
+        # and at every i through three laps of F_7, B_i is B_0 at f^i(a) walked point by point
+        for g in (P(F7, 3, 0, 1), P(F7, 2, 1, 0, 1)):
+            for start in F7.elements():
+                y = start
+                for i in range(3 * F7.q):
+                    assert compute_B(g, start, i, 2) == compute_B(g, y, 0, 2), (str(g), start, i)
+                    y = g.evaluate(y)
+
     def test_window_length_validated(self):
         with pytest.raises(ValueError):
             compute_B(P(F7, 0, 0, 1), el(F7, 2), 0, 0)

@@ -35,11 +35,10 @@ from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import (
     DEFAULT_DEGREE_BUDGET,
     Poly,
-    SquareDecomposition,
     _squarefree_decomposition,
     check_degree_budget,
-    constant_times_square,
     factor,
+    is_constant_times_square,
 )
 from orbitsquares.scan import enumerate_polys
 
@@ -142,7 +141,7 @@ class TestClassifyOrdinary:
 # --- a factorization-based reference -----------------------------------------
 #
 # The shapes used to be read off complete factorizations: f's multiplicities
-# for (a), (b), (c), (e) and constant_times_square, and one factorization of
+# for (a), (b), (c), (e) and is_constant_times_square, and one factorization of
 # f - B per nonzero B for (d).  That logic is kept here as the reference the
 # coefficient tests in classify/fpoly must agree with.
 
@@ -212,10 +211,8 @@ def _ref_classify_2(f, fac):
 
 
 def _ref_constant_times_square(f, fac):
-    h = _ref_root(fac) if f.degree % 2 == 0 else None
-    if h is None:
-        return None
-    return SquareDecomposition(c=fac.unit, h=h, c_is_square=fac.unit.chi() >= 0)
+    """The monic h with f == unit * h^2, else None."""
+    return _ref_root(fac) if f.degree % 2 == 0 else None
 
 
 DIFFERENTIAL_CELLS = [
@@ -231,7 +228,7 @@ def test_coefficient_shapes_match_factorization_reference(field, degree):
         fac = factor(f)
         expected = _ref_classify_2(f, fac)
         assert classify_2_ordinary(f).to_json() == expected.to_json(), f
-        assert constant_times_square(f) == _ref_constant_times_square(f, fac), f
+        assert is_constant_times_square(f) == (_ref_constant_times_square(f, fac) is not None), f
 
 
 def record_calls(monkeypatch, *functions) -> list[str]:
@@ -258,7 +255,7 @@ def test_shape_decisions_never_factor(monkeypatch):
     for field, degree in [("3", 3), ("3", 5), ("7", 2), ("5", 4), ("3^2", 3)]:
         for f in enumerate_polys(FieldSpec.parse(field), degree, "all"):
             seen.update(m.form for m in classify_2_ordinary(f).matched_forms)
-            constant_times_square(f)
+            is_constant_times_square(f)
             weil_check(f)
     assert calls == [] and seen == {"a", "b", "c", "d", "e"}
 
@@ -343,7 +340,8 @@ def _recurrence_member(A, B, sign, d):
     seed_sq = -B / A if even else -F.one / A
     if seed_sq.chi() == -1:
         return None
-    a = [seed_sq.sqrt() if sign == 1 else -seed_sq.sqrt()]
+    root = next(r for r in F.elements() if r * r == seed_sq)  # the smallest-index root
+    a = [root if sign == 1 else -root]
     for i in range(1, n + 1):
         div = F.from_int(i * (2 * i - 1)) * B
         if div.is_zero():

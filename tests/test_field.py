@@ -1,4 +1,4 @@
-"""Field construction, index arithmetic, character and square roots."""
+"""Field construction, index arithmetic and the quadratic character."""
 
 import itertools
 import pickle
@@ -146,7 +146,7 @@ class TestArithmetic:
 
     def test_mul_f9_generator_squares_to_minus_one(self):
         # t = residue of x; t^2 = -1 = 2 with modulus x^2 + 1
-        t = F9.from_coords((0, 1))
+        t = FieldElement(F9, F9.index((0, 1)))
         assert (t * t) == F9.from_int(2)
 
     def test_div_by_zero(self):
@@ -225,7 +225,7 @@ class TestCharacter:
         assert [F7.chi_i(i) for i in range(7)] == [0, 1, 1, -1, 1, -1, -1]
 
     def test_chi_f9_of_t(self):
-        t = F9.from_coords((1, 0))
+        t = FieldElement(F9, F9.index((1, 0)))
         assert t.chi() == 1  # t^4 = (t^2)^2 = 1
 
     def test_chi_multiplicative(self):
@@ -234,23 +234,33 @@ class TestCharacter:
                 assert F7.chi_i(F7.mul_i(a, b)) == F7.chi_i(a) * F7.chi_i(b)
 
 
-class TestSqrt:
-    def test_sqrt_zero(self):
-        assert F7.sqrt_i(0) == 0
+def test_equal_values_hash_equal():
+    # an element equals no int: 3 and 10 name one element of F_7 but hash apart
+    fields = [F7, F9, FieldSpec.parse("3^2/(2,1,1)")]
+    values = [e for F in fields for e in F.elements()] + list(range(-3, 12))
+    values += [Poly(F, c) for F in fields for c in ([], [1], [3], [0, 1], [2, 0, 1])]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert make_field(7).from_int(3) != 3 and 3 not in {make_field(7).from_int(3)}
 
-    def test_sqrt_canonical(self):
-        assert F7.sqrt_i(2) == 3  # canonical pick of {3, 4}
 
-    def test_sqrt_nonsquare(self):
-        with pytest.raises(ValueError, match=re.escape("element (3,) is not a square")):
-            F7.sqrt_i(3)
+class TestRepr:
+    def test_element_repr(self):
+        # a prime-field element shows its residue, an extension one its coordinates
+        assert repr(el(F7, 3)) == "3"
+        assert repr(el(F9, 5)) == "(1, 2)" and repr(el(F9, 0)) == "(0, 0)"
 
-    def test_sqrt_squares_back(self):
-        for F in (F3, F7, F9):
-            for a in F.elements():
-                if a.chi() >= 0:
-                    r = a.sqrt()
-                    assert r * r == a
+    def test_field_repr(self):
+        assert repr(F7) == "FieldSpec(p=7, k=1, modulus=[0, 1])"
+        assert repr(F9) == "FieldSpec(p=3, k=2, modulus=[1, 0, 1])"
+        assert str(F7) == "7" and str(make_field(3, 2)) == "3^2"
+
+    def test_poly_repr(self):
+        assert repr(Poly(F7, [1, 0, 3])) == "Poly(7; 1,0,3)"
+        assert repr(Poly(F9, [5, 0, 3])) == "Poly(3^2; 5,0,3)"
+        assert repr(Poly.zero(F9)) == "Poly(3^2; 0)"
 
 
 class TestElements:

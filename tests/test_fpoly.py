@@ -18,12 +18,14 @@ from orbitsquares.fpoly import (
     _pth_root,
     _squarefree_decomposition,
     _unpack,
-    constant_times_square,
+    check_degree_budget,
     factor,
     gcd,
+    is_constant_times_square,
     is_irreducible,
     sqrt_part,
     square_root,
+    within_degree_budget,
 )
 
 F3 = make_field(3)
@@ -38,6 +40,12 @@ def P(field, *ints):
 class TestArithmetic:
     def test_difference_of_squares(self):
         assert P(F7, 1, 1) * P(F7, 6, 1) == P(F7, 6, 0, 1)
+
+    def test_product_takes_only_a_poly(self):
+        # a constant multiplies as Poly.constant(c) or through scale(c)
+        for other in (F7.from_int(2), 2):
+            with pytest.raises(TypeError, match="expected Poly, got"):
+                P(F7, 1, 1) * other
 
     def test_divmod(self):
         q, r = divmod(P(F7, 1, 0, 1), P(F7, 0, 1))
@@ -89,6 +97,20 @@ class TestIterate:
     def test_budget(self):
         with pytest.raises(DegreeBudgetExceeded):
             P(F7, 0, 0, 1).iterate(5, budget=10)
+
+    def test_budget_refuses_a_huge_count_without_its_power(self):
+        class Count(int):
+            """An iteration count whose power d ** n fails the test."""
+
+            def __rpow__(self, base):
+                pytest.fail(f"computed {base} ** {int(self)}")
+
+        message = re.escape(f"deg 3^{10**7} exceeds degree budget 4096")
+        with pytest.raises(DegreeBudgetExceeded, match=message):
+            check_degree_budget(3, Count(10**7))
+        with pytest.raises(DegreeBudgetExceeded, match="exceeds degree budget 4096"):
+            P(F5, 0, 0, 0, 1).iterate(Count(10**7))
+        assert within_degree_budget(1, Count(10**7)) and within_degree_budget(0, Count(10**7))
 
 
 class TestDerivative:
@@ -184,24 +206,21 @@ class TestIsIrreducible:
 
 class TestConstantTimesSquare:
     def test_nonsquare_unit(self):
-        dec = constant_times_square(P(F7, 3, 6, 3))  # 3(x+1)^2
-        assert dec is not None
-        assert dec.c == F7.from_int(3) and dec.h == P(F7, 1, 1)
-        assert not dec.c_is_square
+        assert F7.from_int(3).chi() == -1
+        assert is_constant_times_square(P(F7, 3, 6, 3))  # 3(x+1)^2
 
     def test_absent(self):
-        assert constant_times_square(P(F7, 1, 0, 1)) is None
+        assert not is_constant_times_square(P(F7, 1, 0, 1))
+        assert not is_constant_times_square(Poly.zero(F7))
 
     def test_square_unit(self):
-        dec = constant_times_square(P(F7, 0, 0, 4))
-        assert dec is not None
-        assert dec.c == F7.from_int(4) and dec.h == P(F7, 0, 1)
-        assert dec.c_is_square
+        assert is_constant_times_square(P(F7, 0, 0, 4))  # 4x^2
+        assert is_constant_times_square(P(F7, 4))
 
     def test_reconstruction(self):
-        f = P(F5, 3) * (P(F5, 1, 2, 1, 1) ** 2)
-        dec = constant_times_square(f)
-        assert Poly.constant(dec.c) * dec.h * dec.h == f
+        h = P(F5, 1, 2, 1, 1)
+        assert is_constant_times_square(P(F5, 3) * h * h)
+        assert not is_constant_times_square(P(F5, 3) * h * h * P(F5, 0, 1))
 
 
 def _monic_polys(F, degree):

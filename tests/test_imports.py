@@ -6,8 +6,10 @@ by some call, every name in the package's __all__ and every `module.name`
 the README cites resolves, no decision path uses floating point, dynamics,
 bounds and scan read whole-field tables instead of calling Poly.eval_i or
 FieldSpec.chi_i per point, only fpoly's product, long division and value
-table branch on the field kind, and no class but fpoly.Poly and
-field.FieldElement defines a product (__mul__): one polynomial class.
+table branch on the field kind, no class but fpoly.Poly and
+field.FieldElement defines a product (__mul__): one polynomial class, and
+__all__ is the pinned list of public names, so each addition or deletion
+is a visible test edit.
 
 The package's __init__ is left out of the import check: it imports names to
 re-export them."""
@@ -395,6 +397,24 @@ def test_all_names_resolve_once():
     names = orbitsquares.__all__
     assert [n for n, k in Counter(names).items() if k > 1] == []
     assert [n for n in names if not hasattr(orbitsquares, n)] == []
+
+
+PUBLIC_NAMES = [
+    "ClassificationReport", "ConjugacyWitness", "DEFAULT_DEGREE_BUDGET", "EnvelopeCheck",
+    "FieldElement", "FieldSpec", "FormMatch", "HnSequence", "NOT_ORDINARY", "NOT_TWO_ORDINARY",
+    "ORDINARY", "OracleResult", "OrbitBoundReport", "OrbitSquaresError", "OrbitSummary", "Poly",
+    "RunBoundReport", "RunReport", "SignSequence", "TWO_ORDINARY", "WeilCheck", "are_conjugate",
+    "char_sum", "chebyshev", "chebyshev_conjugacy", "choose_L", "classify_2_ordinary",
+    "compute_B", "envelope_check", "forward_orbit", "gcd", "generate_family", "hn_sequence",
+    "is_constant_times_square", "longest_run", "make_field", "oracle_2_ordinary",
+    "oracle_ordinary", "orbit_bound_check", "run_bound_check", "sign_sequence", "t_set_size",
+    "weil_check",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC_NAMES) == 43
+    assert sorted(orbitsquares.__all__) == PUBLIC_NAMES
 
 
 def stale_cited_names(text: str, modules: dict[str, types.ModuleType]) -> list[str]:

@@ -526,8 +526,20 @@ class TestCli:
         rc, out, _ = self.run(capsys, "scan", "--field", "5", "--degree", "2")
         assert rc == 0
         config = json.loads(out.strip().splitlines()[-1])["summary"]["config"]
-        for key in ("checks", "depth", "space", "bound_Ls", "budget"):
+        for key in ("checks", "depth", "space", "bound_Ls", "budget", "workers"):
             assert key not in config, key
+
+    def test_scan_summary_is_the_same_at_any_worker_count(self, capsys, tmp_path):
+        summaries = []
+        for workers in ("1", "2"):
+            out_dir = tmp_path / workers
+            rc, _, _ = self.run(
+                capsys, "scan", "--field", "7", "--degree", "2", "--checks",
+                "classification,weil", "--workers", workers, "--out", str(out_dir),
+            )
+            assert rc == 0
+            summaries.append((out_dir / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
 
     def test_budget_flag_is_gone(self, capsys):
         # no scan or bound check forms an iterate f^n, so no degree budget applies
