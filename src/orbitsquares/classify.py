@@ -322,8 +322,12 @@ def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleRe
     if depth < 0:
         raise ValueError(f"oracle depth must be >= 0, got {depth}")
     d = f.degree
+    # A linear f permutes F_q, so 0 has a period r <= q.  N_n = f^n has degree
+    # 1 for n < r, never c h^2, and f^r = c x gives e = 1 = d^r: level r
+    # certifies in both modes, so no level past q is needed.
+    last = min(depth, f.field.q) if d == 1 else depth
     top = 0
-    while top < depth and within_degree_budget(d, top + 1, budget):
+    while top < last and within_degree_budget(d, top + 1, budget):
         top += 1
     r, left = _open_levels(f, top, need_odd)
     open_to = max(left, default=0)

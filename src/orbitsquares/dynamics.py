@@ -80,7 +80,7 @@ def orbit_table(f: Poly) -> OrbitTable:
     then placed from the cycle outward, each from its successor."""
     q = f.field.q
     succ = f.value_table()
-    chi = f.field._chi
+    chi = f.field.signs
     tail = [-1] * q  # -1: not walked yet, -2: on the current walk
     cycle = [0] * q
     sign_tail = [0] * q
@@ -200,7 +200,7 @@ class SignSequence:
 def sign_sequence(f: Poly, a: FieldElement) -> SignSequence:
     orbit = forward_orbit(f, a)
     table = orbit_table(f)
-    chi = f.field._chi
+    chi = f.field.signs
     return SignSequence(
         orbit=orbit,
         signs=tuple(chi[e.idx] for e in orbit.elements),

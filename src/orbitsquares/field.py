@@ -9,10 +9,11 @@ so that increasing index order coincides with lexicographic order on the
 coordinate vector.  Multiplicative structure is handled with discrete
 exp/log tables w.r.t. the smallest generator (in index order), which makes
 the character and inverses O(1) and fully deterministic; the character of
-every element is kept as one sign list, built with the tables.
+every element is kept as one read-only sign list, `FieldSpec.signs`.
 Over F_p an index is the residue and adds mod p; over F_{p^k}, k > 1,
 addition reads a table of Zech logarithms, so no arithmetic goes through
-coordinates once the tables are built.
+coordinates once the tables are built.  No other module reads the encoding
+or the tables: they use the index kernels, `signs` and `value_table`.
 """
 
 from __future__ import annotations
@@ -93,41 +94,46 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
-def _named_modulus(p: int, k: int, modulus) -> tuple[int, ...] | None:
-    """modulus as a tuple, or None when it names the default field: None
-    itself, or any valid monic linear modulus, since each one names F_p."""
-    if modulus is None:
-        return None
-    modulus = tuple(modulus)
-    if k == 1 and len(modulus) == 2 and modulus[1] == 1 and 0 <= modulus[0] < p:
-        return None
-    return modulus
+def _coordinate_map(images) -> list[int]:
+    """The index map sending coordinate i through the digit list images[i];
+    built from the last coordinate, so a new leading one has weight len(out)."""
+    out = [0]
+    for image in reversed(images):
+        w = len(out)
+        out = [e * w + r for e in image for r in out]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _field_key(p: int, k: int, modulus: tuple[int, ...] | None) -> tuple:
+    """(p, k, modulus) of the field these name, after _check_order: a missing
+    modulus, or any valid monic linear one (each names F_p), resolves to the
+    smallest irreducible, untested; any other must be a monic irreducible of
+    degree k over [0, p).  A list modulus is passed as a tuple."""
+    _check_order(p, k)
+    if modulus is None or k == 1 and len(modulus) == 2 and modulus[1] == 1 and 0 <= modulus[0] < p:
+        return p, k, smallest_irreducible(p, k)
+    if not all(0 <= c < p for c in modulus):
+        raise ValueError(f"modulus coefficients must lie in [0, {p}), got {list(modulus)}")
+    if len(modulus) != k + 1 or modulus[-1] != 1:
+        raise ValueError(f"modulus must be monic of degree {k}, got {list(modulus)}")
+    # k > 1 here, since every valid linear modulus named F_p above
+    if not _is_irreducible(p, modulus):
+        raise ValueError(f"modulus {list(modulus)} is reducible over F_{p}")
+    return p, k, modulus
 
 
 class FieldSpec:
     """A concrete realization of F_{p^k}; immutable after construction."""
 
     __slots__ = (
-        "p", "k", "q", "modulus", "_exp", "_log", "_neg", "_zech", "_chi", "one_idx", "_key",
+        "p", "k", "q", "modulus", "_exp", "_log", "_neg", "_zech", "_signs", "one_idx", "_key",
     )
 
     def __init__(self, p: int, k: int = 1, modulus=None):
-        _check_order(p, k)
-        modulus = _named_modulus(p, k, modulus)
-        if modulus is None:
-            modulus = smallest_irreducible(p, k)
-        elif not all(0 <= c < p for c in modulus):
-            raise ValueError(f"modulus coefficients must lie in [0, {p}), got {list(modulus)}")
-        elif len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {k}, got {list(modulus)}")
-        # k > 1 here, since every valid linear modulus named F_p above
-        elif not _is_irreducible(p, modulus):
-            raise ValueError(f"modulus {list(modulus)} is reducible over F_{p}")
-        self.p = p
-        self.k = k
+        self._key = _field_key(p, k, None if modulus is None else tuple(modulus))
+        self.p, self.k, self.modulus = self._key
         self.q = p**k
-        self.modulus = modulus
-        self._key = (p, k, modulus)
         self._build_tables()
 
     # -- encoding -----------------------------------------------------------
@@ -135,12 +141,7 @@ class FieldSpec:
     def coords(self, idx: int) -> tuple[int, ...]:
         """Power-basis coordinates (c_0, ..., c_{k-1}) of an element index."""
         p, k = self.p, self.k
-        out = []
-        for i in range(k):
-            w = p ** (k - 1 - i)
-            out.append(idx // w)
-            idx %= w
-        return tuple(out)
+        return tuple(idx // p ** (k - 1 - i) % p for i in range(k))
 
     def index(self, coords) -> int:
         p, k = self.p, self.k
@@ -175,12 +176,7 @@ class FieldSpec:
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
         self.one_idx = one = p ** (k - 1)
-        # negation, one coordinate at a time from the last: a new leading
-        # coordinate c has weight len(neg) and negates to (-c) mod p
-        neg = [0]
-        for _ in range(k):
-            neg = [(-c) % p * len(neg) + r for c in range(p) for r in neg]
-        self._neg = neg
+        self._neg = _coordinate_map([[(-c) % p for c in range(p)]] * k)
         mod = self.modulus
         one_c = [1] + [0] * (k - 1)
 
@@ -226,9 +222,9 @@ class FieldSpec:
         self._exp = exp
         self._log = log
         # the quadratic character of every index: the parity of its log
-        chi = [1 - 2 * (e & 1) for e in log]
-        chi[0] = 0
-        self._chi = chi
+        signs = [1 - 2 * (e & 1) for e in log]
+        signs[0] = 0
+        self._signs = tuple(signs)
         # Zech logarithms, zech[n] = log(1 + g^n): the constant coordinate
         # leads the index, so adding one is adding one_idx mod q.  1 + g^n
         # vanishes only at n = (q-1)/2, where g^n = -1; -1 marks it.
@@ -238,6 +234,34 @@ class FieldSpec:
             self._zech = zech
         else:
             self._zech = None
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        """chi of every element by index: 0 at zero, +1 on nonzero squares, else -1."""
+        return self._signs
+
+    def value_table(self, coeffs) -> list[int]:
+        """f(x) at every index x, for f's coefficient indices (constant first),
+        by one Horner pass across the field.  Over F_{p^k}, k > 1, each step
+        multiplies by x through the log tables and adds c through the
+        coordinate-wise translation y -> y + c, with no Zech lookup."""
+        p, q = self.p, self.q
+        coeffs = coeffs[::-1] or (0,)
+        acc = [coeffs[0]] * q
+        if self.k == 1:
+            xs = range(q)
+            for c in coeffs[1:]:
+                acc = [(a * x + c) % p for a, x in zip(acc, xs)]
+            return acc
+        exp2, log = self._exp * 2, self._log  # log[a] + log[x] < 2(q - 1): no reduction
+        for c in coeffs[1:]:
+            acc = [exp2[log[a] + lx] if a else 0 for a, lx in zip(acc, log)]
+            acc[0] = 0  # log[0] is a placeholder: x = 0 sends every a to 0
+            if c:
+                # (e + d) % p runs d, ..., d - 1 as e runs 0, ..., p - 1
+                shift = _coordinate_map([[*range(d, p), *range(d)] for d in self.coords(c)])
+                acc = list(map(shift.__getitem__, acc))
+        return acc
 
     # -- index-level kernels ------------------------------------------------
 
@@ -271,6 +295,8 @@ class FieldSpec:
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
     def div_i(self, a: int, b: int) -> int:
+        if b == 0:
+            raise DivisionByZero("division by zero")
         return self.mul_i(a, self.inv_i(b))
 
     def pow_i(self, a: int, e: int) -> int:
@@ -282,7 +308,7 @@ class FieldSpec:
 
     def chi_i(self, a: int) -> int:
         """Quadratic character as a sign in {-1, 0, +1}."""
-        return self._chi[a]
+        return self._signs[a]
 
     # -- misc ---------------------------------------------------------------
 
@@ -329,15 +355,10 @@ _FIELDS: dict[tuple, FieldSpec] = {}
 
 def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     """The one cached FieldSpec per field, however it is named: the cache is
-    keyed by the modulus as a tuple, a missing one resolving to the smallest
-    irreducible (which the constructor then need not test again), as does
-    every name _named_modulus reads as the default; an invalid modulus
-    reaches the constructor, which refuses it, and _check_order refuses an
-    invalid p or k, or a field too large to tabulate, before the search for
-    its modulus."""
-    _check_order(p, k)
-    modulus = _named_modulus(p, k, modulus)
-    key = (p, k, smallest_irreducible(p, k) if modulus is None else modulus)
+    keyed by _field_key, which refuses an invalid p, k or modulus, or a field
+    too large to tabulate, before the search for its modulus."""
+    modulus = None if modulus is None else tuple(modulus)
+    key = _field_key(p, k, modulus)
     if key not in _FIELDS:
         _FIELDS[key] = FieldSpec(p, k, modulus)
     return _FIELDS[key]
@@ -361,46 +382,34 @@ class FieldElement:
             return self.field.from_int(other).idx
         return NotImplemented
 
-    def __add__(self, other):
+    def _apply(self, kernel, other, reflected: bool = False):
+        """kernel(self, other) on indices, or kernel(other, self) when reflected."""
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FieldElement(self.field, self.field.add_i(self.idx, o))
+        return FieldElement(self.field, kernel(o, self.idx) if reflected else kernel(self.idx, o))
+
+    def __add__(self, other):
+        return self._apply(self.field.add_i, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.sub_i(self.idx, o))
+        return self._apply(self.field.sub_i, other)
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg_i(self.idx))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FieldElement(self.field, self.field.mul_i(self.idx, o))
+        return self._apply(self.field.mul_i, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if o == 0:
-            raise DivisionByZero("division by zero")
-        return FieldElement(self.field, self.field.div_i(self.idx, o))
+        return self._apply(self.field.div_i, other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if self.idx == 0:
-            raise DivisionByZero("division by zero")
-        return FieldElement(self.field, self.field.div_i(o, self.idx))
+        return self._apply(self.field.div_i, other, reflected=True)
 
     def __pow__(self, e: int):
         return FieldElement(self.field, self.field.pow_i(self.idx, e))

@@ -6,21 +6,18 @@ gcd, complete factorization (squarefree / distinct-degree / equal-degree
 splitting whose random draws are keyed by the polynomial alone) and monic
 square roots, read from the top down.
 
-The field kind enters only two list-level kernels and the value table.  The
-product `_mul`, which `Poly.__mul__` and `Poly.compose`'s Horner loop share:
-over F_p (k == 1) an index is the residue itself, so both coefficient lists
-pack into one Python int, multiply once and unpack with `% p` (Kronecker
+The field kind enters only two list-level kernels.  The product `_mul`,
+which `Poly.__mul__` and `Poly.compose`'s Horner loop share: over F_p
+(k == 1) an index is the residue itself, so both coefficient lists pack
+into one Python int, multiply once and unpack with `% p` (Kronecker
 substitution); over F_{p^k} (k > 1) it loops over the field's index
-kernels, whose addition reads Zech logarithms.  Long division in `_divmod`:
-one fixed-shift loop, which over F_p reduces only the leading coefficient
-per step and over F_{p^k} subtracts through the index kernels.  `divmod`,
-`gcd`, `pow_mod` and `eval_i` are written once on top of these, for both
-field kinds.  `_squarefree_decomposition` returns a squarefree input after
-its one gcd, with no divisions by 1.
-
-`Poly.value_table` evaluates f at every element at once, by one Horner
-pass across the whole field; it is the successor list of every orbit
-table, so no orbit walk evaluates f point by point.
+kernels.  Long division in `_divmod`: one fixed-shift loop, which over F_p
+reduces only the leading coefficient per step and over F_{p^k} subtracts
+through the index kernels.  `divmod`, `gcd`, `pow_mod` and `eval_i` are
+written once on top of these, for both field kinds, and nothing here reads
+the field's tables: `Poly.value_table` is `FieldSpec.value_table`.
+`_squarefree_decomposition` returns a squarefree input after its one gcd,
+with no divisions by 1.
 """
 
 from __future__ import annotations
@@ -261,6 +258,9 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative exponent")
+        if self.degree * e > DEFAULT_DEGREE_BUDGET:
+            raise DegreeBudgetExceeded(
+                f"deg {self.degree}*{e} exceeds degree budget {DEFAULT_DEGREE_BUDGET}")
         result = Poly.one(self.field)
         base = self
         while e:
@@ -304,32 +304,8 @@ class Poly:
         return acc
 
     def value_table(self) -> list[int]:
-        """f(x) for every element index x, by one Horner pass across the whole
-        field at once.  Over F_{p^k}, k > 1, each step multiplies by x through
-        the log tables and adds a coefficient c through the translation
-        y -> y + c, whose coordinates each shift mod p, so no step reads a
-        Zech logarithm."""
-        F = self.field
-        p, q = F.p, F.q
-        coeffs = self.coeffs[::-1] or (0,)
-        acc = [coeffs[0]] * q
-        if F.k == 1:
-            xs = range(q)
-            for c in coeffs[1:]:
-                acc = [(a * x + c) % p for a, x in zip(acc, xs)]
-            return acc
-        exp2, log = F._exp * 2, F._log  # log[a] + log[x] < 2(q - 1): no reduction
-        for c in coeffs[1:]:
-            acc = [exp2[log[a] + lx] if a else 0 for a, lx in zip(acc, log)]
-            acc[0] = 0  # log[0] is a placeholder: x = 0 sends every a to 0
-            if c:
-                shift = [0]
-                for d in reversed(F.coords(c)):
-                    # a new leading coordinate has weight w; (e + d) % p runs d, ..., d - 1
-                    w = len(shift)
-                    shift = [e * w + r for e in (*range(d, p), *range(d)) for r in shift]
-                acc = list(map(shift.__getitem__, acc))
-        return acc
+        """f(x) at every element index x, by FieldSpec.value_table."""
+        return self.field.value_table(self.coeffs)
 
     def compose(self, other: "Poly") -> "Poly":
         """self(other(x)) by Horner on the index list, through _mul."""
@@ -377,7 +353,7 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.field._key, self.coeffs))
+        return hash((self.field, self.coeffs))
 
     def sort_key(self):
         return (self.degree, self.coeffs[::-1])
@@ -536,7 +512,8 @@ def factor(f: Poly) -> Factorization:
         raise ValueError("cannot factor a constant polynomial")
     unit = f.leading()
     mf = f.monic()
-    rng = random.Random(repr((0, f.field._key, f.coeffs)))
+    F = f.field
+    rng = random.Random(repr((0, (F.p, F.k, F.modulus), f.coeffs)))
     found: dict[Poly, int] = {}
     for sf, mult in _squarefree_decomposition(mf):
         for prod, e in _distinct_degree(sf):

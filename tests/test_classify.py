@@ -587,6 +587,15 @@ class TestOracles:
         assert calls["decompose"] <= 363
         assert calls["_divmod"] <= 1470
 
+    def test_a_linear_f_costs_at_most_its_field(self, monkeypatch):
+        # 2x + 1 permutes F_5 and 0 has period 4, where both oracles certify;
+        # no level past q is looked at, whatever the depth
+        calls = record_calls(monkeypatch, Poly.eval_i)
+        for oracle in (oracle_2_ordinary, oracle_ordinary):
+            assert str(oracle(P(F5, 1, 2), 10**4)) == "CertifiedNot(4)"
+            assert len(calls) <= 2 * F5.q
+            calls.clear()
+
     def test_distinct_roots_never_certified(self):
         for f in enumerate_polys(F5, 2, "monic"):
             roots = [a for a in F5.elements() if f.evaluate(a).is_zero()]

@@ -1,6 +1,7 @@
 """Field construction, index arithmetic and the quadratic character."""
 
 import itertools
+import operator
 import pickle
 import re
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitsquares import field
 from orbitsquares.cli import main
 from orbitsquares.errors import DivisionByZero
 from orbitsquares.field import (
@@ -92,6 +94,15 @@ class TestConstruction:
     def test_make_field_is_cached(self):
         assert make_field(7) is make_field(7)
 
+    def test_a_field_name_is_checked_once(self, monkeypatch):
+        # make_field's cache key and the constructor share one resolution
+        checked, check = [], field._check_order
+        monkeypatch.setattr(field, "_check_order", lambda p, k: checked.append((p, k)) or check(p, k))
+        field._field_key.cache_clear()
+        for build in (make_field, FieldSpec, make_field):
+            assert build(5, 2, [2, 0, 1]) == build(5, 2, (2, 0, 1))
+        assert checked.count((5, 2)) == 1
+
     def test_parse(self):
         assert FieldSpec.parse("7").q == 7
         assert FieldSpec.parse("3^2").q == 9
@@ -172,6 +183,16 @@ class TestArithmetic:
         assert el(F7, 3) + 4 == F7.zero
         assert 2 * el(F7, 4) == el(F7, 1)
 
+    def test_reflected_division(self):
+        assert 2 / el(F7, 3) == el(F7, 3)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                             ids=lambda op: op.__name__)
+    def test_a_str_operand_is_refused_on_either_side(self, op):
+        for left, right in [(el(F7, 1), "a"), ("a", el(F7, 1))]:
+            with pytest.raises(TypeError):
+                op(left, right)
+
     def test_order_leaves_an_operand_it_cannot_coerce_to_python(self):
         assert el(F7, 1) < 2 and not el(F7, 2) < 1
         with pytest.raises(TypeError, match="'FieldElement' and 'str'"):
@@ -228,6 +249,12 @@ class TestCharacter:
         t = FieldElement(F9, F9.index((1, 0)))
         assert t.chi() == 1  # t^4 = (t^2)^2 = 1
 
+    def test_sign_list_is_read_only(self):
+        assert F7.signs == (0, 1, 1, -1, 1, -1, -1)
+        assert F9.signs == tuple(F9.chi_i(a) for a in range(9))
+        with pytest.raises(AttributeError):
+            F7.signs = ()
+
     def test_chi_multiplicative(self):
         for a in range(1, 7):
             for b in range(1, 7):
@@ -282,12 +309,13 @@ class TestElements:
         (lambda: FieldSpec.parse("3^0"), ValueError, "extension degree must be >= 1"),
         (lambda: F7.inv_i(0), DivisionByZero, "inverse of zero"),
         (lambda: 1 / el(F7, 0), DivisionByZero, "division by zero"),
+        (lambda: F7.div_i(1, 0), DivisionByZero, "division by zero"),
         (lambda: F7.pow_i(3, -1), ValueError, "negative exponent"),
         (lambda: FieldSpec.parse("3^2/1,0,1"), ValueError, "bad modulus syntax"),
         (lambda: el(F7, 1) + el(F3, 1), ValueError, "elements belong to different fields"),
     ],
-    ids=["degree-0", "inverse-of-0", "int-over-0", "negative-exponent", "modulus-without-parens",
-         "mixed-fields"],
+    ids=["degree-0", "inverse-of-0", "int-over-0", "div-by-0", "negative-exponent",
+         "modulus-without-parens", "mixed-fields"],
 )
 def test_refuses_invalid_input(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

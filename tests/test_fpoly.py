@@ -55,6 +55,16 @@ class TestArithmetic:
         f = P(F7, 3, 2, 1)
         assert f + Poly.zero(F7) == f
 
+    def test_zero_polynomial_leads_with_zero(self):
+        assert Poly.zero(F7).leading() == F7.zero
+
+    def test_power_meets_the_degree_budget(self):
+        # refused before any product is formed, as iterate refuses d^n
+        assert (Poly.x(F7) ** 4096).degree == 4096
+        message = re.escape("deg 1*4097 exceeds degree budget 4096")
+        with pytest.raises(DegreeBudgetExceeded, match=message):
+            Poly.x(F7) ** 4097
+
     def test_scale_and_monic(self):
         f = P(F7, 2, 0, 3)
         assert f.monic().leading() == F7.one

@@ -5,8 +5,9 @@ Errors paragraph, every defaulted parameter of a package function is set
 by some call, every name in the package's __all__ and every `module.name`
 the README cites resolves, no decision path uses floating point, dynamics,
 bounds and scan read whole-field tables instead of calling Poly.eval_i or
-FieldSpec.chi_i per point, only fpoly's product, long division and value
-table branch on the field kind, no class but fpoly.Poly and
+FieldSpec.chi_i per point, no module but field reads FieldSpec's private
+tables or key, only fpoly's product and long division branch on the field
+kind, no class but fpoly.Poly and
 field.FieldElement defines a product (__mul__): one polynomial class, and
 __all__ is the pinned list of public names, so each addition or deletion
 is a visible test edit.
@@ -24,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import orbitsquares
+from orbitsquares.field import FieldSpec
 
 PACKAGE = sorted(Path(orbitsquares.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -126,12 +128,12 @@ TABLE_READERS = ("dynamics.py", "bounds.py", "scan.py")
 POINT_KERNELS = frozenset({"eval_i", "chi_i"})
 
 
-def point_kernel_uses(source: str) -> list[str]:
-    """Every .eval_i or .chi_i in source, called or passed on (as to map), as
-    "line: name" in source order."""
+def attribute_uses(source: str, names: frozenset) -> list[str]:
+    """Every attribute in source named in names, read, called or passed on (as
+    to map), as "line: name" in source order."""
     hits = sorted(
         (n.lineno, n.col_offset, n.attr) for n in ast.walk(ast.parse(source))
-        if isinstance(n, ast.Attribute) and n.attr in POINT_KERNELS
+        if isinstance(n, ast.Attribute) and n.attr in names
     )
     return [f"{line}: {name}" for line, _, name in hits]
 
@@ -142,18 +144,38 @@ def test_detects_a_point_kernel_call():
         "    ys = [f.eval_i(x) for x in xs]\n"
         "    return sum(map(F.chi_i, ys)) + F.add_i(1, 2) + F._chi[0]\n"
     )
-    assert point_kernel_uses(src) == ["2: eval_i", "3: chi_i"]
+    assert attribute_uses(src, POINT_KERNELS) == ["2: eval_i", "3: chi_i"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name in TABLE_READERS],
                          ids=lambda p: p.name)
 def test_table_readers_call_no_point_kernel(path):
-    assert point_kernel_uses(path.read_text()) == []
+    assert attribute_uses(path.read_text(), POINT_KERNELS) == []
 
 
-# the fpoly functions that may branch on the field kind (F.k): the product,
-# long division and the whole-field value table; the rest are written once
-FIELD_KIND_KERNELS = frozenset({"_mul", "_divmod", "Poly.value_table"})
+# FieldSpec's private tables and key, which only field.py reads: every other
+# module goes through the index kernels, FieldSpec.signs and value_table
+FIELD_PRIVATES = frozenset(s for s in FieldSpec.__slots__ if s.startswith("_"))
+
+
+def test_detects_a_field_private_read():
+    src = (
+        "def table(f, F):\n"
+        "    exp2, log = F._exp * 2, F._log\n"
+        "    return hash((f.field._key, F.signs, F.neg_i(1), F.__neg__))\n"
+    )
+    assert attribute_uses(src, FIELD_PRIVATES) == ["2: _exp", "2: _log", "3: _key"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "field.py"],
+                         ids=lambda p: p.name)
+def test_only_field_reads_its_tables(path):
+    assert attribute_uses(path.read_text(), FIELD_PRIVATES) == []
+
+
+# the fpoly functions that may branch on the field kind (F.k): the product and
+# long division, the packing; the rest are written once
+FIELD_KIND_KERNELS = frozenset({"_mul", "_divmod"})
 
 
 def field_kind_branches(source: str, kernels: frozenset) -> list[str]:
