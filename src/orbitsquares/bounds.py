@@ -181,12 +181,13 @@ def envelope_check(f: Poly, a: FieldElement, i: int, L: int) -> EnvelopeCheck:
     return EnvelopeCheck(B_i=b, i=i, L=L, passed=envelope_holds(b, f.field.q, f.degree, L))
 
 
-def orbit_bound_rows(f: Poly, starts, two_ordinary: bool) -> list[dict]:
+def orbit_bound_rows(f: Poly, starts, report) -> list[dict]:
     """orbit_bound_check's rows for the purely periodic starts (by index) of f,
     at L = 1..max(choose_L(q, d), 3).  pass is the sum form, which implies the
-    uniform one.  envelope_pass (None unless f is 2-ordinary) is the envelope
-    at max B_i: envelope_holds is monotone in b, so it then holds at every B_i."""
+    uniform one.  envelope_pass is None unless report says f is 2-ordinary, else
+    the envelope at max B_i, which is monotone in b, so holds at every B_i."""
     F, d, name = f.field, f.degree, str(f)
+    two_ordinary = report.verdict == TWO_ORDINARY
     rows = []
     for a in starts:
         for L in range(1, max(choose_L(F.q, d), 3) + 1):

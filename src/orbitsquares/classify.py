@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from .field import FieldElement
 from .fpoly import (
+    DEFAULT_DEGREE_BUDGET,
     Poly,
     _squarefree_decomposition,
     check_degree_budget,
@@ -53,13 +54,25 @@ class FormMatch:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    verdict: str
+    """The shapes f matches.  f is 2-ordinary exactly when it matches none, and
+    ordinary exactly when it does not match (a), whose witness is the ordinary one."""
+
     matched_forms: tuple[FormMatch, ...]
-    ordinary_verdict: str
-    ordinary_witness: dict | None = None
 
     def matched(self, form: str) -> bool:
         return any(m.form == form for m in self.matched_forms)
+
+    @property
+    def verdict(self) -> str:
+        return NOT_TWO_ORDINARY if self.matched_forms else TWO_ORDINARY
+
+    @property
+    def ordinary_verdict(self) -> str:
+        return NOT_ORDINARY if self.matched("a") else ORDINARY
+
+    @property
+    def ordinary_witness(self) -> dict | None:
+        return next((dict(m.witness) for m in self.matched_forms if m.form == "a"), None)
 
     def to_json(self):
         ow = self.ordinary_witness
@@ -106,20 +119,17 @@ def classify_2_ordinary(f: Poly, seed: int = 0) -> ClassificationReport:
     matches: list[FormMatch] = []
 
     # (a) f = A(x-B)^(p^e)
-    ordinary_verdict, ordinary_witness = ORDINARY, None
     witness = _form_a(f)
     if witness is not None:
         matches.append(FormMatch("a", witness))
-        ordinary_verdict, ordinary_witness = NOT_ORDINARY, dict(witness)
 
     if d % 2 == 0:
-        # (b) f = A g^2
-        g = square_root(monic)
-        if g is not None:
-            matches.append(FormMatch("b", {"A": A, "g": g}))
+        h = sqrt_part(monic)
+        # (b) f = A h^2
+        if h * h == monic:
+            matches.append(FormMatch("b", {"A": A, "g": h}))
         # (d) f = A h^2 + B; the conditions force f(0) = 0
         if f.coefficient(0).is_zero():
-            h = sqrt_part(monic)
             B = -A * h.coefficient(0) ** 2
             if not B.is_zero() and generate_family(B, d) == f:
                 matches.append(FormMatch("d", {"A": A, "B": B, "h": h}))
@@ -135,13 +145,7 @@ def classify_2_ordinary(f: Poly, seed: int = 0) -> ClassificationReport:
             g = square_root(monic // Poly.from_elements(F, [-B, F.one]))
             matches.append(FormMatch("e", {"A": A, "B": B, "g": g}))
 
-    verdict = NOT_TWO_ORDINARY if matches else TWO_ORDINARY
-    return ClassificationReport(
-        verdict=verdict,
-        matched_forms=tuple(matches),
-        ordinary_verdict=ordinary_verdict,
-        ordinary_witness=ordinary_witness,
-    )
+    return ClassificationReport(tuple(matches))
 
 
 # --- single-root power-map diagnostics -------------------------------------
@@ -280,7 +284,7 @@ def _open_levels(f: Poly, top: int, need_odd: bool) -> tuple[int | None, set[int
     return r, left
 
 
-def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleResult:
+def _oracle(f: Poly, depth: int, budget: int, need_odd: bool) -> OracleResult:
     """Level n holds pairwise coprime monic squarefree pieces H of f^n, from
     f^0 = x, each with its multiplicity m and whether its irreducibles are
     old, that is divide some f^j, j < n.  Coprime G give coprime G(f), so each
@@ -348,14 +352,15 @@ def _oracle(f: Poly, depth: int, budget: int | None, need_odd: bool) -> OracleRe
     return OracleResult(certified_not=False, level=None, depth=depth)
 
 
-def oracle_2_ordinary(f: Poly, depth: int, seed: int = 0, budget: int | None = None) -> OracleResult:
+def oracle_2_ordinary(f: Poly, depth: int, seed: int = 0,
+                      budget: int = DEFAULT_DEGREE_BUDGET) -> OracleResult:
     """Look for a level n <= depth at which no new odd-multiplicity factor appears.
 
     seed is ignored: the oracle draws nothing at random."""
     return _oracle(f, depth, budget, need_odd=True)
 
 
-def oracle_ordinary(f: Poly, depth: int, budget: int | None = None) -> OracleResult:
+def oracle_ordinary(f: Poly, depth: int, budget: int = DEFAULT_DEGREE_BUDGET) -> OracleResult:
     """Look for a level n <= depth at which no new factor at all appears."""
     return _oracle(f, depth, budget, need_odd=False)
 

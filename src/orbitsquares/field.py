@@ -14,6 +14,7 @@ Over F_p an index is the residue and adds mod p; over F_{p^k}, k > 1,
 addition reads a table of Zech logarithms, so no arithmetic goes through
 coordinates once the tables are built.  No other module reads the encoding
 or the tables: they use the index kernels, `signs` and `value_table`.
+`power_within` is the one size limit: field order, degree budget, scan cell.
 """
 
 from __future__ import annotations
@@ -51,17 +52,21 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def power_within(base: int, exp: int, cap: int) -> bool:
+    """base^exp <= cap, and every exp when base < 2; as 2^exp > cap once exp
+    reaches cap's bit length, such an exp is refused with no power computed."""
+    return base < 2 or exp < cap.bit_length() and base**exp <= cap
+
+
 # the largest field order whose tables are built: a field holds four or five
 # q-entry lists, and one process at q = 1,000,003 peaked at 466 MB
 MAX_FIELD_ORDER = 2 * 10**6
 
 
 def _check_order(p: int, k: int) -> None:
-    """Refuse p^k > MAX_FIELD_ORDER, then k < 1, then a p that is not an odd
-    prime, before any work on the field; for p >= 2 a k above the bound's bit
-    length alone decides, so p^k is never computed, and a k < 1 is refused
-    before p is trial-divided."""
-    if p > 1 and k >= 1 and (k > MAX_FIELD_ORDER.bit_length() or p**k > MAX_FIELD_ORDER):
+    """Refuse p^k > MAX_FIELD_ORDER, then k < 1 (before p is trial-divided),
+    then a p that is not an odd prime, before any work on the field."""
+    if k >= 1 and not power_within(p, k, MAX_FIELD_ORDER):
         name = p if k == 1 else f"{p}^{k}"
         raise ValueError(f"field {name} has more than MAX_FIELD_ORDER = {MAX_FIELD_ORDER} elements")
     if k < 1:

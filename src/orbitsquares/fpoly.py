@@ -1,10 +1,10 @@
 """Univariate polynomial algebra over a FieldSpec.
 
 Coefficients are stored as element indices (constant term first, no
-trailing zeros).  Includes composition/iteration with a degree budget,
-gcd, complete factorization (squarefree / distinct-degree / equal-degree
-splitting whose random draws are keyed by the polynomial alone) and monic
-square roots, read from the top down.
+trailing zeros).  Includes composition/iteration with a degree budget (the
+`field.power_within` rule, DEFAULT_DEGREE_BUDGET unless given), gcd, complete
+factorization (squarefree / distinct-degree / equal-degree splitting whose
+random draws are keyed by the polynomial alone) and monic square roots.
 
 The field kind enters only two list-level kernels.  The product `_mul`,
 which `Poly.__mul__` and `Poly.compose`'s Horner loop share: over F_p
@@ -28,23 +28,19 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import DegreeBudgetExceeded, DivisionByZero
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, power_within
 
 DEFAULT_DEGREE_BUDGET = 4096
 
 
-def within_degree_budget(d: int, n: int, budget: int | None = None) -> bool:
-    """The degree budget rule: d^n <= budget (DEFAULT_DEGREE_BUDGET when
-    None), and every n when d < 2.  For d >= 2, d^n >= 2^n, so an n at or
-    above the budget's bit length is refused before any power is computed."""
-    budget = DEFAULT_DEGREE_BUDGET if budget is None else budget
-    return d < 2 or n < budget.bit_length() and d**n <= budget
+def within_degree_budget(d: int, n: int, budget: int = DEFAULT_DEGREE_BUDGET) -> bool:
+    """The degree budget rule: d^n <= budget, by field.power_within."""
+    return power_within(d, n, budget)
 
 
-def check_degree_budget(d: int, n: int, budget: int | None = None) -> None:
+def check_degree_budget(d: int, n: int, budget: int = DEFAULT_DEGREE_BUDGET) -> None:
     """Refuse work on an n-th iterate of degree d^n outside the budget."""
     if not within_degree_budget(d, n, budget):
-        budget = DEFAULT_DEGREE_BUDGET if budget is None else budget
         raise DegreeBudgetExceeded(f"deg {d}^{n} exceeds degree budget {budget}")
 
 
@@ -151,8 +147,7 @@ class Poly:
 
     @classmethod
     def from_elements(cls, field: FieldSpec, elems) -> "Poly":
-        return cls(field, [_index_in(field, e) if isinstance(e, FieldElement)
-                           else field.from_int(e).idx for e in elems])
+        return cls(field, [_index_in(field, e) for e in elems])
 
     @classmethod
     def from_ints(cls, field: FieldSpec, ints) -> "Poly":
@@ -319,7 +314,7 @@ class Poly:
                 acc[0] = F.add_i(acc[0], c) if acc[0] else c
         return Poly(F, acc)
 
-    def iterate(self, n: int, budget: int | None = None) -> "Poly":
+    def iterate(self, n: int, budget: int = DEFAULT_DEGREE_BUDGET) -> "Poly":
         """n-fold self-composition; iterate(0) is x."""
         if n < 0:
             raise ValueError("iteration count must be nonnegative")

@@ -2,13 +2,14 @@
 checks in one pass per polynomial, and emit deterministic JSON-lines and
 CSV reports.
 
+One rule builds the work items: a drawn f, or every f with no --sample,
+gets every check, and the rest of the cell those outside SAMPLED_POLYS.
+Every bound and hypothesis gate is stated in `bounds`; scan only draws.
+
 All kernels are pure; worker processes only parallelize over independent
 work items and results are sorted by a canonical key before writing, so
-output bytes are independent of the worker count.
-
-Every emitted row line is `json_lines`' output: the bytes of
-`json.dumps(row, sort_keys=True)`, with each side dict that the run-bound
-rows of one f share encoded once per f.
+output bytes (each row line is `json_lines`' output) are independent of the
+worker count.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from itertools import product
 from json.encoder import encode_basestring_ascii
 
 from .bounds import orbit_bound_rows, periodic_starts, run_bound_rows, weil_check
-from .classify import TWO_ORDINARY, classify_2_ordinary
+from .classify import classify_2_ordinary
 from .dynamics import orbit_table
-from .field import FieldSpec
+from .field import FieldSpec, power_within
 from .fpoly import Poly
 
 BOUNDS_CSV_COLUMNS = ["q", "d", "f", "a", "m", "orbit", "L", "maxB", "lhs", "rhs", "pass"]
@@ -104,7 +105,7 @@ def _weil_rows(f: Poly, report):
 
 def _periodic_start_count(f: Poly, report):
     """orbit-bounds' first phase: how many starts the draw can pick from f."""
-    return [(f, len(periodic_starts(f)), report.verdict == TWO_ORDINARY)]
+    return [(f, len(periodic_starts(f)), report)]
 
 
 def _ratio_rows(f: Poly, report):
@@ -129,8 +130,7 @@ _ROWS = {
 }
 # scan's checks, in the order they run whatever order they are asked for in
 CHECKS = tuple(_ROWS)
-# --sample draws the polynomials these checks see; orbit-bounds draws its
-# (f, a) pairs from every monic f instead, and weil and run-bounds see every f
+# the checks whose polynomials --sample draws; orbit-bounds draws (f, a) pairs
 SAMPLED_POLYS = frozenset({"classification", "ratios"})
 _CLASSIFIED = frozenset({"classification", "orbit-bounds", "run-bounds"})
 
@@ -145,8 +145,8 @@ def _scan_item(item):
 def _orbit_bound_rows(item):
     """orbit-bounds' second phase: rows for the drawn purely periodic starts
     of one f (picks index them in ascending order)."""
-    f, picks, two_ordinary = item
-    return orbit_bound_rows(f, map(periodic_starts(f).__getitem__, picks), two_ordinary)
+    f, picks, report = item
+    return orbit_bound_rows(f, map(periodic_starts(f).__getitem__, picks), report)
 
 
 def _pmap(fn, items, workers: int):
@@ -168,20 +168,18 @@ def _drawn_starts(candidates, cfg: ScanConfig):
     if cfg.sample is not None and cfg.sample < total:
         drawn = set(random.Random(cfg.seed).sample(range(total), cfg.sample))
     items, first = [], 0
-    for f, n, two_ordinary in candidates:
+    for f, n, report in candidates:
         picks = [j - first for j in range(first, first + n) if j in drawn]
         if picks:
-            items.append((f, picks, two_ordinary))
+            items.append((f, picks, report))
         first += n
     return items
 
 
 def run_checks(cfg: ScanConfig, checks) -> dict[str, list]:
-    """Each selected check's rows, in CHECKS order, from one item per monic f
-    (per sampled f when every check is in SAMPLED_POLYS), which classifies f
-    at most once; orbit-bounds then checks its drawn starts per f.  A cell
-    that enumerates, or a sample that draws, more than MAX_ENUMERATED_POLYS
-    polynomials is refused."""
+    """Each selected check's rows, in CHECKS order, from one item per f, which
+    classifies f at most once; orbit-bounds then checks its drawn starts per
+    f.  A cell or sample of more than MAX_ENUMERATED_POLYS f is refused."""
     checks = frozenset(checks)
     unknown = sorted(checks - set(CHECKS))
     if unknown:
@@ -193,25 +191,20 @@ def run_checks(cfg: ScanConfig, checks) -> dict[str, list]:
         raise ValueError(f"--sample {cfg.sample:,} is more than the {cap:,} a scan draws")
     F = FieldSpec.parse(cfg.field)
     sampled_only = cfg.sample is not None and checks <= SAMPLED_POLYS
-    # q >= 3 > 2, so capping the exponent at cap's bit length keeps the verdict
-    if not sampled_only and F.q ** min(cfg.degree, cap.bit_length()) > cap:
+    if not sampled_only and not power_within(F.q, cfg.degree, cap):
         raise ValueError(
             f"{F.q}^{cfg.degree} monic polynomials are more than the {cap:,} a scan "
             f"enumerates; --sample draws only those of {', '.join(sorted(SAMPLED_POLYS))}"
         )
-    if sampled_only:
-        items = [(f, checks) for f in sample_polys(F, cfg.degree, cfg.sample, cfg.seed)]
-    elif cfg.sample is None:
-        items = [(f, checks) for f in enumerate_polys(F, cfg.degree)]
-    else:
-        sampled = set(sample_polys(F, cfg.degree, cfg.sample, cfg.seed))
-        unsampled = checks - SAMPLED_POLYS
-        items = [(f, checks if f in sampled else unsampled) for f in enumerate_polys(F, cfg.degree)]
+    drawn = None if cfg.sample is None else sample_polys(F, cfg.degree, cfg.sample, cfg.seed)
+    in_draw, rest = set(drawn or ()), checks - SAMPLED_POLYS
+    items = [(f, checks if drawn is None or f in in_draw else rest)
+             for f in (drawn if sampled_only else enumerate_polys(F, cfg.degree))]
     found = {check: [] for check in CHECKS if check in checks}
     for rows in _pmap(_scan_item, items, cfg.workers):
         for check, part in rows.items():
             found[check] += part
-    if "orbit-bounds" in found:  # so far one (f, start count, 2-ordinary) per f
+    if "orbit-bounds" in found:  # so far one (f, start count, report) per f
         nested = _pmap(_orbit_bound_rows, _drawn_starts(found["orbit-bounds"], cfg), cfg.workers)
         found["orbit-bounds"] = [r for part in nested for r in part]
     for rows in found.values():

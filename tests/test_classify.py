@@ -118,6 +118,28 @@ class TestClassify2Ordinary:
                     assert Poly.constant(w["A"]) * lin * w["g"] ** 2 == f
 
 
+class TestDerivedVerdicts:
+    """A report holds only its matched shapes; the verdicts are read from them."""
+
+    def test_no_shape_is_two_ordinary_and_ordinary(self):
+        rep = ClassificationReport(())
+        assert (rep.verdict, rep.ordinary_verdict, rep.ordinary_witness) == \
+            (TWO_ORDINARY, ORDINARY, None)
+
+    def test_shape_b_alone_is_ordinary(self):
+        rep = classify_2_ordinary(P(F7, 0, 0, 1))  # x^2
+        assert [m.form for m in rep.matched_forms] == ["b"]
+        assert (rep.verdict, rep.ordinary_verdict, rep.ordinary_witness) == \
+            (NOT_TWO_ORDINARY, ORDINARY, None)
+
+    def test_shape_a_is_not_ordinary_with_its_witness(self):
+        rep = classify_2_ordinary(P(F3, 0, 0, 0, 1))  # x^3: (a) with B = 0, and (c) as x 1^2
+        assert [m.form for m in rep.matched_forms] == ["a", "c"]
+        assert rep.verdict == NOT_TWO_ORDINARY and rep.ordinary_verdict == NOT_ORDINARY
+        assert rep.ordinary_witness == rep.matched_forms[0].witness == \
+            {"A": F3.one, "B": F3.zero, "e": 1}
+
+
 def ordinary(f: Poly):
     """The ordinary verdict and witness of f's classification report."""
     rep = classify_2_ordinary(f)
@@ -202,12 +224,13 @@ def _ref_classify_2(f, fac):
                 and generate_family(B, d) == f
             ):
                 matches.append(FormMatch("e", {"A": fac.unit, "B": B, "g": g}))
-    return ClassificationReport(
-        verdict=NOT_TWO_ORDINARY if matches else TWO_ORDINARY,
-        matched_forms=tuple(matches),
-        ordinary_verdict=ordinary_verdict,
-        ordinary_witness=ordinary_witness,
-    )
+    report = ClassificationReport(tuple(matches))
+    # the report reads its verdicts from the shapes; they must agree with the
+    # bookkeeping kept here
+    assert report.verdict == (NOT_TWO_ORDINARY if matches else TWO_ORDINARY)
+    assert report.ordinary_verdict == ordinary_verdict
+    assert report.ordinary_witness == ordinary_witness
+    return report
 
 
 def _ref_constant_times_square(f, fac):
@@ -258,6 +281,15 @@ def test_shape_decisions_never_factor(monkeypatch):
             is_constant_times_square(f)
             weil_check(f)
     assert calls == [] and seen == {"a", "b", "c", "d", "e"}
+
+
+def test_classification_takes_at_most_one_square_root_part(monkeypatch):
+    calls = record_calls(monkeypatch, orbitsquares.fpoly.sqrt_part)
+    for field, degree in [("3", 3), ("7", 2), ("5", 4), ("3^2", 3)]:
+        for f in enumerate_polys(FieldSpec.parse(field), degree, "all"):
+            calls.clear()
+            classify_2_ordinary(f)
+            assert len(calls) <= 1, f
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
@@ -441,7 +473,7 @@ def test_recognised_family_members_are_the_generated_ones(field, degree, kind):
 
 # --- the oracle's slow definition, as a reference --------------------------
 
-def iterate_factor_levels(f: Poly, depth: int, budget: int | None = None):
+def iterate_factor_levels(f: Poly, depth: int, budget: int = DEFAULT_DEGREE_BUDGET):
     """Yield (n, {irreducible -> multiplicity}) for f^n, n = 1..depth.
 
     The factors of f^n are the factors of g(f(x)) over the irreducible
@@ -478,7 +510,9 @@ def reference_oracles(f: Poly, depth: int) -> tuple[OracleResult, OracleResult]:
                  for n in first.values())
 
 
-def exact_certified_levels(f: Poly, depth: int, need_odd: bool, budget: int | None = None):
+def exact_certified_levels(
+    f: Poly, depth: int, need_odd: bool, budget: int = DEFAULT_DEGREE_BUDGET
+):
     """Yield each level n <= depth that certifies, by the oracle's level loop
     alone, with no level ruled out by f's values first; it meets the degree
     budget at each level before building it."""
@@ -502,7 +536,9 @@ def exact_certified_levels(f: Poly, depth: int, need_odd: bool, budget: int | No
             yield n
 
 
-def exact_oracle(f: Poly, depth: int, need_odd: bool, budget: int | None = None) -> OracleResult:
+def exact_oracle(
+    f: Poly, depth: int, need_odd: bool, budget: int = DEFAULT_DEGREE_BUDGET
+) -> OracleResult:
     """The verdict of the level loop alone: its first certifying level."""
     n = next(exact_certified_levels(f, depth, need_odd, budget), None)
     return OracleResult(certified_not=n is not None, level=n, depth=depth)
@@ -748,6 +784,13 @@ class TestConjugacy:
         f = generate_family(el(F7, 1), 3)
         res = chebyshev_conjugacy(f)
         assert res is not None and res[0] == "-"
+
+    @pytest.mark.parametrize("field", ["5", "7", "11", "3^2"])
+    def test_x_squared_is_conjugate_to_neither_chebyshev(self, field):
+        # every quadratic is conjugate to x^2 + C, and C is a conjugacy
+        # invariant: +-T_2 both give C = -2, and x^2 gives C = 0
+        F = FieldSpec.parse(field)
+        assert chebyshev_conjugacy(Poly.x(F) * Poly.x(F)) is None
 
 
 def _first_conjugacies(g):

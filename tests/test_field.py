@@ -17,6 +17,7 @@ from orbitsquares.field import (
     FieldElement,
     FieldSpec,
     make_field,
+    power_within,
     smallest_irreducible,
 )
 from orbitsquares.fpoly import Poly, factor
@@ -390,6 +391,28 @@ def test_largest_tabulated_fields_are_accepted(p, k, monkeypatch):
     for call in (lambda: make_field(p, k), lambda: FieldSpec(p, k)):
         with pytest.raises(FieldWorkBegan):
             call()
+
+
+class TestPowerWithin:
+    @pytest.mark.parametrize("base", [0, 1])
+    def test_bases_below_two_pass_at_any_exponent(self, base):
+        assert all(power_within(base, exp, 4096) for exp in (0, 1, 13, 10**9))
+
+    @pytest.mark.parametrize("base, exp, within", [
+        (2, 12, True), (4096, 1, True), (2, 13, False), (4097, 1, False),
+    ])
+    def test_the_cap_is_inclusive(self, base, exp, within):
+        assert power_within(base, exp, 4096) == within
+
+    def test_a_huge_exponent_is_refused_without_its_power(self):
+        class Exponent(int):
+            """An exponent whose power base ** exp fails the test."""
+
+            def __rpow__(self, base):
+                pytest.fail(f"computed {base} ** {int(self)}")
+
+        assert not power_within(2, Exponent(10**7), 4096)
+        assert not power_within(3, Exponent(13), 4096)  # 13 is 4096's bit length
 
 
 @settings(max_examples=60)

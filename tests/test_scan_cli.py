@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -245,6 +246,13 @@ class TestScans:
                                (3, {"classification", "orbit-bounds"})]:
             with pytest.raises(ValueError, match="31\\^5 monic polynomials are more than"):
                 run_checks(ScanConfig(**big, sample=sample), checks)
+
+    def test_a_cell_just_over_the_cap_is_refused(self):
+        # 1009^2 = 1,018,081: below the cap's bit length, so the power decides
+        message = ("1009^2 monic polynomials are more than the 1,000,000 a scan enumerates; "
+                   "--sample draws only those of classification, ratios")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_checks(ScanConfig(field="1009", degree=2), ["weil"])
 
     def test_cell_size_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(scan, "MAX_ENUMERATED_POLYS", 9)
