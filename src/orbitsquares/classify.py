@@ -72,7 +72,7 @@ class ClassificationReport:
 
     @property
     def ordinary_witness(self) -> dict | None:
-        return next((dict(m.witness) for m in self.matched_forms if m.form == "a"), None)
+        return next((m.witness for m in self.matched_forms if m.form == "a"), None)
 
     def to_json(self):
         ow = self.ordinary_witness
