@@ -4,7 +4,7 @@ CSV reports.
 
 One rule builds the work items: a drawn f, or every f with no --sample,
 gets every check, and the rest of the cell those outside SAMPLED_POLYS.
-Every bound and hypothesis gate is stated in `bounds`; scan only draws.
+Every bound and hypothesis gate is stated in `bounds`; scan draws and dispatches.
 
 All kernels are pure; worker processes only parallelize over independent
 work items and results are sorted by a canonical key before writing, so
