@@ -5,8 +5,9 @@ conjugacy solved from coefficients (including conjugacy to +-T_d).  T_d's
 integer coefficients come from its three-term recurrence here, and are
 reduced into F_q.
 
-The oracles decide from squarefree decompositions of G(f) and the period of
-0 under f, with no irreducible factoring.
+The 2-ordinary oracle decides from the squarefree pieces of N_n, the part of
+f^n whose roots are new; the ordinary oracle from the period r of 0 under f
+and whether 0 has order d^r in f^r.  Neither factors into irreducibles.
 
 Shapes (d) and (e) are membership in S_d = {a(eps T_d(x/a + 1) - 1)}.  Where
 p <= 2n - 1, n = d // 2, some f outside S_d meet the square-root conditions;
@@ -15,8 +16,10 @@ through depth 3-6), with no proof for every level."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .field import FieldElement
 from .fpoly import (
@@ -35,7 +38,7 @@ ORDINARY = "Ordinary"
 NOT_ORDINARY = "NotOrdinary"
 
 
-def _witness_json(witness: dict) -> dict:
+def _witness_json(witness: Mapping) -> dict:
     """A witness with field elements as indices and polynomials as strings."""
     return {
         k: v.idx if isinstance(v, FieldElement) else str(v) if isinstance(v, Poly) else v
@@ -46,7 +49,13 @@ def _witness_json(witness: dict) -> dict:
 @dataclass(frozen=True)
 class FormMatch:
     form: str  # one of "a".."e"
-    witness: dict
+    witness: Mapping  # read-only, so a caller's edit cannot reach the report
+
+    def __post_init__(self):
+        object.__setattr__(self, "witness", MappingProxyType(dict(self.witness)))
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return FormMatch, (self.form, dict(self.witness))
 
     def to_json(self):
         return {"form": self.form, **_witness_json(self.witness)}
@@ -71,7 +80,7 @@ class ClassificationReport:
         return NOT_ORDINARY if self.matched("a") else ORDINARY
 
     @property
-    def ordinary_witness(self) -> dict | None:
+    def ordinary_witness(self) -> Mapping | None:
         return next((m.witness for m in self.matched_forms if m.form == "a"), None)
 
     def to_json(self):
@@ -246,8 +255,22 @@ class OracleResult:
 
 def _open_levels(f: Poly, top: int, need_odd: bool) -> tuple[int | None, set[int]]:
     """r, the period of 0 under f when it is at most top (else None), and
-    the levels n <= top that f's values leave open: by the rule in _oracle,
-    no other level n <= top certifies."""
+    the levels n <= top that f's values leave open: no other level n <= top
+    certifies, by the rule in _oracle.
+
+    By the chain rule for orders of vanishing, e is the product over j < r
+    of the order of t_j = f^j(0) as a root of f - f(t_j): the first k >= 1
+    with a nonzero x^k coefficient in f(x + t_j).  N_n has degree d^n for
+    n < r and d^(n-r) (d^r - e) from r on, so it is constant exactly when
+    n >= r and e = d^r: in ordinary mode those levels are open, and no
+    other.  A constant times a square, c h^2 with h monic, is 0 or of sign
+    chi(c) = chi(lc N_n) at each point; so a point x refutes level n in
+    2-ordinary mode when chi(N_n(x)) = -chi(lc N_n).  For n < r,
+    chi(N_n(x)) = chi(f^n(x)); for n >= r, with y = f^(n-r)(x) != 0, it is
+    chi(f^n(x)) chi(y)^e, as f^n(x) = y^e N_n(x).  lc(f^n) = A lc(f^(n-1))^d,
+    A = lc(f), and lc(N_n) = lc(f^n) / lc(f^(n-r))^e.  The points are the
+    first min(q, d^top) indices, top the deepest level within the degree
+    budget, so d^top is the degree of the largest iterate _oracle builds."""
     F, d = f.field, f.degree
 
     def orbit(xi):  # xi, f(xi), ..., f^top(xi) as indices
@@ -285,42 +308,18 @@ def _open_levels(f: Poly, top: int, need_odd: bool) -> tuple[int | None, set[int
 
 
 def _oracle(f: Poly, depth: int, budget: int, need_odd: bool) -> OracleResult:
-    """Level n holds pairwise coprime monic squarefree pieces H of f^n, from
-    f^0 = x, each with its multiplicity m and whether its irreducibles are
-    old, that is divide some f^j, j < n.  Coprime G give coprime G(f), so each
-    irreducible of f^(n+1) lies in one H of one G(f)'s squarefree
-    decomposition, with multiplicity m e there.
-
-    A root a of f^j and f^n, j < n, has f^(n-j)(0) = f^n(a) = 0, so old roots
-    need 0 periodic, of period r <= n.  Then a is old iff f^(n-r)(a) = 0: at
-    level r only x is old, and past r, a is old iff f(a) was.  So each piece
-    is all old or all new: x is split off at level r, and later pieces
-    inherit the flag of the G they come from.
-
-    The loop builds levels only up to the deepest level that f's values
-    leave open.  Every level through top meets the degree budget, so the
-    budget is checked once: at top + 1, when depth asks for it.  The rule:
-    let N_n = f^n when 0 is not periodic of period r <= n, else N_n = f^n / (f^(n-r))^e, where f^r = x^e N_r and
-    N_r(0) != 0.  Then f^n = (f^(n-r))^e N_r(f^(n-r)), so N_n = N_r(f^(n-r)),
-    and by the rule above the roots of f^(n-r) are old and those of N_n new.
-    So N_n is a constant times the product of level n's new pieces to their
-    multiplicities, and as the pieces are coprime and squarefree, level n
-    certifies exactly when N_n is constant (ordinary mode) or a constant
-    times a square (2-ordinary mode).
-
-    By the chain rule for orders of vanishing, e is the product over j < r
-    of the order of t_j = f^j(0) as a root of f - f(t_j): the first k >= 1
-    with a nonzero x^k coefficient in f(x + t_j).  N_n is constant exactly
-    when n >= r and e = d^r, so in ordinary mode only the levels from r on
-    are open, and only then.  A constant times a square, c h^2 with h
-    monic, is 0 or of sign chi(c) = chi(lc N_n) at each point; so a point x
-    refutes level n in 2-ordinary mode when chi(N_n(x)) = -chi(lc N_n).
-    For n < r, chi(N_n(x)) = chi(f^n(x)); for n >= r, with
-    y = f^(n-r)(x) != 0, it is chi(f^n(x)) chi(y)^e, as f^n(x) = y^e N_n(x).
-    lc(f^n) = A lc(f^(n-1))^d, A = lc(f), and lc(N_n) = lc(f^n) /
-    lc(f^(n-r))^e.  The points are the first min(q, d^top) indices, top the
-    deepest level within the degree budget, so d^top is the degree of the
-    largest iterate the loop builds."""
+    """Level n certifies when N_n, the part of f^n whose roots are new (no
+    root of f^j, j < n), is a constant (ordinary mode) or a constant times a
+    square (2-ordinary mode).  A root a of f^j and f^n, j < n, has
+    f^(n-j)(0) = f^n(a) = 0, so N_n = f^n before the period r of 0.  From r
+    on, f^r = x^e N_r with N_r(0) != 0, f^n = (f^(n-r))^e N_r(f^(n-r)) and
+    N_n = N_r(f^(n-r)).  So N_n = N_(n-1)(f) from N_0 = x, with x^e divided
+    out at level r.  The loop holds N_n as pairwise coprime monic squarefree
+    pieces with their multiplicities (coprime G give coprime G(f)), up to
+    the deepest level that f's values leave open; ordinary mode, whose open
+    levels are those where N_n is constant, builds none.  Every level
+    through top meets the degree budget, so the budget is checked once: at
+    top + 1, when depth asks for it."""
     if f.degree < 1:
         raise ValueError("oracle needs a nonconstant polynomial")
     if depth < 0:
@@ -334,18 +333,18 @@ def _oracle(f: Poly, depth: int, budget: int, need_odd: bool) -> OracleResult:
     while top < last and within_degree_budget(d, top + 1, budget):
         top += 1
     r, left = _open_levels(f, top, need_odd)
-    open_to = max(left, default=0)
+    if left and not need_odd:
+        return OracleResult(certified_not=True, level=min(left), depth=depth)
     x = Poly.x(f.field)
-    level = [(x, 1, False)]
-    for n in range(1, open_to + 1):
-        level = [(h, m * e, old) for g, m, old in level
-                 for h, e in _squarefree_decomposition(g.compose(f).monic(), f)]
-        if n == r:
-            i = next(i for i, (h, _, _) in enumerate(level) if h.coefficient(0).is_zero())
-            h, m, _ = level[i]
-            level[i:i + 1] = [(x, m, True)] + ([(h // x, m, False)] if h.degree > 1 else [])
-        # no new factor (of odd multiplicity, when need_odd) at level n
-        if all(old or need_odd and m % 2 == 0 for _, m, old in level):
+    pieces = [(x, 1)]
+    for n in range(1, max(left, default=0) + 1):
+        pieces = [(h, m * e) for g, m in pieces
+                  for h, e in _squarefree_decomposition(g.compose(f).monic(), f)]
+        if n == r:  # N_r = f^r / x^e, and x divides one piece, of multiplicity e
+            i = next(i for i, (h, _) in enumerate(pieces) if h.coefficient(0).is_zero())
+            h, m = pieces.pop(i)
+            pieces += [(h // x, m)] if h.degree > 1 else []
+        if all(m % 2 == 0 for _, m in pieces):
             return OracleResult(certified_not=True, level=n, depth=depth)
     if top < depth:
         check_degree_budget(d, top + 1, budget)

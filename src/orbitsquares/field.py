@@ -109,6 +109,23 @@ def _coordinate_map(images) -> list[int]:
     return out
 
 
+def _field_name(text: str) -> tuple[int, int, tuple[int, ...] | None]:
+    """(p, k, modulus) as "p", "p^k", or "p^k/(c0,c1,...,1)" writes them, unchecked."""
+    text = text.strip()
+    modulus = None
+    if "/" in text:
+        head, tail = text.split("/", 1)
+        tail = tail.strip()
+        if not (tail.startswith("(") and tail.endswith(")")):
+            raise ValueError(f"bad modulus syntax in field spec {text!r}")
+        modulus = tuple(_parse_decimal(t) for t in tail[1:-1].split(","))
+        text = head.strip()
+    if "^" in text:
+        p_s, k_s = text.split("^", 1)
+        return _parse_decimal(p_s), _parse_decimal(k_s), modulus
+    return _parse_decimal(text), 1, modulus
+
+
 @lru_cache(maxsize=None)
 def _field_key(p: int, k: int, modulus: tuple[int, ...] | None) -> tuple:
     """(p, k, modulus) of the field these name, after _check_order: a missing
@@ -320,21 +337,7 @@ class FieldSpec:
     @staticmethod
     def parse(text: str) -> "FieldSpec":
         """Parse "p", "p^k", or "p^k/(c0,c1,...,1)" into make_field's instance."""
-        text = text.strip()
-        modulus = None
-        if "/" in text:
-            head, tail = text.split("/", 1)
-            tail = tail.strip()
-            if not (tail.startswith("(") and tail.endswith(")")):
-                raise ValueError(f"bad modulus syntax in field spec {text!r}")
-            modulus = tuple(_parse_decimal(t) for t in tail[1:-1].split(","))
-            text = head.strip()
-        if "^" in text:
-            p_s, k_s = text.split("^", 1)
-            p, k = _parse_decimal(p_s), _parse_decimal(k_s)
-        else:
-            p, k = _parse_decimal(text), 1
-        return make_field(p, k, modulus)
+        return make_field(*_field_name(text))
 
     def __str__(self):
         if self.k == 1:

@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii
 from .bounds import orbit_bound_rows, periodic_starts, run_bound_rows, weil_check
 from .classify import classify_2_ordinary
 from .dynamics import orbit_table
-from .field import FieldSpec, power_within
+from .field import FieldSpec, _field_key, _field_name, power_within
 from .fpoly import Poly
 
 BOUNDS_CSV_COLUMNS = ["q", "d", "f", "a", "m", "orbit", "L", "maxB", "lhs", "rhs", "pass"]
@@ -189,13 +189,14 @@ def run_checks(cfg: ScanConfig, checks) -> dict[str, list]:
     cap = MAX_ENUMERATED_POLYS
     if cfg.sample is not None and cfg.sample > cap:
         raise ValueError(f"--sample {cfg.sample:,} is more than the {cap:,} a scan draws")
-    F = FieldSpec.parse(cfg.field)
+    p, k, _ = _field_key(*_field_name(cfg.field))  # checks the field, builds no table
     sampled_only = cfg.sample is not None and checks <= SAMPLED_POLYS
-    if not sampled_only and not power_within(F.q, cfg.degree, cap):
+    if not sampled_only and not power_within(p**k, cfg.degree, cap):
         raise ValueError(
-            f"{F.q}^{cfg.degree} monic polynomials are more than the {cap:,} a scan "
+            f"{p**k}^{cfg.degree} monic polynomials are more than the {cap:,} a scan "
             f"enumerates; --sample draws only those of {', '.join(sorted(SAMPLED_POLYS))}"
         )
+    F = FieldSpec.parse(cfg.field)
     drawn = None if cfg.sample is None else sample_polys(F, cfg.degree, cfg.sample, cfg.seed)
     in_draw, rest = set(drawn or ()), checks - SAMPLED_POLYS
     items = [(f, checks if drawn is None or f in in_draw else rest)

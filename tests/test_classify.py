@@ -1,5 +1,7 @@
 """Exceptional-shape classification, family generation, oracles, conjugacy."""
 
+import json
+import pickle
 import random
 import re
 import sys
@@ -138,6 +140,16 @@ class TestDerivedVerdicts:
         assert rep.verdict == NOT_TWO_ORDINARY and rep.ordinary_verdict == NOT_ORDINARY
         assert rep.ordinary_witness == rep.matched_forms[0].witness == \
             {"A": F3.one, "B": F3.zero, "e": 1}
+
+    def test_witnesses_are_read_only(self):
+        rep = classify_2_ordinary(P(F3, 0, 0, 0, 1))  # x^3: (a) and (c)
+        before = json.dumps(rep.to_json())
+        with pytest.raises(TypeError):
+            rep.ordinary_witness["e"] = 99
+        with pytest.raises(TypeError):
+            rep.matched_forms[1].witness["g"] = P(F3, 1, 1)
+        assert json.dumps(rep.to_json()) == before
+        assert json.dumps(pickle.loads(pickle.dumps(rep)).to_json()) == before
 
 
 def ordinary(f: Poly):
@@ -580,11 +592,21 @@ class TestOracles:
         orbitsquares.fpoly.factor(cubics[3])  # the wrappers do see both
         assert {"factor", "pow_mod"} <= set(calls)
 
+    def test_the_ordinary_oracle_builds_no_level(self, monkeypatch):
+        # its open levels are exactly those where N_n is constant, so it
+        # certifies at the first of them from f's values alone
+        calls = record_calls(monkeypatch, orbitsquares.fpoly._squarefree_decomposition)
+        verdicts = [str(oracle_ordinary(f, 4)) for f in enumerate_polys(F3, 3, "all")]
+        assert calls == [] and len(verdicts) == 54
+        assert sum(v.startswith("CertifiedNot") for v in verdicts) == 6
+
     def test_a_squarefree_input_costs_one_gcd(self, monkeypatch):
         # a guard by count, not by time: Yun's loop divided a squarefree
         # input by 1 three times (f // 1, gcd(w, 1), w // 1), 4,744 _divmod
         # calls in this pass; building every level to depth 4, with none
-        # ruled out by f's values, ran 663 decompositions and 2,440 _divmod
+        # ruled out by f's values, ran 663 decompositions and 2,440 _divmod;
+        # decomposing the descendants of x past the period of 0, which are
+        # no part of N_n, ran 84 more and 363 _divmod
         fpoly = orbitsquares.fpoly
         gcd, divmod_, decompose = fpoly.gcd, fpoly._divmod, fpoly._squarefree_decomposition
         calls, in_gcd, squarefree_costs = Counter(), [False], Counter()
@@ -619,9 +641,9 @@ class TestOracles:
         assert len(cubics) == 125
         for f in cubics:
             oracle_2_ordinary(f, 4)
-        assert squarefree_costs == {(1, 0): 296}
-        assert calls["decompose"] <= 363
-        assert calls["_divmod"] <= 1470
+        assert squarefree_costs == {(1, 0): 234}
+        assert calls["decompose"] <= 279
+        assert calls["_divmod"] <= 1107
 
     def test_a_linear_f_costs_at_most_its_field(self, monkeypatch):
         # 2x + 1 permutes F_5 and 0 has period 4, where both oracles certify;

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+import orbitsquares.field
 from orbitsquares import bounds, scan
 from orbitsquares.bounds import choose_L, envelope_check, orbit_bound_check
 from orbitsquares.classify import TWO_ORDINARY, classify_2_ordinary
@@ -75,10 +76,12 @@ class TestScans:
 
     def test_worker_count_does_not_change_bytes(self):
         # polynomial items cross to the workers pickled, are classified there,
-        # and orbit-bounds' drawn starts cross back for its second phase
-        for field in ("7", "3^2"):
+        # and orbit-bounds' drawn starts cross back for its second phase with
+        # each f's report: six of the 27 monic F_3 cubics match shape (a) or (c)
+        for field, degree in (("7", 2), ("3^2", 2), ("3", 3)):
             out1, out2 = (
-                run_checks(ScanConfig(field=field, degree=2, sample=20, seed=3, workers=w), CHECKS)
+                run_checks(ScanConfig(field=field, degree=degree, sample=20, seed=3, workers=w),
+                           CHECKS)
                 for w in (1, 2)
             )
             assert list(out1) == list(CHECKS) and all(out1.values())
@@ -253,6 +256,20 @@ class TestScans:
                    "--sample draws only those of classification, ratios")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_checks(ScanConfig(field="1009", degree=2), ["weil"])
+
+    def test_an_oversized_cell_is_refused_before_its_field_is_built(self, monkeypatch):
+        # make_field's cache may already hold F_100003, so a patch on the
+        # table builder would not see the build; the refusal needs only q
+        def no_field(*args):
+            raise AssertionError(f"make_field{args} ran before the cap check")
+
+        monkeypatch.setattr(orbitsquares.field, "make_field", no_field)
+        message = ("100003^2 monic polynomials are more than the 1,000,000 a scan enumerates; "
+                   "--sample draws only those of classification, ratios")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_checks(ScanConfig(field="100003", degree=2), ["weil"])
+        with pytest.raises(ValueError, match="^100001 is not prime$"):  # 11 * 9091
+            run_checks(ScanConfig(field="100001", degree=2), ["weil"])
 
     def test_cell_size_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(scan, "MAX_ENUMERATED_POLYS", 9)
