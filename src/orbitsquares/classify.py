@@ -5,8 +5,8 @@ conjugacy solved from coefficients (including conjugacy to +-T_d).  T_d's
 integer coefficients come from its three-term recurrence here, and are
 reduced into F_q.
 
-The 2-ordinary oracle decides from the squarefree pieces of N_n, the part of
-f^n whose roots are new; the ordinary oracle from the period r of 0 under f
+The 2-ordinary oracle decides from the odd part of N_n, the part of f^n
+whose roots are new; the ordinary oracle from the period r of 0 under f
 and whether 0 has order d^r in f^r.  Neither factors into irreducibles.
 
 Shapes (d) and (e) are membership in S_d = {a(eps T_d(x/a + 1) - 1)}.  Where
@@ -314,12 +314,13 @@ def _oracle(f: Poly, depth: int, budget: int, need_odd: bool) -> OracleResult:
     f^(n-j)(0) = f^n(a) = 0, so N_n = f^n before the period r of 0.  From r
     on, f^r = x^e N_r with N_r(0) != 0, f^n = (f^(n-r))^e N_r(f^(n-r)) and
     N_n = N_r(f^(n-r)).  So N_n = N_(n-1)(f) from N_0 = x, with x^e divided
-    out at level r.  The loop holds N_n as pairwise coprime monic squarefree
-    pieces with their multiplicities (coprime G give coprime G(f)), up to
-    the deepest level that f's values leave open; ordinary mode, whose open
-    levels are those where N_n is constant, builds none.  Every level
-    through top meets the degree budget, so the budget is checked once: at
-    top + 1, when depth asks for it."""
+    out at level r.  N_(n-1) = c S H^2, S the product of its odd-multiplicity
+    pieces, gives N_n = c S(f) H(f)^2, each prime's parity as in S(f).  So the
+    loop holds only S, as pairwise coprime monic squarefree pieces (coprime G
+    give coprime G(f)), to the deepest level f's values leave open, and
+    certifies when none is left; ordinary mode, whose open levels have N_n
+    constant, builds none.  Every level through top meets the degree budget,
+    so the budget is checked once: at top + 1, when depth asks for it."""
     if f.degree < 1:
         raise ValueError("oracle needs a nonconstant polynomial")
     if depth < 0:
@@ -336,15 +337,13 @@ def _oracle(f: Poly, depth: int, budget: int, need_odd: bool) -> OracleResult:
     if left and not need_odd:
         return OracleResult(certified_not=True, level=min(left), depth=depth)
     x = Poly.x(f.field)
-    pieces = [(x, 1)]
+    odd = [x]
     for n in range(1, max(left, default=0) + 1):
-        pieces = [(h, m * e) for g, m in pieces
-                  for h, e in _squarefree_decomposition(g.compose(f).monic(), f)]
-        if n == r:  # N_r = f^r / x^e, and x divides one piece, of multiplicity e
-            i = next(i for i, (h, _) in enumerate(pieces) if h.coefficient(0).is_zero())
-            h, m = pieces.pop(i)
-            pieces += [(h // x, m)] if h.degree > 1 else []
-        if all(m % 2 == 0 for _, m in pieces):
+        odd = [h for g in odd
+               for h, m in _squarefree_decomposition(g.compose(f).monic(), f) if m % 2]
+        if n == r:  # N_r = f^r / x^e: x leaves its piece, which is here if e is odd
+            odd = [h if h.coeffs[0] else h // x for h in odd if h != x]
+        if not odd:
             return OracleResult(certified_not=True, level=n, depth=depth)
     if top < depth:
         check_degree_budget(d, top + 1, budget)

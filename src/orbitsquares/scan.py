@@ -20,7 +20,6 @@ import json
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import product
 from json.encoder import encode_basestring_ascii
@@ -154,6 +153,7 @@ def _pmap(fn, items, workers: int):
     workers = min(workers, len(items), os.cpu_count() or 1)  # a pool starts every worker at once
     if workers <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool loads multiprocessing
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items, chunksize=max(1, len(items) // (workers * 4))))
 

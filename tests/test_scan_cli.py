@@ -1,10 +1,14 @@
 """Batch scan determinism and the command-line front end."""
 
+import concurrent.futures
 import hashlib
 import json
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -105,7 +109,7 @@ class TestScans:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(scan, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(scan.os, "cpu_count", lambda: 4)
         rows = rows_of("classification", field="7", degree=2, sample=3, workers=8)
         assert started == [3] and len(rows) == 3
@@ -113,6 +117,16 @@ class TestScans:
         assert started == [3] and len(rows) == 1  # one item runs without a pool
         rows = rows_of("classification", field="7", degree=2, workers=10**6)
         assert started == [3, 4] and len(rows) == 49  # nor more workers than CPUs
+
+    def test_the_cli_imports_no_pool(self):
+        # every CLI run and every perfbench process imports cli; only a scan
+        # that starts a pool should pay for concurrent.futures and
+        # multiprocessing
+        probe = ("import sys, orbitsquares.cli; "
+                 "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", probe], cwd=Path(scan.__file__).parents[1],
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_weil_scan_no_failures(self):
         rows = rows_of("weil", field="5", degree=3)
