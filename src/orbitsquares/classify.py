@@ -272,11 +272,15 @@ def _open_levels(f: Poly, top: int, need_odd: bool) -> tuple[int | None, set[int
     first min(q, d^top) indices, top the deepest level within the degree
     budget, so d^top is the degree of the largest iterate _oracle builds."""
     F, d = f.field, f.degree
+    values = {}  # f at each index walked, so overlapping orbits evaluate f once per point
 
     def orbit(xi):  # xi, f(xi), ..., f^top(xi) as indices
         out = [xi]
         for _ in range(top):
-            out.append(f.eval_i(out[-1]))
+            x = out[-1]
+            if x not in values:
+                values[x] = f.eval_i(x)
+            out.append(values[x])
         return out
 
     zero = orbit(0)

@@ -199,6 +199,42 @@ class FieldSpec:
         p, k, q = self.p, self.k, self.q
         self.one_idx = one = p ** (k - 1)
         self._neg = _coordinate_map([[(-c) % p for c in range(p)]] * k)
+        exp = self._prime_powers() if k == 1 else self._extension_powers()
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        self._exp = exp
+        self._log = log
+        # the quadratic character of every index: the parity of its log
+        signs = [1 - 2 * (e & 1) for e in log]
+        signs[0] = 0
+        self._signs = tuple(signs)
+        # Zech logarithms, zech[n] = log(1 + g^n): the constant coordinate
+        # leads the index, so adding one is adding one_idx mod q.  1 + g^n
+        # vanishes only at n = (q-1)/2, where g^n = -1; -1 marks it.
+        if k > 1:
+            zech = [log[(x + one) % q] for x in exp]
+            zech[(q - 1) // 2] = -1
+            self._zech = zech
+        else:
+            self._zech = None
+
+    def _prime_powers(self) -> list[int]:
+        """g^i mod p for i < p - 1, g the smallest generator of F_p^*: the
+        first g with g^((p-1)/r) != 1 for every prime r | p - 1."""
+        p = self.p
+        rs = prime_factors(p - 1)
+        gen = next(g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in rs))
+        exp = [1] * (p - 1)
+        for i in range(1, p - 1):
+            exp[i] = exp[i - 1] * gen % p
+        return exp
+
+    def _extension_powers(self) -> list[int]:
+        """g^i as indices for i < q - 1, g the smallest generator (in index
+        order) of F_q^*, by products of coordinate lists reduced by the
+        monic modulus."""
+        p, k, q = self.p, self.k, self.q
         mod = self.modulus
         one_c = [1] + [0] * (k - 1)
 
@@ -225,37 +261,20 @@ class FieldSpec:
                 e >>= 1
             return result
 
-        # find smallest generator of the multiplicative group
         rs = prime_factors(q - 1)
         for cand in range(1, q):
             gen = self.coords(cand)
             if all(power(gen, (q - 1) // r) != one_c for r in rs):
                 break
         exp = [0] * (q - 1)
-        log = [0] * q
         cur = one_c
         for i in range(q - 1):
             idx = 0
             for c in cur:
                 idx = idx * p + c
             exp[i] = idx
-            log[idx] = i
             cur = mul(cur, gen)
-        self._exp = exp
-        self._log = log
-        # the quadratic character of every index: the parity of its log
-        signs = [1 - 2 * (e & 1) for e in log]
-        signs[0] = 0
-        self._signs = tuple(signs)
-        # Zech logarithms, zech[n] = log(1 + g^n): the constant coordinate
-        # leads the index, so adding one is adding one_idx mod q.  1 + g^n
-        # vanishes only at n = (q-1)/2, where g^n = -1; -1 marks it.
-        if k > 1:
-            zech = [log[(x + one) % q] for x in exp]
-            zech[(q - 1) // 2] = -1
-            self._zech = zech
-        else:
-            self._zech = None
+        return exp
 
     @property
     def signs(self) -> tuple[int, ...]:

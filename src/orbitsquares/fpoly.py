@@ -6,16 +6,21 @@ trailing zeros).  Includes composition/iteration with a degree budget (the
 factorization (squarefree / distinct-degree / equal-degree splitting whose
 random draws are keyed by the polynomial alone) and monic square roots.
 
-The field kind enters only two list-level kernels.  The product `_mul`,
-which `Poly.__mul__` and `Poly.compose`'s Horner loop share: over F_p
-(k == 1) an index is the residue itself, so both coefficient lists pack
-into one Python int, multiply once and unpack with `% p` (Kronecker
-substitution); over F_{p^k} (k > 1) it loops over the field's index
-kernels.  Long division in `_divmod`: one fixed-shift loop, which over F_p
-reduces only the leading coefficient per step and over F_{p^k} subtracts
-through the index kernels.  `divmod`, `gcd`, `pow_mod` and `eval_i` are
-written once on top of these, for both field kinds, and nothing here reads
-the field's tables: `Poly.value_table` is `FieldSpec.value_table`.
+The field kind enters only two list-level kernels, and over F_p (k == 1),
+where an index is the residue itself, both run on coefficient lists packed
+into Python ints, one slot per coefficient (Kronecker substitution).  The
+product `_mul`, which `Poly.__mul__` and `Poly.compose`'s Horner loop
+share, multiplies two packed lists once and unpacks with `% p`; `compose`
+passes a memo that keeps its inner polynomial packed, so each `compose`
+packs it once per slot size.  Long division in `_divmod` is one
+fixed-shift loop, which over F_p keeps the top deg b + 1 coefficients of
+the remainder packed in one int, shifts a's next coefficient in, reads the
+leading slot and adds the packed -b times it at each step, and reduces the
+remainder's slots once, at the end.  Over F_{p^k} (k > 1)
+both loop over the field's index kernels.  `divmod`, `gcd`, `pow_mod` and
+`eval_i` are written once on top of these, for both field kinds, and
+nothing here reads the field's tables: `Poly.value_table` is
+`FieldSpec.value_table`.
 `_squarefree_decomposition` returns a squarefree input after its one gcd,
 with no divisions by 1.
 """
@@ -84,16 +89,24 @@ def _unpack(n: int, count: int, nb: int):
     return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
 
 
-def _mul(F: FieldSpec, a, b) -> list[int]:
+def _mul(F: FieldSpec, a, b, packed: dict | None = None) -> list[int]:
     """Product of index lists.  Over F_p both lists pack into one int, which
-    is multiplied once and unpacked with % p; over F_{p^k} a schoolbook loop
-    runs over the index kernels."""
+    is multiplied once and unpacked with % p; packed, when given, keeps b's
+    packing per slot size, so a caller that multiplies by the same b again
+    packs it once.  Over F_{p^k} a schoolbook loop runs over the index
+    kernels."""
     if not a or not b:
         return []
     if F.k == 1:
         p = F.p
         nb = _slot_bytes(p, min(len(a), len(b)))
-        prod = _pack(a, nb) * _pack(b, nb) if a is not b else _pack(a, nb) ** 2
+        if a is b:
+            prod = _pack(a, nb) ** 2
+        else:
+            packed = {} if packed is None else packed
+            if nb not in packed:
+                packed[nb] = _pack(b, nb)
+            prod = _pack(a, nb) * packed[nb]
         return [c % p for c in _unpack(prod, len(a) + len(b) - 1, nb)]
     out = [0] * (len(a) + len(b) - 1)
     mul, add = F.mul_i, F.add_i
@@ -107,22 +120,39 @@ def _mul(F: FieldSpec, a, b) -> list[int]:
 
 def _divmod(F: FieldSpec, a: list[int], b) -> tuple[list[int], list[int]]:
     """Quotient and remainder of index lists, b nonzero, by long division
-    with a fixed shift per step; a is consumed.  Over F_p each step reduces
-    only the leading coefficient, and the remainder is reduced once at the
-    end; over F_{p^k} each step adds -c * b through the index kernels."""
+    with a fixed shift per step; a may be consumed, and is the remainder
+    when deg a < deg b.  Over F_p the remainder's top deg b + 1 coefficients
+    are packed into one int: each step shifts the next coefficient of a in
+    below them, reads the leading slot, masks it off and adds c times the
+    packed -b (less its leading term), so a step costs the same however
+    long a is.  A slot holds its residue plus at most deg b products
+    (p-1)^2, and the remainder's slots are reduced % p once, at the end; a
+    constant b scales a.  Over F_{p^k} each step adds -c * b through the
+    index kernels."""
     db = len(b) - 1
+    if len(a) <= db:
+        return [], a
     low = b[:db]
-    q = [0] * max(0, len(a) - db)
+    q = [0] * (len(a) - db)
     shifts = range(len(a) - 1 - db, -1, -1)
     if F.k == 1:
         p = F.p
         inv = pow(b[-1], -1, p)
+        if not db:
+            return [x * inv % p for x in a], []
+        nb = _slot_bytes(p, db + 1)
+        w, top = 8 * nb, 8 * nb * db
+        mask = (1 << top) - 1
+        neg = _pack([-y % p for y in low], nb)
+        window = _pack(a[-db:], nb)  # the coefficients above the first step's shift
         for shift in shifts:
-            c = a[shift + db] * inv % p
+            window = window << w | a[shift]
+            c = (window >> top) * inv % p
+            window &= mask
             if c:
                 q[shift] = c
-                a[shift:shift + db] = [x - c * y for x, y in zip(a[shift:shift + db], low)]
-        return _norm(q), _norm([x % p for x in a[:db]])
+                window += c * neg
+        return _norm(q), _norm([x % p for x in _unpack(window, db, nb)])
     inv = F.inv_i(b[-1])
     mul, add = F.mul_i, F.add_i
     for shift in shifts:
@@ -303,13 +333,15 @@ class Poly:
         return self.field.value_table(self.coeffs)
 
     def compose(self, other: "Poly") -> "Poly":
-        """self(other(x)) by Horner on the index list, through _mul."""
+        """self(other(x)) by Horner on the index list: each step multiplies
+        by other through _mul, which over F_p packs other once per slot
+        size for the whole loop."""
         self._check(other)
         F = self.field
-        b = other.coeffs
+        b, packed = other.coeffs, {}
         acc = []
         for c in reversed(self.coeffs):
-            acc = _norm(_mul(F, acc, b)) or [0]
+            acc = _norm(_mul(F, acc, b, packed)) or [0]
             if c:  # a zero on either side adds nothing, as in _mul
                 acc[0] = F.add_i(acc[0], c) if acc[0] else c
         return Poly(F, acc)

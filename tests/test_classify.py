@@ -655,6 +655,21 @@ class TestOracles:
             assert len(calls) <= 2 * F5.q
             calls.clear()
 
+    def test_the_level_scan_evaluates_f_once_per_point(self, monkeypatch):
+        # at depth 4 all five points of F_5 are read, and their orbits
+        # overlap: a walk per start evaluated f 4 times at each
+        calls = record_calls(monkeypatch, Poly.eval_i)
+        for f in enumerate_polys(F5, 3, "monic"):
+            for need_odd in (True, False):
+                _open_levels(f, 4, need_odd)
+                assert len(calls) <= F5.q, (str(f), need_odd)
+                calls.clear()
+        # x^2 refutes no level, so all 2^6 points of F_100003 are read, each
+        # walked 6 steps: f is evaluated along the walks, never on the field
+        _, left = _open_levels(P(make_field(100003), 0, 0, 1), 6, True)
+        assert left == set(range(1, 7))
+        assert len(calls) <= 64 * 7
+
     def test_distinct_roots_never_certified(self):
         for f in enumerate_polys(F5, 2, "monic"):
             roots = [a for a in F5.elements() if f.evaluate(a).is_zero()]

@@ -224,6 +224,22 @@ def test_mul_matches_schoolbook_product(spec):
             assert F.mul_i(a, b) == _schoolbook_mul(F, a, b), (spec, a, b)
 
 
+@pytest.mark.parametrize("p", [3, 5, 31, 10007])
+def test_prime_field_tables_match_powers_and_euler(p):
+    # the smallest g whose powers reach every unit, g^i by pow, chi(x) by
+    # Euler's criterion x^((p-1)/2) = +-1, and -x mod p
+    F = FieldSpec(p)
+    g = next(g for g in range(2, p) if len({pow(g, i, p) for i in range(p - 1)}) == p - 1)
+    exp = [pow(g, i, p) for i in range(p - 1)]
+    log = [0] * p
+    for i, x in enumerate(exp):
+        log[x] = i
+    euler = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
+    assert F._exp == exp and F._log == log
+    assert F.signs == tuple(euler)
+    assert F._neg == [-x % p for x in range(p)]
+
+
 def _coordinate_add(F, a, b, sign=1):
     """a + sign*b, added coordinate by coordinate."""
     return F.index([(x + sign * y) % F.p for x, y in zip(F.coords(a), F.coords(b))])

@@ -5,6 +5,7 @@ import itertools
 import random
 import re
 import signal
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from orbitsquares.errors import DegreeBudgetExceeded, DivisionByZero
 from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import (
     Poly,
+    _divmod,
+    _mul,
     _pack,
     _pth_root,
     _squarefree_decomposition,
@@ -443,6 +446,113 @@ class TestFpKernelAgainstReference:
         assert Poly.zero(F).pow_mod(0, Poly.x(F)) == Poly.one(F)
         assert Poly.zero(F).pow_mod(5, Poly.x(F)).is_zero()
         assert P(F, 3, 1).pow_mod(7, P(F, 2)).is_zero()  # everything is 0 mod a unit
+
+
+# --- the packed F_p kernels against a schoolbook on residue lists ----------
+
+# F_1000003 packs 8-byte slots; its tables would hold about 130 MB, and the
+# F_p kernels read only p and k of their field, so it enters as a stand-in.
+# F_7 is the one prime below 100 where a slot sized for deg b products alone
+# overflows: 6 + 7 * 36 = 258 needs a second byte, 7 * 36 does not
+PACKED_FIELDS = [make_field(p) for p in (3, 5, 7, 31)] + [SimpleNamespace(p=1000003, k=1)]
+
+
+def _int_mul(p, a, b):
+    """Schoolbook product of residue lists mod p."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _int_divmod(p, a, b):
+    """Long division of residue lists mod p, every coefficient reduced at
+    every step."""
+    r, db = list(a), len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(r) - db)
+    while len(r) > db:
+        shift = len(r) - 1 - db
+        c = q[shift] = r[-1] * inv % p
+        for i, y in enumerate(b):
+            r[shift + i] = (r[shift + i] - c * y) % p
+        while r and r[-1] == 0:
+            r.pop()
+    while q and q[-1] == 0:
+        q.pop()
+    return q, r
+
+
+def _tight_division(p, db, length):
+    """(a, b, r) with deg b = db whose division fills the remainder's top
+    slot the most it can be filled: b's low coefficients are 1, so -b packs
+    p - 1 in each slot, and a = b * (p-1)(1 + ... + x^(length-1)) + r, so
+    every step's c is p - 1 and a % b is r.  The x^(db-1) slot then ends at
+    its residue plus db (p-1)^2, and r = (db - 1) x^(db-1) makes that residue
+    db (p-1) + db - 1 = -1 mod p.  lc b = 1 - db makes every slot above
+    (db + lc b)(p-1) = p - 1 too (when db is not 1 mod p)."""
+    b = [1] * db + [(1 - db) % p or 1]
+    r = [0] * (db - 1) + [(db - 1) % p]
+    a = _int_mul(p, b, [p - 1] * length)
+    a[:db] = [(x + y) % p for x, y in zip(a, r)]
+    while r and r[-1] == 0:
+        r.pop()
+    return a, b, r
+
+
+def _random_residues(p, rng, length):
+    """length residues mod p, the last one nonzero."""
+    return [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)]
+
+
+@pytest.mark.parametrize("F", PACKED_FIELDS, ids=lambda F: f"F{F.p}")
+class TestPackedKernels:
+    def test_mul_with_a_reused_packed_operand(self, F):
+        p, rng = F.p, random.Random(F.p)
+        for b in (_random_residues(p, rng, 75), [p - 1] * 75, [rng.randrange(1, p)]):
+            packed = {}
+            # a shorter than b packs both at a narrower slot, which the memo keeps apart
+            for a in [_random_residues(p, rng, n) for n in (1, 2, 40, 74, 75, 76, 80, 3)] + [
+                    [p - 1] * 75, [p - 1] * 80, [p - 1] * 2]:
+                assert _mul(F, a, b, packed) == _int_mul(p, a, b), (p, len(a), len(b))
+                assert _mul(F, a, b) == _int_mul(p, a, b)
+        a = [p - 1] * 70
+        assert _mul(F, a, a, {}) == _int_mul(p, a, a)
+        assert _mul(F, [], a, {}) == _mul(F, a, [], {}) == []
+
+    def test_divmod(self, F):
+        p, rng = F.p, random.Random(100 + F.p)
+        cases = []
+        for _ in range(40):
+            b = _random_residues(p, rng, rng.randrange(1, 30))
+            cases.append((_random_residues(p, rng, rng.randrange(1, 120)), b))
+        for db in (1, 2, 3, 7, 12):
+            b = _random_residues(p, rng, db) + [1]  # monic
+            cases += [
+                ([p - 1] * (60 * db + 1), [p - 1] * (db + 1)),  # every coefficient p - 1
+                (_random_residues(p, rng, db), b),  # deg a < deg b
+                (_random_residues(p, rng, db + 1), b),  # equal degrees
+                ([], b),  # zero dividend
+                (_random_residues(p, rng, 60 * (db + 1)), _random_residues(p, rng, db + 1)),
+                _tight_division(p, db, 60 * db)[:2],
+            ]
+        for n in (1, 5, 300):  # a constant b
+            cases.append((_random_residues(p, rng, n), [rng.randrange(1, p)]))
+        for a, b in cases:
+            assert _divmod(F, list(a), b) == _int_divmod(p, a, b), (p, len(a), b)
+
+    def test_a_tight_division_fills_its_slots(self, F):
+        # the case that sizes the slots: on F_7 at deg b = 7 the remainder's
+        # top slot reaches 6 + 7 * 36 = 258, one more byte than 7 * 36 needs
+        p = F.p
+        for db in range(1, 13):
+            a, b, r = _tight_division(p, db, 60 * db)
+            q = [p - 1] * (60 * db)
+            assert _int_divmod(p, a, b) == (q, r)
+            assert _divmod(F, list(a), b) == (q, r), (p, db)
 
 
 @contextlib.contextmanager
