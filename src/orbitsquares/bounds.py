@@ -10,7 +10,7 @@ arithmetic; nothing here uses floating point for a pass/fail decision.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
@@ -36,7 +36,8 @@ class WeilCheck:
     margin_sq: int | None = None  # (d-1)^2 q - sum^2
 
     def to_json(self):
-        return asdict(self)
+        return {"applies": self.applies, "reason": self.reason, "sum": self.sum,
+                "passed": self.passed, "margin_sq": self.margin_sq}
 
 
 def weil_check(f: Poly) -> WeilCheck:
@@ -314,13 +315,15 @@ def run_bound_rows(f: Poly, report) -> list[dict]:
     share one side dict per distinct run of f, so they are read-only."""
     if report.verdict != TWO_ORDINARY:
         return []
-    run = orbit_table(f).run
-    sides = {r: _run_bound_side(f, r).to_json() for r in {*run[1], *run[-1]}}
+    table, sides = orbit_table(f), []
+    for t in (1, -1):
+        # one side dict per distinct (t, length, cycle_constant); a cycle-
+        # constant run, never empty, is keyed by minus its length
+        keys = [n if s != t else -n for n, s in zip(table.run[t], table.cycle_sign)]
+        side = {k: _run_bound_side(f, RunReport(t, abs(k), k < 0)).to_json() for k in set(keys)}
+        sides.append(map(side.__getitem__, keys))
     name, q = str(f), f.field.q
-    return [
-        _run_bound_row(name, q, a, sides[sq], sides[ns])
-        for a, (sq, ns) in enumerate(zip(run[1], run[-1]))
-    ]
+    return [_run_bound_row(name, q, a, sq, ns) for a, (sq, ns) in enumerate(zip(*sides))]
 
 
 def choose_L(q: int, d: int) -> int:

@@ -53,10 +53,12 @@ class OrbitTable:
     """Orbit and sign data of every start x under one f, by element index.
 
     From x, tail[x] steps reach a cycle of length cycle[x]; chi(f^l(x)) has
-    minimal eventual period sign_period[x] from l = sign_tail[x] on.  For a
-    target sign t, ahead[t][x] counts the iterates x, f(x), ... before the
-    first one without sign t (-1 if there is none), and run[t][x] is
-    longest_run's report.  Read-only except derived, where bounds keeps the
+    minimal eventual period sign_period[x] from l = sign_tail[x] on, and
+    cycle_sign[x] is the one sign of that cycle's points (0 if they differ).
+    For a target sign t, ahead[t][x] counts the iterates x, f(x), ... before
+    the first one without sign t (-1 if there is none), and run[t][x] is the
+    length of longest_run's report, which is cycle-constant iff
+    cycle_sign[x] == t.  Read-only except derived, where bounds keeps the
     window sums and |T(L)| counts it builds from the table on first use, so
     they live exactly as long as the table."""
 
@@ -65,8 +67,9 @@ class OrbitTable:
     cycle: list[int]
     sign_tail: list[int]
     sign_period: list[int]
+    cycle_sign: list[int]
     ahead: dict[int, list[int]]
-    run: dict[int, list[RunReport]]
+    run: dict[int, list[int]]
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -75,24 +78,24 @@ def orbit_table(f: Poly) -> OrbitTable:
     """f's whole-field value table and the field's sign list, then one O(q)
     pass over f's functional graph; a one-entry memo, so every start of one f
     reads the same table.  Each point joins exactly one walk, which ends at a
-    point placed earlier or closes a new cycle.  A new cycle gets its sign
-    period and runs from two laps of its signs; the walk's tail points are
-    then placed from the cycle outward, each from its successor."""
+    point placed earlier or closes a new cycle.  A new cycle gets an id, its
+    sign period and runs from two laps of its signs; the walk's tail points
+    are then placed from the cycle outward, each from its successor, and the
+    per-cycle data is spread over the points by cycle id at the end."""
     q = f.field.q
     succ = f.value_table()
     chi = f.field.signs
     tail = [-1] * q  # -1: not walked yet, -2: on the current walk
-    cycle = [0] * q
+    root = [0] * q  # the id of the cycle each point reaches
     sign_tail = [0] * q
-    sign_period = [0] * q
     ahead = {1: [0] * q, -1: [0] * q}
-    run = {1: [None] * q, -1: [None] * q}
+    run = {1: [0] * q, -1: [0] * q}
     ahead_sq, ahead_ns, run_sq, run_ns = ahead[1], ahead[-1], run[1], run[-1]
-    # A purely periodic x has the signs of cyc_of[x][phase[x]], a point on its
-    # cycle (phase[x] is -1 otherwise).  A tail point x is purely periodic iff
-    # its successor y is and chi(x) is the sign one phase before y's.
-    cyc_of = [None] * q
-    phase = [-1] * q
+    rings, cycles = [], []  # by cycle id: its signs; its length, sign period and one sign
+    # A purely periodic x has the signs of rings[root[x]][ring[x]], a point on
+    # its cycle (ring[x] is -1 otherwise).  A tail point x is purely periodic
+    # iff its successor y is and chi(x) is the sign one place before y's.
+    ring = [-1] * q
     for start in range(q):
         if tail[start] != -1:
             continue
@@ -106,46 +109,50 @@ def orbit_table(f: Poly) -> OrbitTable:
             k = path.index(x)
             cyc = path[k:]
             del path[k:]
-            p = len(cyc)
+            p, r = len(cyc), len(rings)
             signs = [chi[c] for c in cyc]
             lap = bytes(s + 1 for s in signs)
             m = (lap + lap).find(lap, 1)  # least self-matching shift: the sign period
+            rings.append(signs)
+            cycles.append((p, m, signs[0] if m == 1 else 0))
             for j, c in enumerate(cyc):
-                tail[c], cycle[c], sign_period[c] = 0, p, m
-                cyc_of[c], phase[c] = cyc, j
+                tail[c], root[c], ring[c] = 0, r, j
             for t in (1, -1):
                 if m == 1 and signs[0] == t:
-                    ahead_t, rep = [-1] * p, RunReport(t, p, cycle_constant=True)
+                    ahead_t, longest = [-1] * p, p
                 else:
                     ahead_t, cur = [0] * p, 0
                     for j in range(2 * p - 1, -1, -1):  # two laps, backwards
                         cur = cur + 1 if signs[j % p] == t else 0
                         ahead_t[j % p] = cur  # the first lap's counts, written last, are exact
-                    rep = RunReport(t, max(ahead_t), cycle_constant=False)
+                    longest = max(ahead_t)
                 for c, a in zip(cyc, ahead_t):
-                    ahead[t][c], run[t][c] = a, rep
+                    ahead[t][c], run[t][c] = a, longest
+        r = root[x]
+        signs, cs = rings[r], cycles[r][2]
         for x in reversed(path):
             y = succ[x]
-            tail[x], cycle[x], sign_period[x] = tail[y] + 1, cycle[y], sign_period[y]
+            tail[x], root[x] = tail[y] + 1, r
             s = chi[x]
-            cyc = cyc_of[y]
-            if phase[y] >= 0 and s == chi[cyc[phase[y] - 1]]:
-                cyc_of[x], phase[x] = cyc, (phase[y] - 1) % len(cyc)
+            j = ring[y]
+            if j >= 0 and s == signs[j - 1]:
+                ring[x] = j - 1 if j else len(signs) - 1
             else:
                 sign_tail[x] = sign_tail[y] + 1
-            # x breaks every run of the other sign: that side keeps y's report
+            # x breaks every run of the other sign: that side keeps y's length
             # and an ahead count of 0; only the side of chi(x) is extended
             run_sq[x], run_ns[x] = run_sq[y], run_ns[y]
             if s:
                 ahead_s, run_s = (ahead_sq, run_sq) if s == 1 else (ahead_ns, run_ns)
                 a = ahead_s[y]
-                a = ahead_s[x] = -1 if a < 0 else a + 1
-                rep = run_s[x]
                 if a < 0:  # x's whole orbit has sign s: the run counts every point
-                    run_s[x] = RunReport(s, tail[x] + cycle[x], cycle_constant=True)
-                elif a > rep.length and not rep.cycle_constant:
-                    run_s[x] = RunReport(s, a, cycle_constant=False)
-    return OrbitTable(succ, tail, cycle, sign_tail, sign_period, ahead, run)
+                    ahead_s[x], run_s[x] = -1, run_s[y] + 1
+                else:
+                    a = ahead_s[x] = a + 1
+                    if a > run_s[x] and cs != s:
+                        run_s[x] = a
+    cycle, sign_period, cycle_sign = ([col[r] for r in root] for col in zip(*cycles))
+    return OrbitTable(succ, tail, cycle, sign_tail, sign_period, cycle_sign, ahead, run)
 
 
 def forward_orbit(f: Poly, a: FieldElement) -> OrbitSummary:
@@ -219,4 +226,5 @@ def check_target(target: int) -> None:
 def longest_run(f: Poly, a: FieldElement, target: int) -> RunReport:
     """Longest run of iterates of a with character sign target."""
     check_target(target)
-    return orbit_table(f).run[target][_index_in(f.field, a)]
+    table, x = orbit_table(f), _index_in(f.field, a)
+    return RunReport(target, table.run[target][x], table.cycle_sign[x] == target)

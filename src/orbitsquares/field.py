@@ -283,9 +283,10 @@ class FieldSpec:
 
     def value_table(self, coeffs) -> list[int]:
         """f(x) at every index x, for f's coefficient indices (constant first),
-        by one Horner pass across the field.  Over F_{p^k}, k > 1, each step
-        multiplies by x through the log tables and adds c through the
-        coordinate-wise translation y -> y + c, with no Zech lookup."""
+        by one Horner pass across the field.  Over F_{p^k}, k > 1, each step is
+        one list comprehension that multiplies by x through the log tables and
+        adds c through the translation y -> y + c, with no Zech lookup; for a
+        monic f the first step, 1 * x + c, is that translation itself."""
         p, q = self.p, self.q
         coeffs = coeffs[::-1] or (0,)
         acc = [coeffs[0]] * q
@@ -295,14 +296,20 @@ class FieldSpec:
                 acc = [(a * x + c) % p for a, x in zip(acc, xs)]
             return acc
         exp2, log = self._exp * 2, self._log  # log[a] + log[x] < 2(q - 1): no reduction
+        if coeffs[0] == self.one_idx and len(coeffs) > 1:
+            acc, coeffs = self._translation(coeffs[1]), coeffs[1:]
         for c in coeffs[1:]:
-            acc = [exp2[log[a] + lx] if a else 0 for a, lx in zip(acc, log)]
-            acc[0] = 0  # log[0] is a placeholder: x = 0 sends every a to 0
             if c:
-                # (e + d) % p runs d, ..., d - 1 as e runs 0, ..., p - 1
-                shift = _coordinate_map([[*range(d, p), *range(d)] for d in self.coords(c)])
-                acc = list(map(shift.__getitem__, acc))
+                shift = self._translation(c)
+                acc = [shift[exp2[log[a] + lx]] if a else c for a, lx in zip(acc, log)]
+            else:
+                acc = [exp2[log[a] + lx] if a else 0 for a, lx in zip(acc, log)]
+            acc[0] = c  # log[0] is a placeholder: x = 0 sends every a to 0, then to c
         return acc
+
+    def _translation(self, c: int) -> list[int]:
+        """y -> y + c by index: (e + d) % p runs d, ..., d - 1 as e runs 0, ..., p - 1."""
+        return _coordinate_map([[*range(d, self.p), *range(d)] for d in self.coords(c)])
 
     # -- index-level kernels ------------------------------------------------
 

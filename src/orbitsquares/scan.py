@@ -112,11 +112,11 @@ def _ratio_rows(f: Poly, report):
     scale = F.q ** (5 / 6)
     t = orbit_table(f)
     best_orbit = max(
-        (t.tail[x] + t.cycle[x]) / (t.sign_period[x] * scale)
-        for x in range(F.q)
-        if t.sign_tail[x] == 0
+        (tail + cycle) / (m * scale)
+        for tail, cycle, m, sign_tail in zip(t.tail, t.cycle, t.sign_period, t.sign_tail)
+        if sign_tail == 0
     )
-    best_run = max(r.length for target in (1, -1) for r in t.run[target]) / scale
+    best_run = max(max(t.run[1]), max(t.run[-1])) / scale
     return [{"q": F.q, "f": str(f), "orbit_ratio": best_orbit, "run_ratio": best_run}]
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from orbitsquares import dynamics
 from orbitsquares.dynamics import forward_orbit, longest_run, orbit_table, sign_sequence
 from orbitsquares.field import FieldElement, FieldSpec, make_field
 from orbitsquares.fpoly import Poly
@@ -224,3 +225,56 @@ class TestSuccessorTable:
             assert calls == [f]
             assert table.succ == [f.eval_i(x) for x in range(F.q)]
             assert orbit_table(f) is table and calls == [f]
+
+
+def reference_ratio_rows(f):
+    """_ratio_rows(f) from its definition, with no table: the largest
+    (tail + period) / (m q^(5/6)) over purely periodic starts, m the sign
+    period, and the largest R / q^(5/6) over every start and both signs."""
+    F = f.field
+    scale = F.q ** (5 / 6)
+    orbit_ratios, run_ratios = [], []
+    for a in range(F.q):
+        xs, tail, signs = horner_orbit(f, a)
+        period = len(xs) - tail
+        sign_tail, m = reference_sign_data(tail, period, signs)
+        if sign_tail == 0:
+            orbit_ratios.append((tail + period) / (m * scale))
+        for target in (1, -1):
+            run_ratios.append(reference_run(tail, period, signs, target)[0] / scale)
+    return [{"q": F.q, "f": str(f), "orbit_ratio": max(orbit_ratios),
+             "run_ratio": max(run_ratios)}]
+
+
+class TestRatioRows:
+    """The ratios row of each f against its definition, floats compared with
+    ==; quadratics with a cycle-constant tree are frequent in these cells."""
+
+    @pytest.mark.parametrize("field,degree", [(F9, 2), (F25, 2), (F7, 3)])
+    def test_every_monic_polynomial(self, field, degree):
+        for f in enumerate_polys(field, degree):
+            assert _ratio_rows(f, None) == reference_ratio_rows(f)
+
+    def test_seeded_quadratics_f169(self):
+        for f in sample_polys(make_field(13, 2), 2, 20, seed=169):
+            assert _ratio_rows(f, None) == reference_ratio_rows(f)
+
+
+def test_orbit_tables_construct_no_run_report(monkeypatch):
+    # a run report is built when longest_run reads one, never per table point
+    built = []
+
+    class Counted(dynamics.RunReport):
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "RunReport", Counted)
+    for f in enumerate_polys(F25, 2):
+        orbit_table.cache_clear()
+        orbit_table(f)
+    assert built == []
+    r = longest_run(f, F25.one, -1)
+    assert len(built) == 1 and type(r) is Counted

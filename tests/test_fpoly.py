@@ -308,6 +308,16 @@ class TestEvaluate:
             for _ in range(6):
                 f = _random_poly(F, rng, degree)
                 assert f.value_table() == [f.eval_i(x) for x in range(F.q)]
+        # monic f, whose first Horner step is the translation x -> x + c:
+        # x + c for every c (x itself at c = 0), then samples of degree 1-5
+        for c in range(F.q):
+            f = Poly(F, [c, F.one_idx])
+            assert f.value_table() == [f.eval_i(x) for x in range(F.q)]
+        for degree in range(1, 6):
+            for _ in range(6):
+                f = Poly(F, [rng.randrange(F.q) for _ in range(degree)] + [F.one_idx])
+                assert f.leading() == F.one and f.degree == degree
+                assert f.value_table() == [f.eval_i(x) for x in range(F.q)]
 
 
 # --- the list kernels against the method-call schoolbook -------------------
