@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from .classify import TWO_ORDINARY, classify_2_ordinary
@@ -263,17 +264,6 @@ class RunBoundSide:
         }
 
 
-def _run_bound_row(name: str, q: int, a: int, square: dict, nonsquare: dict) -> dict:
-    return {
-        "f": name,
-        "a": a,
-        "q": q,
-        "square": square,
-        "nonsquare": nonsquare,
-        "pass": square["pass"] and nonsquare["pass"],
-    }
-
-
 @dataclass(frozen=True)
 class RunBoundReport:
     f: Poly
@@ -286,44 +276,70 @@ class RunBoundReport:
         return self.square.passed and self.nonsquare.passed
 
     def to_json(self):
-        return _run_bound_row(
-            str(self.f), self.f.field.q, self.a.idx, self.square.to_json(), self.nonsquare.to_json()
-        )
+        return {
+            "f": str(self.f),
+            "a": self.a.idx,
+            "q": self.f.field.q,
+            "square": self.square.to_json(),
+            "nonsquare": self.nonsquare.to_json(),
+            "pass": self.passed,
+        }
 
 
-def _run_bound_side(f: Poly, run: RunReport) -> RunBoundSide:
-    """One sign's side of the run bound: it depends on f and the run only."""
-    S = max(0, (run.length - 1) // 4)
-    if run.cycle_constant:
-        return RunBoundSide(target=run.target, run=run, S=S, t_sizes=(), excluded=True)
-    t_sizes = tuple(t_set_size(f, L, target=run.target) for L in range(1, S + 1))
-    return RunBoundSide(target=run.target, run=run, S=S, t_sizes=t_sizes, excluded=False)
+def _run_S(length: int) -> int:
+    return max(0, (length - 1) // 4)
+
+
+def _side_content(f: Poly, target: int, length: int, cycle_constant: bool) -> tuple:
+    """(target, length, cycle_constant, t_sizes): everything a side of the run
+    bound holds, with S = floor((length - 1)/4) and t_sizes = |T(L)| for
+    L = 1..S, empty when the run is cycle-constant (excluded) or S = 0."""
+    S = _run_S(length)
+    if cycle_constant or S == 0:
+        return target, length, cycle_constant, ()
+    return target, length, cycle_constant, tuple(t_set_size(f, L, target) for L in range(1, S + 1))
+
+
+def _side(target: int, length: int, cycle_constant: bool, t_sizes: tuple) -> RunBoundSide:
+    return RunBoundSide(
+        target=target, run=RunReport(target, length, cycle_constant),
+        S=_run_S(length), t_sizes=t_sizes, excluded=cycle_constant,
+    )
+
+
+@lru_cache(maxsize=4096)
+def _shared_side_json(*content) -> dict:
+    """The side dict of one content, shared by every row that has it while it
+    stays in this bounded cache, which is keyed by content alone."""
+    return _side(*content).to_json()
 
 
 def run_bound_check(f: Poly, a: FieldElement) -> RunBoundReport:
     """With R the longest run and S = floor((R-1)/4): S <= |T(L)| for L <= S."""
-    return RunBoundReport(
-        f=f, a=a,
-        square=_run_bound_side(f, longest_run(f, a, 1)),
-        nonsquare=_run_bound_side(f, longest_run(f, a, -1)),
-    )
+    square, nonsquare = (_side(*_side_content(f, *longest_run(f, a, t))) for t in (1, -1))
+    return RunBoundReport(f=f, a=a, square=square, nonsquare=nonsquare)
 
 
 def run_bound_rows(f: Poly, report) -> list[dict]:
     """run_bound_check(f, a).to_json() for every start a of f, by index, or
-    none unless f's classification report says f is 2-ordinary.  The rows
-    share one side dict per distinct run of f, so they are read-only."""
+    none unless f's classification report says f is 2-ordinary.  Each side
+    dict is shared by every row, of this f or any other, with the same
+    content (a process keeps one per content while it stays in a bounded
+    cache), so the rows are read-only."""
     if report.verdict != TWO_ORDINARY:
         return []
     table, sides = orbit_table(f), []
     for t in (1, -1):
-        # one side dict per distinct (t, length, cycle_constant); a cycle-
+        # one lookup per distinct (t, length, cycle_constant) of f; a cycle-
         # constant run, never empty, is keyed by minus its length
         keys = [n if s != t else -n for n, s in zip(table.run[t], table.cycle_sign)]
-        side = {k: _run_bound_side(f, RunReport(t, abs(k), k < 0)).to_json() for k in set(keys)}
+        side = {k: _shared_side_json(*_side_content(f, t, abs(k), k < 0)) for k in set(keys)}
         sides.append(map(side.__getitem__, keys))
     name, q = str(f), f.field.q
-    return [_run_bound_row(name, q, a, sq, ns) for a, (sq, ns) in enumerate(zip(*sides))]
+    return [
+        {"f": name, "a": a, "q": q, "square": sq, "nonsquare": ns, "pass": sq["pass"] and ns["pass"]}
+        for a, (sq, ns) in enumerate(zip(*sides))
+    ]
 
 
 def choose_L(q: int, d: int) -> int:

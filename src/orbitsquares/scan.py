@@ -201,16 +201,19 @@ def run_checks(cfg: ScanConfig, checks) -> dict[str, list]:
     in_draw, rest = set(drawn or ()), checks - SAMPLED_POLYS
     items = [(f, checks if drawn is None or f in in_draw else rest)
              for f in (drawn if sampled_only else enumerate_polys(F, cfg.degree))]
-    found = {check: [] for check in CHECKS if check in checks}
+    found = {check: [] for check in CHECKS if check in checks}  # one part per f
     for rows in _pmap(_scan_item, items, cfg.workers):
         for check, part in rows.items():
-            found[check] += part
-    if "orbit-bounds" in found:  # so far one (f, start count, report) per f
-        nested = _pmap(_orbit_bound_rows, _drawn_starts(found["orbit-bounds"], cfg), cfg.workers)
-        found["orbit-bounds"] = [r for part in nested for r in part]
-    for rows in found.values():
-        rows.sort(key=lambda r: (r["f"], r.get("a", 0), r.get("L", 0)))  # q, d are fixed
-    return found
+            found[check].append(part)
+    if "orbit-bounds" in found:  # so far one [(f, start count, report)] per f
+        counts = [c for part in found["orbit-bounds"] for c in part]
+        found["orbit-bounds"] = _pmap(_orbit_bound_rows, _drawn_starts(counts, cfg), cfg.workers)
+    # a part's rows are in (a, L) order, so ordering the parts by f orders the
+    # rows by (f, a, L); q and d are fixed
+    return {
+        check: [r for part in sorted(filter(None, parts), key=lambda p: p[0]["f"]) for r in part]
+        for check, parts in found.items()
+    }
 
 
 def failed(row) -> bool:
@@ -245,37 +248,44 @@ def ratio_scan(cfg: ScanConfig):
 
 # --- emission --------------------------------------------------------------
 
-# json.dumps(row, sort_keys=True) of a run-bound row, keys in sorted order
-_RUN_BOUND_LINE = '{"a": %d, "f": %s, "nonsquare": %s, "pass": %s, "q": %d, "square": %s}'
+# json.dumps(row, sort_keys=True) of a run-bound row is '{"a": <a>, "f": <f>'
+# and this tail, keys in sorted order
+_RUN_BOUND_TAIL = ', "nonsquare": %s, "pass": %s, "q": %d, "square": %s}'
 _RUN_BOUND_KEYS = frozenset({"a", "f", "nonsquare", "pass", "q", "square"})
+# the most tails json_lines keeps at once
+_TAIL_MEMO = 4096
 
 
 def json_lines(rows):
     """json.dumps(r, sort_keys=True) for each row r, byte for byte.  A
-    run-bound row is filled into one template, its side dicts' texts kept
-    by id while f stays the same (run_checks' rows of one f are adjacent),
-    so a side shared by the rows of one f is encoded once.  Each memo entry
-    holds its dict, so no id is reused while the entry lives."""
-    memo, memo_f = {}, None
+    run-bound row's line is its a and f before a tail, which is kept for the
+    whole call by the ids of the row's two side dicts, its pass and its q,
+    and each side's text by its id.  So a side that many rows share (run-
+    bound rows share one per content, across every f) is encoded once per
+    scan.  Each memo entry holds its dicts, so no id is reused while the
+    entry lives; both memos are emptied when _TAIL_MEMO tails are kept."""
+    texts, tails = {}, {}
     for r in rows:
-        if (type(r) is not dict or r.keys() != _RUN_BOUND_KEYS
-                or type(r["a"]) is not int or type(r["q"]) is not int
-                or type(r["pass"]) is not bool or type(r["f"]) is not str
-                or type(r["square"]) is not dict or type(r["nonsquare"]) is not dict):
-            yield json.dumps(r, sort_keys=True)
-            continue
-        if r["f"] != memo_f:
-            memo, memo_f = {}, r["f"]
-        texts = []
-        for side in (r["nonsquare"], r["square"]):
-            hit = memo.get(id(side))
-            if hit is None:
-                hit = memo[id(side)] = (side, json.dumps(side, sort_keys=True))
-            texts.append(hit[1])
-        yield _RUN_BOUND_LINE % (
-            r["a"], encode_basestring_ascii(r["f"]), texts[0],
-            "true" if r["pass"] else "false", r["q"], texts[1],
-        )
+        if type(r) is dict and r.keys() == _RUN_BOUND_KEYS:
+            a, f, ok, q = r["a"], r["f"], r["pass"], r["q"]
+            ns, sq = r["nonsquare"], r["square"]
+            if type(a) is int and type(f) is str and type(ok) is bool and type(q) is int:
+                key = id(ns), id(sq), ok, q
+                tail = tails.get(key)
+                if tail is None and type(ns) is dict and type(sq) is dict:
+                    if len(tails) >= _TAIL_MEMO:
+                        texts.clear()
+                        tails.clear()
+                    for side in (ns, sq):
+                        if id(side) not in texts:
+                            texts[id(side)] = side, json.dumps(side, sort_keys=True)
+                    tail = tails[key] = ns, sq, _RUN_BOUND_TAIL % (
+                        texts[id(ns)][1], "true" if ok else "false", q, texts[id(sq)][1]
+                    )
+                if tail is not None:
+                    yield f'{{"a": {a}, "f": {encode_basestring_ascii(f)}{tail[2]}'
+                    continue
+        yield json.dumps(r, sort_keys=True)
 
 
 def write_jsonl(rows, path):

@@ -2,7 +2,7 @@
 
 import json
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
@@ -374,16 +374,28 @@ class TestRunBound:
                 assert run_bound_check(f, el(F7, ai)).passed
 
     @pytest.mark.parametrize(
-        "field, degree",
-        [(F7, 3), (F9, 2), (F9_OTHER, 2), (F25, 2)],
+        "field, degree, t_sizes_split",
+        [(F7, 3, False), (F9, 2, False), (F9_OTHER, 2, False), (F25, 2, True)],
         ids=["7-cubics", "9-quadratics", "9/(2,1,1)-quadratics", "25-quadratics"],
     )
-    def test_per_f_rows_match_per_start_checks(self, field, degree):
-        # scan's rows gate on the verdict only; this stub lets every f through
+    def test_per_f_rows_match_per_start_checks(self, field, degree, t_sizes_split):
+        # scan's rows gate on the verdict only; this stub lets every f through.
+        # The rows share one side dict per content across every f.  Sides of
+        # one (target, length) differ in cycle_constant in every cell, and on
+        # 25-quadratics in t_sizes at S >= 1 too, so a sharing key that drops
+        # either part hands some row a side of another content.
         two_ordinary = SimpleNamespace(verdict=TWO_ORDINARY)
+        parts = defaultdict(set)
         for f in enumerate_polys(field, degree):
             expected = [run_bound_check(f, a).to_json() for a in field.elements()]
             assert run_bound_rows(f, two_ordinary) == expected, str(f)
+            for side in (s for row in expected for s in (row["square"], row["nonsquare"])):
+                parts[side["target"], side["run_length"]].add(
+                    (side["cycle_constant"], tuple(side["t_sizes"]))
+                )
+        assert any(len({cc for cc, _ in seen}) > 1 for seen in parts.values())
+        split = any(len({ts for _, ts in seen if ts}) > 1 for seen in parts.values())
+        assert split == t_sizes_split
 
 
 @pytest.mark.parametrize(

@@ -370,10 +370,11 @@ def _ref_pow_mod(a: Poly, e: int, m: Poly) -> Poly:
 
 
 def _random_poly(F, rng, degree, monic=False):
-    """Degree exactly `degree` (the zero polynomial for -1)."""
+    """Degree exactly `degree` (the zero polynomial for -1), with leading
+    coefficient the element 1 when monic."""
     if degree < 0:
         return Poly.zero(F)
-    lead = 1 if monic else rng.randrange(1, F.q)
+    lead = F.one_idx if monic else rng.randrange(1, F.q)
     return Poly(F, [rng.randrange(F.q) for _ in range(degree)] + [lead])
 
 
