@@ -9,8 +9,7 @@ arithmetic; nothing here uses floating point for a pass/fail decision.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -28,17 +27,15 @@ def char_sum(f: Poly) -> int:
     return sum(map(f.field.signs.__getitem__, orbit_table(f).succ))
 
 
-@dataclass(frozen=True)
-class WeilCheck:
-    applies: bool
-    reason: str | None
-    sum: int | None = None
-    passed: bool | None = None
-    margin_sq: int | None = None  # (d-1)^2 q - sum^2
+class WeilCheck(namedtuple("WeilCheck", "applies reason sum passed margin_sq",
+                           defaults=(None, None, None))):
+    """Whether the Weil bound applies (else reason says why not) and, if so,
+    the character sum, the verdict and margin_sq = (d-1)^2 q - sum^2."""
+
+    __slots__ = ()
 
     def to_json(self):
-        return {"applies": self.applies, "reason": self.reason, "sum": self.sum,
-                "passed": self.passed, "margin_sq": self.margin_sq}
+        return self._asdict()
 
 
 def weil_check(f: Poly) -> WeilCheck:
@@ -67,21 +64,27 @@ def _per_f(f: Poly, build, arg):
     return memo[key]
 
 
-def _window_sums(f: Poly, L: int) -> list[Fraction]:
-    """H[y] = sum_x prod_{l=1..L} (1 + chi(f^l y) chi(f^l x)) / 2^L by y's index,
-    from one Counter of the sign windows (chi(f^l x))_{l=1..L}.
+def _sign_windows(f: Poly, L: int) -> list[tuple[int, ...]]:
+    """(chi(f^l x))_{l=1..L} by x's index: chi(f(x)), then f(x)'s window of
+    length L - 1, so each length is built once per f, from the next shorter."""
+    succ = orbit_table(f).succ
+    if L == 1:
+        return [(s,) for s in map(f.field.signs.__getitem__, succ)]
+    shorter = _per_f(f, _sign_windows, L - 1)
+    return [(w[0], *shorter[y]) for w, y in zip(shorter, succ)]
+
+
+def _window_sums(f: Poly, L: int) -> list[int]:
+    """2^L H[y], H[y] = sum_x prod_{l=1..L} (1 + chi(f^l y) chi(f^l x)) / 2^L,
+    by y's index, from one Counter of the sign windows (chi(f^l x))_{l=1..L}.
 
     A factor 1 + u v is 2 for equal nonzero signs, 0 for unequal ones and 1
-    when either is 0.  So a zero-free window gets 2^L from each x with the
-    same window, plus what the few x whose window holds a 0 add; a window
-    that holds a 0 is summed over every window class."""
+    when either is 0, so each 2^L H[y] is an int.  A zero-free window gets
+    2^L from each x with the same window, plus what the few x whose window
+    holds a 0 add; a window that holds a 0 is summed over every window class."""
     if L < 1:
         raise ValueError("window length L must be >= 1")
-    succ = orbit_table(f).succ
-    first = list(map(f.field.signs.__getitem__, succ))
-    windows = [(s,) for s in first]
-    for _ in range(L - 1):
-        windows = [(s, *windows[y]) for s, y in zip(first, succ)]
+    windows = _per_f(f, _sign_windows, L)
     count = Counter(windows)
     zeroed = [(w, n) for w, n in count.items() if 0 in w]
 
@@ -90,7 +93,7 @@ def _window_sums(f: Poly, L: int) -> list[Fraction]:
 
     scale = 2**L
     sums = {
-        w: Fraction(total(w, count.items()) if 0 in w else scale * n + total(w, zeroed), scale)
+        w: total(w, count.items()) if 0 in w else scale * n + total(w, zeroed)
         for w, n in count.items()
     }
     return [sums[w] for w in windows]
@@ -110,10 +113,10 @@ def compute_B(f: Poly, a: FieldElement, i: int, L: int) -> Fraction:
     y = _index_in(f.field, a)
     sums = _per_f(f, _window_sums, L)
     table = orbit_table(f)
-    t = table.tail[y]
+    t, succ = table.tail[y], table.succ
     for _ in range(min(i, t + (i - t) % table.cycle[y])):
-        y = table.succ[y]
-    return sums[y]
+        y = succ[y]
+    return Fraction(sums[y], 2**L)
 
 
 def periodic_starts(f: Poly) -> list[int]:
@@ -122,16 +125,26 @@ def periodic_starts(f: Poly) -> list[int]:
     return [a for a, tail in enumerate(orbit_table(f).sign_tail) if tail == 0]
 
 
-@dataclass(frozen=True)
-class OrbitBoundReport:
-    m: int
-    B_values: tuple[Fraction, ...]
-    lhs: int
-    rhs_sum: Fraction
+class OrbitBoundReport(namedtuple("OrbitBoundReport", "m B_values lhs rhs_sum")):
+    """The sign period m, B_0..B_(m-1), |O_f(a)| and 2L + 1 + sum_i B_i."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.lhs <= self.rhs_sum
+
+
+def _sign_period_points(table, x: int) -> list[int]:
+    """x, f(x), ..., f^(m-1)(x) for x's sign period m, where B_0..B_(m-1) are
+    read; x's sign sequence must be purely periodic (the orbit bound's
+    hypothesis)."""
+    if table.sign_tail[x]:
+        raise NotPurelyPeriodic("orbit bound requires a purely periodic sign sequence")
+    succ, ys = table.succ, [x]
+    for _ in range(table.sign_period[x] - 1):
+        ys.append(succ[ys[-1]])
+    return ys
 
 
 def orbit_bound_check(f: Poly, a: FieldElement, L: int) -> OrbitBoundReport:
@@ -141,35 +154,28 @@ def orbit_bound_check(f: Poly, a: FieldElement, L: int) -> OrbitBoundReport:
     orbit."""
     x = _index_in(f.field, a)
     table = orbit_table(f)
-    if table.sign_tail[x]:
-        raise NotPurelyPeriodic("orbit bound requires a purely periodic sign sequence")
-    m = table.sign_period[x]
-    sums = _per_f(f, _window_sums, L)
-    bs, y = [], x
-    for _ in range(m):  # B_i is the window sum at f^i(a)
-        bs.append(sums[y])
-        y = table.succ[y]
+    ys = _sign_period_points(table, x)
+    sums, scale = _per_f(f, _window_sums, L), 2**L
+    bs = [sums[y] for y in ys]  # 2^L B_i: B_i is the window sum at f^i(a)
     return OrbitBoundReport(
-        m=m,
-        B_values=tuple(bs),
+        m=len(ys),
+        B_values=tuple(Fraction(b, scale) for b in bs),
         lhs=table.tail[x] + table.cycle[x],
-        rhs_sum=2 * L + 1 + sum(bs),
+        rhs_sum=Fraction((2 * L + 1) * scale + sum(bs), scale),
     )
 
 
-@dataclass(frozen=True)
-class EnvelopeCheck:
-    B_i: Fraction
-    i: int
-    L: int
-    passed: bool
+class EnvelopeCheck(namedtuple("EnvelopeCheck", "B_i i L passed")):
+    __slots__ = ()
 
 
 def envelope_holds(b: Fraction, q: int, d: int, L: int) -> bool:
     """The envelope b <= q/2^L + d^(L+1) sqrt(q), decided exactly on the squared
-    branch: excess <= 0 or excess^2 <= d^(2(L+1)) q, with excess = b - q/2^L."""
-    excess = b - Fraction(q, 2**L)
-    return excess <= 0 or excess * excess <= d ** (2 * (L + 1)) * q
+    branch in integers: with b = n/m, x = 2^L m (b - q/2^L) = 2^L n - q m is
+    <= 0, or x^2 <= (2^L m)^2 d^(2(L+1)) q."""
+    n, m = b.numerator, b.denominator
+    x = n * 2**L - q * m
+    return x <= 0 or x * x <= (2**L * m * d ** (L + 1)) ** 2 * q
 
 
 def envelope_check(f: Poly, a: FieldElement, i: int, L: int) -> EnvelopeCheck:
@@ -187,29 +193,35 @@ def orbit_bound_rows(f: Poly, starts, report) -> list[dict]:
     """orbit_bound_check's rows for the purely periodic starts (by index) of f,
     at L = 1..max(choose_L(q, d), 3).  pass is the sum form, which implies the
     uniform one.  envelope_pass is None unless report says f is 2-ordinary, else
-    the envelope at max B_i, which is monotone in b, so holds at every B_i."""
+    the envelope at max B_i, which is monotone in b, so holds at every B_i.
+    The sums and pass are decided on the int numerators 2^L B_i; each printed
+    maxB and rhs is one Fraction."""
     F, d, name = f.field, f.degree, str(f)
+    q, table = F.q, orbit_table(f)
     two_ordinary = report.verdict == TWO_ORDINARY
+    levels = range(1, max(choose_L(q, d), 3) + 1)
     rows = []
     for a in starts:
-        for L in range(1, max(choose_L(F.q, d), 3) + 1):
-            ob = orbit_bound_check(f, FieldElement(F, a), L)
-            max_b = max(ob.B_values)
+        ys, size = _sign_period_points(table, a), table.tail[a] + table.cycle[a]
+        for L in levels:
+            sums, scale = _per_f(f, _window_sums, L), 2**L
+            bs = [sums[y] for y in ys]
+            max_b, rhs = Fraction(max(bs), scale), (2 * L + 1) * scale + sum(bs)
             rows.append(
                 {
-                    "q": F.q,
+                    "q": q,
                     "d": d,
                     "f": name,
                     "a": a,
-                    "m": ob.m,
-                    "orbit": ob.lhs,
+                    "m": len(ys),
+                    "orbit": size,
                     "L": L,
                     "maxB": str(max_b),
-                    "lhs": ob.lhs,
-                    "rhs": str(ob.rhs_sum),
-                    "pass": ob.passed,
+                    "lhs": size,
+                    "rhs": str(Fraction(rhs, scale)),
+                    "pass": size * scale <= rhs,
                     "two_ordinary": two_ordinary,
-                    "envelope_pass": envelope_holds(max_b, F.q, d, L) if two_ordinary else None,
+                    "envelope_pass": envelope_holds(max_b, q, d, L) if two_ordinary else None,
                 }
             )
     return rows
@@ -238,13 +250,12 @@ def t_set_size(f: Poly, L: int, target: int = 1) -> int:
     return sizes[min(L, len(sizes) - 1)]
 
 
-@dataclass(frozen=True)
-class RunBoundSide:
-    target: int
-    run: RunReport
-    S: int
-    t_sizes: tuple[int, ...]  # |T(L)| for L = 1..S
-    excluded: bool  # cycle-constant orbits are excluded from the check
+class RunBoundSide(namedtuple("RunBoundSide", "target run S t_sizes excluded")):
+    """One target sign's side of the run bound: its longest run (a RunReport),
+    S, t_sizes = |T(L)| for L = 1..S, and whether it is excluded from the
+    check, as cycle-constant orbits are."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -264,12 +275,8 @@ class RunBoundSide:
         }
 
 
-@dataclass(frozen=True)
-class RunBoundReport:
-    f: Poly
-    a: FieldElement
-    square: RunBoundSide
-    nonsquare: RunBoundSide
+class RunBoundReport(namedtuple("RunBoundReport", "f a square nonsquare")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

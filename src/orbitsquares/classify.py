@@ -16,8 +16,8 @@ through depth 3-6), with no proof for every level."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -46,13 +46,17 @@ def _witness_json(witness: Mapping) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class FormMatch:
-    form: str  # one of "a".."e"
-    witness: Mapping  # read-only, so a caller's edit cannot reach the report
+class FormMatch(namedtuple("FormMatch", "form witness")):
+    """The shape form, one of "a".."e", that f matches, and its witness: a
+    read-only copy of the mapping given, so a caller's edit cannot reach the
+    report."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "witness", MappingProxyType(dict(self.witness)))
+    __slots__ = ()
+
+    def __new__(cls, form, witness):
+        return super().__new__(cls, form, MappingProxyType(dict(witness)))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace copies too
 
     def __reduce__(self):  # a mappingproxy does not pickle
         return FormMatch, (self.form, dict(self.witness))
@@ -61,12 +65,12 @@ class FormMatch:
         return {"form": self.form, **_witness_json(self.witness)}
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    """The shapes f matches.  f is 2-ordinary exactly when it matches none, and
-    ordinary exactly when it does not match (a), whose witness is the ordinary one."""
+class ClassificationReport(namedtuple("ClassificationReport", "matched_forms")):
+    """The shapes f matches, a tuple of FormMatch.  f is 2-ordinary exactly when
+    it matches none, and ordinary exactly when it does not match (a), whose
+    witness is the ordinary one."""
 
-    matched_forms: tuple[FormMatch, ...]
+    __slots__ = ()
 
     def matched(self, form: str) -> bool:
         return any(m.form == form for m in self.matched_forms)
@@ -159,10 +163,11 @@ def classify_2_ordinary(f: Poly, seed: int = 0) -> ClassificationReport:
 
 # --- single-root power-map diagnostics -------------------------------------
 
-@dataclass(frozen=True)
-class HnSequence:
-    values: tuple[FieldElement, ...]  # H_0, ..., H_(j-1)
-    repeat: tuple[int, int]  # first (i, j), i < j, with C_i == C_j
+class HnSequence(namedtuple("HnSequence", "values repeat")):
+    """values is H_0, ..., H_(j-1), and repeat the first (i, j), i < j, with
+    C_i == C_j."""
+
+    __slots__ = ()
 
 
 def hn_sequence(A: FieldElement, B: FieldElement, d: int) -> HnSequence:
@@ -239,13 +244,11 @@ def generate_family(B: FieldElement, d: int) -> Poly:
 
 # --- finite-depth oracles ---------------------------------------------------
 
-@dataclass(frozen=True)
-class OracleResult:
-    """CertifiedNot(level) when certified_not, else ConsistentUpTo(depth)."""
+class OracleResult(namedtuple("OracleResult", "certified_not level depth")):
+    """CertifiedNot(level) when certified_not, else ConsistentUpTo(depth);
+    level is None unless certified_not."""
 
-    certified_not: bool
-    level: int | None
-    depth: int
+    __slots__ = ()
 
     def __str__(self):
         if self.certified_not:
@@ -369,10 +372,10 @@ def oracle_ordinary(f: Poly, depth: int, budget: int = DEFAULT_DEGREE_BUDGET) ->
 
 # --- linear conjugacy ------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConjugacyWitness:
-    a: FieldElement
-    b: FieldElement
+class ConjugacyWitness(namedtuple("ConjugacyWitness", "a b")):
+    """The linear map phi(x) = a x + b."""
+
+    __slots__ = ()
 
     def apply(self, f: Poly) -> Poly:
         """phi o f o phi^(-1) for phi(x) = a x + b."""

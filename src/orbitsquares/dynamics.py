@@ -3,23 +3,18 @@ sign sequences and longest sign runs, all read from one orbit table per f."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .field import FieldElement
 from .fpoly import Poly, _index_in
 
 
-@dataclass(frozen=True)
-class OrbitSummary:
-    """Tail/cycle data of one starting point; elements in visit order."""
+class OrbitSummary(namedtuple("OrbitSummary", "start tail period elements contains_zero_at")):
+    """Tail/cycle data of one starting point; elements in visit order, and
+    contains_zero_at the index of 0 among them, or None."""
 
-    start: FieldElement
-    tail: int
-    period: int
-    elements: tuple[FieldElement, ...]
-    contains_zero_at: int | None
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -35,7 +30,7 @@ class OrbitSummary:
         }
 
 
-class RunReport(NamedTuple):
+class RunReport(namedtuple("RunReport", "target length cycle_constant")):
     """Longest block of consecutive iterates with the target character sign.
 
     When the whole cycle carries the target sign the index run is unbounded;
@@ -43,13 +38,12 @@ class RunReport(NamedTuple):
     and cycle_constant is set.
     """
 
-    target: int
-    length: int
-    cycle_constant: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OrbitTable:
+class OrbitTable(namedtuple(
+    "OrbitTable", "succ tail cycle sign_tail sign_period cycle_sign ahead run"
+)):
     """Orbit and sign data of every start x under one f, by element index.
 
     From x, tail[x] steps reach a cycle of length cycle[x]; chi(f^l(x)) has
@@ -58,19 +52,18 @@ class OrbitTable:
     For a target sign t, ahead[t][x] counts the iterates x, f(x), ... before
     the first one without sign t (-1 if there is none), and run[t][x] is the
     length of longest_run's report, which is cycle-constant iff
-    cycle_sign[x] == t.  Read-only except derived, where bounds keeps the
-    window sums and |T(L)| counts it builds from the table on first use, so
-    they live exactly as long as the table."""
+    cycle_sign[x] == t.  The fields are read-only and are all that == and
+    repr see.  derived, the one attribute beside them, is a fresh dict per
+    table, where bounds keeps the window sums and |T(L)| counts it builds
+    from the table on first use, so they live exactly as long as the table."""
 
-    succ: list[int]
-    tail: list[int]
-    cycle: list[int]
-    sign_tail: list[int]
-    sign_period: list[int]
-    cycle_sign: list[int]
-    ahead: dict[int, list[int]]
-    run: dict[int, list[int]]
-    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # no __slots__ = (): derived lives in the instance's own __dict__
+    def __new__(cls, *fields, **named):
+        table = super().__new__(cls, *fields, **named)
+        table.derived = {}
+        return table
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace gets a derived too
 
 
 @lru_cache(maxsize=1)
@@ -159,10 +152,10 @@ def forward_orbit(f: Poly, a: FieldElement) -> OrbitSummary:
     """The tail + period points of a's orbit, read from f's orbit table."""
     x = _index_in(f.field, a)
     table = orbit_table(f)
-    tail, period = table.tail[x], table.cycle[x]
+    tail, period, succ = table.tail[x], table.cycle[x], table.succ
     xs = [x]
     while len(xs) < tail + period:
-        xs.append(table.succ[xs[-1]])
+        xs.append(succ[xs[-1]])
     return OrbitSummary(
         start=a,
         tail=tail,
@@ -172,19 +165,14 @@ def forward_orbit(f: Poly, a: FieldElement) -> OrbitSummary:
     )
 
 
-@dataclass(frozen=True)
-class SignSequence:
+class SignSequence(namedtuple("SignSequence", "orbit signs sign_tail sign_period purely_periodic")):
     """chi(f^l(a)) for l = 0, 1, ...; stored for one tail plus one cycle lap.
 
     sign_period is the minimal eventual period, sign_tail the minimal tail
     for that period; purely_periodic means sign_tail == 0.
     """
 
-    orbit: OrbitSummary
-    signs: tuple[int, ...]
-    sign_tail: int
-    sign_period: int
-    purely_periodic: bool
+    __slots__ = ()
 
     def sign_at(self, ell: int) -> int:
         """chi(f^ell(a)) for any ell >= 0 (periodic extension)."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegreeBudgetExceeded, DivisionByZero
 from .field import FieldElement, FieldSpec, power_within
@@ -406,12 +406,11 @@ def gcd(f: Poly, g: Poly) -> Poly:
 
 # --- factorization ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Factorization:
-    """unit * prod(factor^mult) == input, factors monic irreducible, sorted."""
+class Factorization(namedtuple("Factorization", "unit factors")):
+    """unit * prod(factor^mult) == input, with factors a sorted tuple of
+    (monic irreducible factor, mult) pairs."""
 
-    unit: FieldElement
-    factors: tuple[tuple[Poly, int], ...]
+    __slots__ = ()
 
     def expand(self) -> Poly:
         out = Poly.constant(self.unit)

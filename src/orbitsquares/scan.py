@@ -19,8 +19,7 @@ import io
 import json
 import os
 import random
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, namedtuple
 from itertools import product
 from json.encoder import encode_basestring_ascii
 
@@ -36,25 +35,26 @@ BOUNDS_CSV_COLUMNS = ["q", "d", "f", "a", "m", "orbit", "L", "maxB", "lhs", "rhs
 MAX_ENUMERATED_POLYS = 10**6
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    field: str
-    degree: int
-    sample: int | None = None  # None: every monic polynomial
-    seed: int = 0
-    workers: int = 1
+class ScanConfig(namedtuple("ScanConfig", "field degree sample seed workers")):
+    """A scan's field and degree, its --sample size (None: every monic
+    polynomial), seed and worker count."""
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError(f"degree must be at least 1, got {self.degree}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if self.sample is not None and self.sample < 1:
-            raise ValueError(f"sample size must be at least 1, got {self.sample}")
+    __slots__ = ()
+
+    def __new__(cls, field, degree, sample=None, seed=0, workers=1):
+        if degree < 1:
+            raise ValueError(f"degree must be at least 1, got {degree}")
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
+        if sample is not None and sample < 1:
+            raise ValueError(f"sample size must be at least 1, got {sample}")
+        return super().__new__(cls, field, degree, sample, seed, workers)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def to_json(self):
         """The settings that decide the results; workers decides none of them."""
-        return {k: v for k, v in asdict(self).items() if k != "workers"}
+        return {k: v for k, v in self._asdict().items() if k != "workers"}
 
 
 def enumerate_polys(field: FieldSpec, degree: int, space: str = "monic"):

@@ -270,6 +270,20 @@ class TestWorkCounts:
 
 
 class TestOrbitBound:
+    def test_rows_fail_where_the_check_fails(self, monkeypatch):
+        # with every window sum 0 the bound reads |O| <= 2L + 1, which long
+        # orbits break: each row must decide and print as orbit_bound_check
+        monkeypatch.setattr(bounds, "_window_sums", lambda f, L: [0] * f.field.q)
+        F31 = make_field(31)
+        f = P(F31, 3, 0, 1)
+        rows = bounds.orbit_bound_rows(f, bounds.periodic_starts(f),
+                                       SimpleNamespace(verdict=TWO_ORDINARY))
+        assert {r["pass"] for r in rows} == {True, False}
+        for r in rows:
+            ob = orbit_bound_check(f, el(F31, r["a"]), r["L"])
+            assert (r["pass"], r["rhs"], r["maxB"]) == \
+                (ob.passed, str(ob.rhs_sum), str(max(ob.B_values)))
+
     def test_pinned_square_map(self):
         r = orbit_bound_check(P(F7, 0, 0, 1), el(F7, 2), 2)
         assert r.lhs == 2 and r.m == 1
@@ -455,6 +469,23 @@ def test_envelope_holds_is_monotone_in_b(q, d, L, t, drop):
     b = Fraction(q, 2**L) + t * scale
     if envelope_holds(b, q, d, L):
         assert envelope_holds(b - drop * scale, q, d, L)
+
+
+@given(
+    q=st.integers(1, 10**4),
+    d=st.integers(1, 4),
+    L=st.integers(1, 6),
+    t=st.fractions(-2, 2, max_denominator=1000),
+)
+def test_envelope_holds_matches_the_rational_definition(q, d, L, t):
+    # the squared branch in Fractions: excess = b - q/2^L is <= 0, or
+    # excess^2 <= d^(2(L+1)) q; b as in the monotone test, and b rounded down
+    # to a multiple of 1/2^L, as every B_i is
+    b = Fraction(q, 2**L) + t * d ** (L + 1) * isqrt(q)
+    for b in (b, Fraction(b * 2**L // 1, 2**L)):
+        excess = b - Fraction(q, 2**L)
+        expected = excess <= 0 or excess * excess <= d ** (2 * (L + 1)) * q
+        assert envelope_holds(b, q, d, L) == expected
 
 
 class TestChooseL:

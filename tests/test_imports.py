@@ -8,9 +8,10 @@ bounds and scan read whole-field tables instead of calling Poly.eval_i or
 FieldSpec.chi_i per point, no module but field reads FieldSpec's private
 tables or key, only fpoly's product and long division branch on the field
 kind, no class but fpoly.Poly and
-field.FieldElement defines a product (__mul__): one polynomial class, and
+field.FieldElement defines a product (__mul__): one polynomial class,
 __all__ is the pinned list of public names, so each addition or deletion
-is a visible test edit.
+is a visible test edit, and importing the package or its CLI loads none of
+IMPORT_BUDGET's modules, which every CLI start would pay for.
 
 The package's __init__ is left out of the import check: it imports names to
 re-export them."""
@@ -18,6 +19,8 @@ re-export them."""
 import ast
 import importlib
 import re
+import subprocess
+import sys
 import types
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -28,6 +31,7 @@ import orbitsquares
 from orbitsquares.field import FieldSpec
 
 PACKAGE = sorted(Path(orbitsquares.__file__).parent.glob("*.py"))
+SRC = Path(orbitsquares.__file__).parents[1]
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 ROOT = Path(orbitsquares.__file__).parents[2]
 CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
@@ -369,7 +373,7 @@ def _sets(call: ast.Call, position: int | None, arg: str) -> bool:
 def unset_options(package: dict[str, str], callers: list[str]) -> list[str]:
     """Defaulted parameters of package functions that no call in callers sets.
     Calls are matched by name; a method's first parameter is its receiver,
-    and a class's __init__ is called by the class name."""
+    and a class's __init__ or __new__ is called by the class name."""
     calls = _calls_by_name(map(ast.parse, callers))
     unset = []
     for name, src in package.items():
@@ -380,7 +384,7 @@ def unset_options(package: dict[str, str], callers: list[str]) -> list[str]:
             if not isinstance(fn, ast.FunctionDef):
                 continue
             cls = owner.get(id(fn))
-            called = cls.name if cls and fn.name == "__init__" else fn.name
+            called = cls.name if cls and fn.name in ("__init__", "__new__") else fn.name
             positional = fn.args.posonlyargs + fn.args.args
             static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
             if cls and not static:
@@ -403,10 +407,12 @@ def test_detects_an_unset_option():
         "a": "def f(x, y=1, *, z=2):\n    pass\n\ndef g(x, y=1):\n    pass\n\n"
              "class K:\n    def __init__(self, w=0):\n        pass\n\n"
              "    def m(self, v=0):\n        pass\n\n"
-             "    @staticmethod\n    def s(u=0):\n        pass\n",
+             "    @staticmethod\n    def s(u=0):\n        pass\n\n"
+             "class N:\n    def __new__(cls, t, u=0, w=1):\n"
+             "        return super().__new__(cls, t, u, w)\n",
     }
-    callers = ["f(0, 1)\nf(0, z=3)\ng(0)\nK(5).m()\nK.s(1)\n"]
-    assert unset_options(package, callers) == ["a:g(y)", "a:m(v)"]
+    callers = ["f(0, 1)\nf(0, z=3)\ng(0)\nK(5).m()\nK.s(1)\nN(0, w=2)\n"]
+    assert unset_options(package, callers) == ["a:N(u)", "a:g(y)", "a:m(v)"]
 
 
 def test_every_option_is_set_by_some_call():
@@ -469,3 +475,31 @@ def test_readme_names_resolve():
     # a name the README still cites after its deletion misleads every reader
     modules = {p.stem: importlib.import_module(f"orbitsquares.{p.stem}") for p in MODULES}
     assert stale_cited_names((ROOT / "README.md").read_text(), modules) == []
+
+
+# modules no import of the package or its CLI may load: dataclasses brings
+# inspect, ast, dis and tokenize, which with typing were most of the
+# package's import time
+IMPORT_BUDGET = frozenset({"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"})
+
+
+def budget_modules_loaded(statement: str) -> list[str]:
+    """The IMPORT_BUDGET modules a fresh interpreter has loaded after running
+    statement from src.  -S leaves out site, whose .pth files may import
+    typing before the package does."""
+    probe = f"import sys\n{statement}\nprint(sorted(set(sys.modules) & {set(IMPORT_BUDGET)!r}))"
+    out = subprocess.run([sys.executable, "-S", "-c", probe], cwd=SRC, check=True,
+                         capture_output=True, text=True).stdout
+    return ast.literal_eval(out.strip())
+
+
+def test_detects_a_budget_import():
+    assert budget_modules_loaded("pass") == []
+    assert {"dataclasses", "inspect", "typing"} <= set(budget_modules_loaded(
+        "from dataclasses import dataclass\nfrom typing import NamedTuple"
+    ))
+
+
+@pytest.mark.parametrize("module", ["orbitsquares", "orbitsquares.cli"])
+def test_import_stays_within_budget(module):
+    assert budget_modules_loaded(f"import {module}") == []
