@@ -11,9 +11,10 @@ exp/log tables w.r.t. the smallest generator (in index order), which makes
 the character and inverses O(1) and fully deterministic; the character of
 every element is kept as one read-only sign list, `FieldSpec.signs`.
 Over F_p an index is the residue and adds mod p; over F_{p^k}, k > 1,
-addition reads a table of Zech logarithms, so no arithmetic goes through
-coordinates once the tables are built.  No other module reads the encoding
-or the tables: they use the index kernels, `signs` and `value_table`.
+addition reads a table of Zech logarithms, in add_i and in value_table alike,
+and in every field -x is read off the log table, so no arithmetic goes
+through coordinates once the tables are built.  No other module reads the
+encoding or the tables: they use the index kernels, `signs` and `value_table`.
 `power_within` is the one size limit: field order, degree budget, scan cell.
 """
 
@@ -99,16 +100,6 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
-def _coordinate_map(images) -> list[int]:
-    """The index map sending coordinate i through the digit list images[i];
-    built from the last coordinate, so a new leading one has weight len(out)."""
-    out = [0]
-    for image in reversed(images):
-        w = len(out)
-        out = [e * w + r for e in image for r in out]
-    return out
-
-
 def _field_name(text: str) -> tuple[int, int, tuple[int, ...] | None]:
     """(p, k, modulus) as "p", "p^k", or "p^k/(c0,c1,...,1)" writes them, unchecked."""
     text = text.strip()
@@ -166,8 +157,12 @@ class FieldSpec:
         return tuple(idx // p ** (k - 1 - i) % p for i in range(k))
 
     def index(self, coords) -> int:
+        """The index of power-basis coordinates (c_0, ..., c_{k-1}); anything
+        but k coordinates in [0, p) is rejected."""
         p, k = self.p, self.k
-        return sum((c % p) * p ** (k - 1 - i) for i, c in enumerate(coords))
+        if len(coords) != k or not all(0 <= c < p for c in coords):
+            raise ValueError(f"{tuple(coords)} are not {k} coordinates in [0, {p}) of F_{self}")
+        return sum(c * p ** (k - 1 - i) for i, c in enumerate(coords))
 
     def from_int(self, n: int):
         """The image of the integer n in the prime subfield."""
@@ -198,26 +193,27 @@ class FieldSpec:
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
         self.one_idx = one = p ** (k - 1)
-        self._neg = _coordinate_map([[(-c) % p for c in range(p)]] * k)
         exp = self._prime_powers() if k == 1 else self._extension_powers()
-        log = [0] * q
+        half = (q - 1) // 2
+        log, neg = [0] * q, [0] * q
         for i, x in enumerate(exp):
-            log[x] = i
-        self._exp = exp
-        self._log = log
+            log[x], neg[x] = i, exp[i - half]  # -x = x * g^((q-1)/2)
+        self._exp, self._log, self._neg = exp, log, neg
         # the quadratic character of every index: the parity of its log
         signs = [1 - 2 * (e & 1) for e in log]
         signs[0] = 0
         self._signs = tuple(signs)
         # Zech logarithms, zech[n] = log(1 + g^n): the constant coordinate
         # leads the index, so adding one is adding one_idx mod q.  1 + g^n
-        # vanishes only at n = (q-1)/2, where g^n = -1; -1 marks it.
+        # vanishes only where g^n = -1, at n = (q-1)/2; the sentinel
+        # 2(q-1), past every log and every sum of two logs, marks it.  The
+        # list is stored twice over, so zech[n] is read for every n in
+        # (-(q-1), 2(q-1)) with no reduction mod q - 1.
+        self._zech = None
         if k > 1:
             zech = [log[(x + one) % q] for x in exp]
-            zech[(q - 1) // 2] = -1
-            self._zech = zech
-        else:
-            self._zech = None
+            zech[half] = 2 * (q - 1)
+            self._zech = zech * 2
 
     def _prime_powers(self) -> list[int]:
         """g^i mod p for i < p - 1, g the smallest generator of F_p^*: the
@@ -283,10 +279,13 @@ class FieldSpec:
 
     def value_table(self, coeffs) -> list[int]:
         """f(x) at every index x, for f's coefficient indices (constant first),
-        by one Horner pass across the field.  Over F_{p^k}, k > 1, each step is
-        one list comprehension that multiplies by x through the log tables and
-        adds c through the translation y -> y + c, with no Zech lookup; for a
-        monic f the first step, 1 * x + c, is that translation itself."""
+        by one Horner pass across the field.  Over F_{p^k}, k > 1, each step
+        a * x + c is one list comprehension over the log, exp and Zech tables:
+        a * x is g^(log a + log x), and a nonzero c is added as
+        c * (1 + a * x / c), whose log is log c + zech[log a + log x - log c].
+        The exp list is read twice over and then padded with q - 1 zeros, so
+        every such sum, and the Zech sentinel that marks a * x + c = 0, is
+        read with no reduction mod q - 1."""
         p, q = self.p, self.q
         coeffs = coeffs[::-1] or (0,)
         acc = [coeffs[0]] * q
@@ -295,21 +294,15 @@ class FieldSpec:
             for c in coeffs[1:]:
                 acc = [(a * x + c) % p for a, x in zip(acc, xs)]
             return acc
-        exp2, log = self._exp * 2, self._log  # log[a] + log[x] < 2(q - 1): no reduction
-        if coeffs[0] == self.one_idx and len(coeffs) > 1:
-            acc, coeffs = self._translation(coeffs[1]), coeffs[1:]
+        exp, log, zech = self._exp * 2 + [0] * (q - 1), self._log, self._zech
         for c in coeffs[1:]:
             if c:
-                shift = self._translation(c)
-                acc = [shift[exp2[log[a] + lx]] if a else c for a, lx in zip(acc, log)]
+                lc = log[c]
+                acc = [exp[lc + zech[log[a] + lx - lc]] if a else c for a, lx in zip(acc, log)]
             else:
-                acc = [exp2[log[a] + lx] if a else 0 for a, lx in zip(acc, log)]
+                acc = [exp[log[a] + lx] if a else 0 for a, lx in zip(acc, log)]
             acc[0] = c  # log[0] is a placeholder: x = 0 sends every a to 0, then to c
         return acc
-
-    def _translation(self, c: int) -> list[int]:
-        """y -> y + c by index: (e + d) % p runs d, ..., d - 1 as e runs 0, ..., p - 1."""
-        return _coordinate_map([[*range(d, self.p), *range(d)] for d in self.coords(c)])
 
     # -- index-level kernels ------------------------------------------------
 
@@ -323,8 +316,8 @@ class FieldSpec:
             return a
         log, n = self._log, self.q - 1
         i = log[a]
-        z = self._zech[(log[b] - i) % n]
-        return 0 if z < 0 else self._exp[(i + z) % n]
+        z = self._zech[log[b] - i]
+        return self._exp[(i + z) % n] if z < n else 0
 
     def sub_i(self, a: int, b: int) -> int:
         return self.add_i(a, self._neg[b])

@@ -1,7 +1,7 @@
 """Univariate polynomial algebra over a FieldSpec.
 
 Coefficients are stored as element indices (constant term first, no
-trailing zeros).  Includes composition/iteration with a degree budget (the
+trailing zeros).  Includes composition, the degree budget for iterates (the
 `field.power_within` rule, DEFAULT_DEGREE_BUDGET unless given), gcd, complete
 factorization (squarefree / distinct-degree / equal-degree splitting whose
 random draws are keyed by the polynomial alone) and monic square roots.
@@ -345,16 +345,6 @@ class Poly:
             if c:  # a zero on either side adds nothing, as in _mul
                 acc[0] = F.add_i(acc[0], c) if acc[0] else c
         return Poly(F, acc)
-
-    def iterate(self, n: int, budget: int = DEFAULT_DEGREE_BUDGET) -> "Poly":
-        """n-fold self-composition; iterate(0) is x."""
-        if n < 0:
-            raise ValueError("iteration count must be nonnegative")
-        check_degree_budget(self.degree, n, budget)
-        acc = Poly.x(self.field)
-        for _ in range(n):
-            acc = acc.compose(self)
-        return acc
 
     def derivative(self) -> "Poly":
         F = self.field

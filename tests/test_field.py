@@ -254,6 +254,12 @@ def test_zech_add_matches_coordinate_add(spec):
             assert F.sub_i(a, b) == _coordinate_add(F, a, b, -1), (spec, a, b)
 
 
+@pytest.mark.parametrize("spec", ["3^2", "3^2/(2,1,1)", "5^3"])
+def test_index_inverts_coords(spec):
+    F = FieldSpec.parse(spec)
+    assert [F.index(F.coords(i)) for i in range(F.q)] == list(range(F.q))
+
+
 class TestCharacter:
     def test_chi_zero(self):
         assert F7.chi_i(0) == 0
@@ -330,9 +336,15 @@ class TestElements:
         (lambda: F7.pow_i(3, -1), ValueError, "negative exponent"),
         (lambda: FieldSpec.parse("3^2/1,0,1"), ValueError, "bad modulus syntax"),
         (lambda: el(F7, 1) + el(F3, 1), ValueError, "elements belong to different fields"),
+        (lambda: F9.index((1, 2, 3)), ValueError,
+         "(1, 2, 3) are not 2 coordinates in [0, 3) of F_3^2"),
+        (lambda: F9.index((5, 7)), ValueError, "(5, 7) are not 2 coordinates in [0, 3) of F_3^2"),
+        (lambda: F9.index((0, -1)), ValueError,
+         "(0, -1) are not 2 coordinates in [0, 3) of F_3^2"),
     ],
     ids=["degree-0", "inverse-of-0", "int-over-0", "div-by-0", "negative-exponent",
-         "modulus-without-parens", "mixed-fields"],
+         "modulus-without-parens", "mixed-fields", "index-of-three-coordinates",
+         "index-of-coordinates-past-p", "index-of-a-negative-coordinate"],
 )
 def test_refuses_invalid_input(call, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -7,7 +7,8 @@ the README cites resolves, no decision path uses floating point, dynamics,
 bounds and scan read whole-field tables instead of calling Poly.eval_i or
 FieldSpec.chi_i per point, no module but field reads FieldSpec's private
 tables or key, only fpoly's product and long division branch on the field
-kind, no class but fpoly.Poly and
+kind, inside field only the encoding, the table build and an element's repr
+read coordinates, no class but fpoly.Poly and
 field.FieldElement defines a product (__mul__): one polynomial class,
 __all__ is the pinned list of public names, so each addition or deletion
 is a visible test edit, and importing the package or its CLI loads none of
@@ -182,24 +183,26 @@ def test_only_field_reads_its_tables(path):
 FIELD_KIND_KERNELS = frozenset({"_mul", "_divmod"})
 
 
+def scoped_nodes(node, scope=""):
+    """(node, scope) for every node under node, scope naming the innermost
+    enclosing function as Class.method ("" at module level)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from scoped_nodes(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        yield child, scope
+        yield from scoped_nodes(child, scope)
+
+
 def field_kind_branches(source: str, kernels: frozenset) -> list[str]:
     """Every comparison that reads a .k attribute, outside the functions
     named in kernels (methods as Class.method), as "line: function"."""
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}".lstrip("."))
-                continue
-            if isinstance(child, ast.Compare) and scope not in kernels and any(
-                isinstance(n, ast.Attribute) and n.attr == "k" for n in ast.walk(child)
-            ):
-                found.append((child.lineno, scope))
-            visit(child, scope)
-
-    visit(ast.parse(source), "")
-    return [f"{line}: {scope}" for line, scope in sorted(found)]
+    found = sorted(
+        (node.lineno, scope) for node, scope in scoped_nodes(ast.parse(source))
+        if isinstance(node, ast.Compare) and scope not in kernels
+        and any(isinstance(n, ast.Attribute) and n.attr == "k" for n in ast.walk(node))
+    )
+    return [f"{line}: {scope}" for line, scope in found]
 
 
 def test_detects_a_field_kind_branch():
@@ -217,6 +220,44 @@ def test_detects_a_field_kind_branch():
 def test_only_the_kernels_branch_on_the_field_kind():
     source = next(p for p in MODULES if p.name == "fpoly.py").read_text()
     assert field_kind_branches(source, FIELD_KIND_KERNELS) == []
+
+
+# the field functions that may call .coords(: the encoding itself, the
+# table build, which finds the generator by its coordinates, and an
+# element's repr; all arithmetic goes through the tables
+COORDINATE_EDGES = frozenset({
+    "FieldSpec.coords", "FieldSpec.index", "FieldSpec._extension_powers", "FieldElement.__repr__",
+})
+
+
+def coordinate_calls(source: str, edges: frozenset) -> list[str]:
+    """Every call of a .coords attribute outside the functions named in edges
+    (methods as Class.method, nested functions under theirs), as "line: function"."""
+    found = sorted(
+        (node.lineno, scope) for node, scope in scoped_nodes(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "coords" and scope not in edges
+    )
+    return [f"{line}: {scope}" for line, scope in found]
+
+
+def test_detects_a_coordinate_call():
+    src = (
+        "def neg(F, a):\n    return F.index([-c for c in F.coords(a)])\n\n"
+        "class FieldSpec:\n"
+        "    def coords(self, idx):\n        return (idx,)\n"
+        "    def _translation(self, c):\n"
+        "        def digits():\n            return self.coords(c)\n"
+        "        return self.coords(c), digits, self.coords\n"
+    )
+    assert coordinate_calls(src, frozenset({"FieldSpec.coords"})) == [
+        "2: neg", "9: FieldSpec._translation.digits", "10: FieldSpec._translation",
+    ]
+
+
+def test_field_adds_by_its_tables_not_coordinates():
+    source = next(p for p in MODULES if p.name == "field.py").read_text()
+    assert coordinate_calls(source, COORDINATE_EDGES) == []
 
 
 def product_classes(sources: dict[str, str]) -> list[str]:

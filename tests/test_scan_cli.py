@@ -674,6 +674,20 @@ class TestEmission:
 
         assert list(scan.json_lines(fresh(200))) == reference_lines(fresh(200))
 
+    @pytest.mark.parametrize("memo", [1, 3])
+    def test_json_lines_match_json_dumps_as_the_memos_empty(self, pinned, memo, monkeypatch):
+        # with room for only memo tails, both memos are emptied again and
+        # again, and every side after an emptying is encoded afresh
+        F = make_field(13, 2)
+        q169 = [r for f in sample_polys(F, 2, 12, 1)
+                for r in bounds.run_bound_rows(f, classify_2_ordinary(f))]
+        monkeypatch.setattr(scan, "_TAIL_MEMO", memo)
+        for rows in (pinned, q169):
+            tails = {(id(r["nonsquare"]), id(r["square"]), r["pass"])
+                     for r in rows if "square" in r}
+            assert len(tails) > 2 * memo
+            assert list(scan.json_lines(rows)) == reference_lines(rows)
+
     def test_rows_jsonl_pinned_at_any_worker_count(self, pinned, tmp_path):
         # one process shares one side dict per content; pickling keeps the
         # sharing within each chunk of a pool's results, so a pool can only
