@@ -327,26 +327,53 @@ def run_bound_check(f: Poly, a: FieldElement) -> RunBoundReport:
     return RunBoundReport(f=f, a=a, square=square, nonsquare=nonsquare)
 
 
-def run_bound_rows(f: Poly, report) -> list[dict]:
-    """run_bound_check(f, a).to_json() for every start a of f, by index, or
-    none unless f's classification report says f is 2-ordinary.  Each side
-    dict is shared by every row, of this f or any other, with the same
-    content (a process keeps one per content while it stays in a bounded
-    cache), so the rows are read-only."""
+class RunBoundPart:
+    """run_bound_check(f, a).to_json() for every start a of one f, by index,
+    held as f's name f, q and two lists of the starts' side dicts, square and
+    nonsquare.  Each side dict is shared by every start, of this f or any
+    other, with the same content (a process keeps one per content while it
+    stays in a bounded cache), so a part holds no dict per start, and the
+    rows it yields when iterated are read-only."""
+
+    __slots__ = ("f", "q", "square", "nonsquare")
+
+    def __init__(self, f: str, q: int, square: list[dict], nonsquare: list[dict]):
+        self.f, self.q, self.square, self.nonsquare = f, q, square, nonsquare
+
+    def __len__(self) -> int:
+        return len(self.square)
+
+    def __iter__(self):
+        f, q = self.f, self.q
+        for a, (sq, ns) in enumerate(zip(self.square, self.nonsquare)):
+            yield {"f": f, "a": a, "q": q, "square": sq, "nonsquare": ns,
+                   "pass": sq["pass"] and ns["pass"]}
+
+    def failures(self) -> int:
+        """How many of the part's rows fail."""
+        return sum(not (sq["pass"] and ns["pass"]) for sq, ns in zip(self.square, self.nonsquare))
+
+
+def run_bound_part(f: Poly, report) -> RunBoundPart | None:
+    """f's run-bound rows as one part, or None unless f's classification
+    report says f is 2-ordinary."""
     if report.verdict != TWO_ORDINARY:
-        return []
+        return None
     table, sides = orbit_table(f), []
     for t in (1, -1):
         # one lookup per distinct (t, length, cycle_constant) of f; a cycle-
         # constant run, never empty, is keyed by minus its length
         keys = [n if s != t else -n for n, s in zip(table.run[t], table.cycle_sign)]
         side = {k: _shared_side_json(*_side_content(f, t, abs(k), k < 0)) for k in set(keys)}
-        sides.append(map(side.__getitem__, keys))
-    name, q = str(f), f.field.q
-    return [
-        {"f": name, "a": a, "q": q, "square": sq, "nonsquare": ns, "pass": sq["pass"] and ns["pass"]}
-        for a, (sq, ns) in enumerate(zip(*sides))
-    ]
+        sides.append(list(map(side.__getitem__, keys)))
+    return RunBoundPart(str(f), f.field.q, *sides)
+
+
+def run_bound_rows(f: Poly, report) -> list[dict]:
+    """run_bound_check(f, a).to_json() for every start a of f, by index, or
+    none unless f's classification report says f is 2-ordinary: the rows of
+    run_bound_part(f, report), which share their side dicts."""
+    return list(run_bound_part(f, report) or ())
 
 
 def choose_L(q: int, d: int) -> int:

@@ -78,7 +78,7 @@ def _config(args) -> scan_mod.ScanConfig:
 
 def cmd_scan(args) -> int:
     cfg = _config(args)
-    found = scan_mod.run_checks(cfg, args.checks.split(","))
+    found = scan_mod.run_check_parts(cfg, args.checks.split(","))
     summary: dict = {"config": cfg.to_json()}
     if "classification" in found:
         summary["classification_counts"] = scan_mod.classification_counts(found["classification"])
@@ -91,8 +91,8 @@ def cmd_scan(args) -> int:
     }
     for check, key in failure_keys.items():
         if check in found:
-            summary[key] = sum(map(scan_mod.failed, found[check]))
-    _emit([r for part in found.values() for r in part], None, args, summary)
+            summary[key] = scan_mod.failures(found[check])
+    _emit([it for items in found.values() for it in items], None, args, summary)
     return 2 if any(summary.get(key) for key in failure_keys.values()) else 0
 
 

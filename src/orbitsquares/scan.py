@@ -23,7 +23,7 @@ from collections import Counter, namedtuple
 from itertools import product
 from json.encoder import encode_basestring_ascii
 
-from .bounds import orbit_bound_rows, periodic_starts, run_bound_rows, weil_check
+from .bounds import RunBoundPart, orbit_bound_rows, periodic_starts, run_bound_part, weil_check
 from .classify import classify_2_ordinary
 from .dynamics import orbit_table
 from .field import FieldSpec, _field_key, _field_name, power_within
@@ -92,7 +92,8 @@ def sample_polys(field: FieldSpec, degree: int, count: int, seed: int) -> list[P
 
 # --- per-check row kernels (top level so worker processes can import them) --
 # Each maps f and its classification report (None when no selected check needs
-# one) to the check's rows for f; all but classification read f's orbit table.
+# one) to the check's part for f: its rows, or run-bounds' RunBoundPart; all
+# but classification read f's orbit table.
 
 def _classification_rows(f: Poly, report):
     return [{"q": f.field.q, "d": f.degree, "f": str(f), **report.to_json()}]
@@ -120,11 +121,17 @@ def _ratio_rows(f: Poly, report):
     return [{"q": F.q, "f": str(f), "orbit_ratio": best_orbit, "run_ratio": best_run}]
 
 
+def _run_bound_part(f: Poly, report):
+    """bounds.run_bound_part, looked up in this module when it runs, so a
+    wrapper put on scan.run_bound_part sees scan's calls."""
+    return run_bound_part(f, report)
+
+
 _ROWS = {
     "classification": _classification_rows,
     "weil": _weil_rows,
     "orbit-bounds": _periodic_start_count,
-    "run-bounds": run_bound_rows,
+    "run-bounds": _run_bound_part,
     "ratios": _ratio_rows,
 }
 # scan's checks, in the order they run whatever order they are asked for in
@@ -135,7 +142,7 @@ _CLASSIFIED = frozenset({"classification", "orbit-bounds", "run-bounds"})
 
 
 def _scan_item(item):
-    """One f's rows for each of its checks; f is classified at most once."""
+    """One f's part for each of its checks; f is classified at most once."""
     f, checks = item
     report = classify_2_ordinary(f) if checks & _CLASSIFIED else None
     return {check: _ROWS[check](f, report) for check in checks}
@@ -176,10 +183,16 @@ def _drawn_starts(candidates, cfg: ScanConfig):
     return items
 
 
-def run_checks(cfg: ScanConfig, checks) -> dict[str, list]:
-    """Each selected check's rows, in CHECKS order, from one item per f, which
-    classifies f at most once; orbit-bounds then checks its drawn starts per
-    f.  A cell or sample of more than MAX_ENUMERATED_POLYS f is refused."""
+def _f_name(part) -> str:
+    return part.f if type(part) is RunBoundPart else part[0]["f"]
+
+
+def run_check_parts(cfg: ScanConfig, checks) -> dict[str, list]:
+    """Each selected check's results, in CHECKS order, from one item per f,
+    which classifies f at most once; orbit-bounds then checks its drawn
+    starts per f.  run-bounds' results are one RunBoundPart per 2-ordinary f,
+    every other check's are its rows.  A cell or sample of more than
+    MAX_ENUMERATED_POLYS f is refused."""
     checks = frozenset(checks)
     unknown = sorted(checks - set(CHECKS))
     if unknown:
@@ -210,10 +223,19 @@ def run_checks(cfg: ScanConfig, checks) -> dict[str, list]:
         found["orbit-bounds"] = _pmap(_orbit_bound_rows, _drawn_starts(counts, cfg), cfg.workers)
     # a part's rows are in (a, L) order, so ordering the parts by f orders the
     # rows by (f, a, L); q and d are fixed
-    return {
-        check: [r for part in sorted(filter(None, parts), key=lambda p: p[0]["f"]) for r in part]
-        for check, parts in found.items()
-    }
+    for check, parts in found.items():
+        parts = sorted(filter(None, parts), key=_f_name)
+        found[check] = parts if check == "run-bounds" else [r for part in parts for r in part]
+    return found
+
+
+def run_checks(cfg: ScanConfig, checks) -> dict[str, list]:
+    """Each selected check's rows: run_check_parts with run-bounds' parts
+    flattened, in CHECKS order."""
+    found = run_check_parts(cfg, checks)
+    if "run-bounds" in found:
+        found["run-bounds"] = [r for part in found["run-bounds"] for r in part]
+    return found
 
 
 def failed(row) -> bool:
@@ -221,6 +243,11 @@ def failed(row) -> bool:
     return (
         row.get("pass") is False or row.get("passed") is False or row.get("envelope_pass") is False
     )
+
+
+def failures(items) -> int:
+    """How many rows of items, which holds rows and RunBoundParts, fail."""
+    return sum(it.failures() if type(it) is RunBoundPart else failed(it) for it in items)
 
 
 def classification_counts(rows) -> dict[str, int]:
@@ -248,44 +275,45 @@ def ratio_scan(cfg: ScanConfig):
 
 # --- emission --------------------------------------------------------------
 
-# json.dumps(row, sort_keys=True) of a run-bound row is '{"a": <a>, "f": <f>'
-# and this tail, keys in sorted order
-_RUN_BOUND_TAIL = ', "nonsquare": %s, "pass": %s, "q": %d, "square": %s}'
-_RUN_BOUND_KEYS = frozenset({"a", "f", "nonsquare", "pass", "q", "square"})
-# the most tails json_lines keeps at once
-_TAIL_MEMO = 4096
+def _side_text(side: dict, side_texts: dict) -> str:
+    """json.dumps(side, sort_keys=True) of a run-bound side dict, kept in
+    side_texts by the side's content: the values of its seven keys."""
+    key = (side["target"], side["run_length"], side["cycle_constant"], side["S"],
+           side["excluded"], side["pass"], *side["t_sizes"])
+    text = side_texts.get(key)
+    if text is None:
+        text = side_texts[key] = json.dumps(side, sort_keys=True)
+    return text
 
 
-def json_lines(rows):
-    """json.dumps(r, sort_keys=True) for each row r, byte for byte.  A
-    run-bound row's line is its a and f before a tail, which is kept for the
-    whole call by the ids of the row's two side dicts, its pass and its q,
-    and each side's text by its id.  So a side that many rows share (run-
-    bound rows share one per content, across every f) is encoded once per
-    scan.  Each memo entry holds its dicts, so no id is reused while the
-    entry lives; both memos are emptied when _TAIL_MEMO tails are kept."""
-    texts, tails = {}, {}
-    for r in rows:
-        if type(r) is dict and r.keys() == _RUN_BOUND_KEYS:
-            a, f, ok, q = r["a"], r["f"], r["pass"], r["q"]
-            ns, sq = r["nonsquare"], r["square"]
-            if type(a) is int and type(f) is str and type(ok) is bool and type(q) is int:
-                key = id(ns), id(sq), ok, q
-                tail = tails.get(key)
-                if tail is None and type(ns) is dict and type(sq) is dict:
-                    if len(tails) >= _TAIL_MEMO:
-                        texts.clear()
-                        tails.clear()
-                    for side in (ns, sq):
-                        if id(side) not in texts:
-                            texts[id(side)] = side, json.dumps(side, sort_keys=True)
-                    tail = tails[key] = ns, sq, _RUN_BOUND_TAIL % (
-                        texts[id(ns)][1], "true" if ok else "false", q, texts[id(sq)][1]
-                    )
-                if tail is not None:
-                    yield f'{{"a": {a}, "f": {encode_basestring_ascii(f)}{tail[2]}'
-                    continue
-        yield json.dumps(r, sort_keys=True)
+def _part_lines(part: RunBoundPart, side_texts: dict):
+    """json.dumps(r, sort_keys=True) for each row r of part, keys in sorted
+    order: a, then f and the nonsquare key, which are the same on every row,
+    then one tail per distinct pair of the part's side dicts."""
+    mid = ', "f": ' + encode_basestring_ascii(part.f) + ', "nonsquare": '
+    q, nonsquare, square = part.q, part.nonsquare, part.square
+    by_pair = {}  # by the ids of a pair's sides, which the part keeps alive
+    for a, key in enumerate(zip(map(id, nonsquare), map(id, square))):
+        tail = by_pair.get(key)
+        if tail is None:
+            ns, sq = nonsquare[a], square[a]
+            ok = "true" if sq["pass"] and ns["pass"] else "false"
+            tail = by_pair[key] = (f'{_side_text(ns, side_texts)}, "pass": {ok}, "q": {q}, '
+                                   f'"square": {_side_text(sq, side_texts)}}}')
+        yield f'{{"a": {a}{mid}{tail}'
+
+
+def json_lines(items):
+    """json.dumps(r, sort_keys=True) for each row r of items, byte for byte,
+    where items holds rows and RunBoundParts.  A part's lines are written by
+    _part_lines, and each run-bound side's text is encoded once per call;
+    every other row is encoded on its own."""
+    side_texts = {}
+    for it in items:
+        if type(it) is RunBoundPart:
+            yield from _part_lines(it, side_texts)
+        else:
+            yield json.dumps(it, sort_keys=True)
 
 
 def write_jsonl(rows, path):

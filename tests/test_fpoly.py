@@ -316,8 +316,9 @@ class TestEvaluate:
             for _ in range(6):
                 f = _random_poly(F, rng, degree)
                 assert f.value_table() == [f.eval_i(x) for x in range(F.q)]
-        # monic f, whose first Horner step is the translation x -> x + c:
-        # x + c for every c (x itself at c = 0), then samples of degree 1-5
+        # monic f, whose first Horner step adds c to 1 * x as every later step
+        # adds a coefficient (through the Zech table over F_{p^k}): x + c for
+        # every c (x itself at c = 0), then samples of degree 1-5
         for c in range(F.q):
             f = Poly(F, [c, F.one_idx])
             assert f.value_table() == [f.eval_i(x) for x in range(F.q)]

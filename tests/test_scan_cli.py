@@ -14,7 +14,7 @@ import pytest
 
 import orbitsquares.field
 from orbitsquares import bounds, scan
-from orbitsquares.bounds import choose_L, envelope_check, orbit_bound_check
+from orbitsquares.bounds import RunBoundPart, choose_L, envelope_check, orbit_bound_check
 from orbitsquares.classify import TWO_ORDINARY, classify_2_ordinary
 from orbitsquares.cli import main
 from orbitsquares.dynamics import forward_orbit, orbit_table, sign_sequence
@@ -27,6 +27,7 @@ from orbitsquares.scan import (
     enumerate_polys,
     ratio_scan,
     rows_to_csv_text,
+    run_check_parts,
     run_checks,
     sample_polys,
 )
@@ -392,12 +393,12 @@ class TestCli:
         rows, before = [], []
 
         def recorded(cfg, checks):
-            found = run_checks(cfg, checks)
-            rows.extend(r for part in found.values() for r in part)
+            found = run_check_parts(cfg, checks)
+            rows.extend(flat_rows(it for items in found.values() for it in items))
             before.extend(json.dumps(r, sort_keys=True) for r in rows)
             return found
 
-        monkeypatch.setattr(scan, "run_checks", recorded)
+        monkeypatch.setattr(scan, "run_check_parts", recorded)
         rc, _, _ = self.run(capsys, "scan", "--field", "7", "--degree", "2", "--checks",
                             ",".join(CHECKS), "--sample", "10", "--out", str(tmp_path))
         assert rc == 0
@@ -608,6 +609,57 @@ class TestCli:
         summary = json.loads(out.strip().splitlines()[-1])["summary"]
         assert summary["orbit_bound_failures"] == 15
 
+    def test_scan_run_bounds_counts_planted_failures(self, capsys, monkeypatch, tmp_path):
+        # no run of an F_7 quadratic is long enough for S >= 1, so S is
+        # planted as the run length, and every |T(L)| as 0: each side that
+        # is not cycle-constant fails
+        monkeypatch.setattr(bounds, "_run_S", lambda length: length)
+        monkeypatch.setattr(bounds, "t_set_size", lambda f, L, target=1: 0)
+        argv = ["scan", "--field", "7", "--degree", "2", "--checks", "run-bounds"]
+        rows = run_checks(ScanConfig(field="7", degree=2), {"run-bounds"})["run-bounds"]
+        expected = sum(map(scan.failed, rows))
+        assert 0 < expected < len(rows)
+        rc, out, _ = self.run(capsys, *argv)
+        lines = out.splitlines()
+        assert rc == 2 and json.loads(lines[-1])["summary"]["run_bound_failures"] == expected
+        assert sum(scan.failed(json.loads(line)) for line in lines[:-1]) == expected
+        rc, _, _ = self.run(capsys, *argv, "--out", str(tmp_path))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert rc == 2 and summary["run_bound_failures"] == expected
+        assert (tmp_path / "rows.jsonl").read_text() == "".join(l + "\n" for l in lines[:-1])
+
+    def test_scan_builds_no_run_bound_row_dict(self, capsys, monkeypatch, tmp_path):
+        # a part yields row dicts only when iterated; the scan command counts
+        # its failures and writes its lines from its side lists
+        argv = ["scan", "--field", "7", "--degree", "2", "--checks", ",".join(CHECKS)]
+        outcomes = []
+        for patched in (False, True):
+            if patched:
+                def unreachable(part):
+                    raise AssertionError("a run-bound row dict was built")
+
+                monkeypatch.setattr(RunBoundPart, "__iter__", unreachable)
+            rc, out, _ = self.run(capsys, *argv)
+            out_dir = tmp_path / str(patched)
+            rc_out, _, _ = self.run(capsys, *argv, "--out", str(out_dir))
+            files = [(out_dir / n).read_bytes() for n in ("rows.jsonl", "summary.json")]
+            outcomes.append((rc, rc_out, out, files))
+        assert outcomes[0] == outcomes[1] and outcomes[0][:2] == (0, 0)
+        assert '"nonsquare"' in outcomes[0][2]
+
+    def test_run_bound_kernel_is_looked_up_when_it_runs(self, monkeypatch):
+        # so a wrapper put on scan.run_bound_part, as a tracer puts one,
+        # sees every call the scan makes
+        calls = []
+
+        def counted(f, report):
+            calls.append(f)
+            return bounds.run_bound_part(f, report)
+
+        monkeypatch.setattr(scan, "run_bound_part", counted)
+        parts = run_check_parts(ScanConfig(field="7", degree=2), {"run-bounds"})["run-bounds"]
+        assert len(calls) == 49 and len(parts) == 41
+
 
 class TestFieldStrings:
     def test_extension_with_modulus(self):
@@ -621,6 +673,11 @@ def reference_lines(rows):
     return [json.dumps(r, sort_keys=True) for r in rows]
 
 
+def flat_rows(items):
+    """The rows of items, which holds rows and RunBoundParts, in order."""
+    return [r for it in items for r in (it if type(it) is RunBoundPart else [it])]
+
+
 def distinct_sides(rows):
     """The distinct side dicts of rows' run-bound rows."""
     return {id(s): s for r in rows if "square" in r for s in (r["square"], r["nonsquare"])}
@@ -631,9 +688,20 @@ def pinned_rows(workers):
     return [r for part in found.values() for r in part]
 
 
+def pinned_items(workers):
+    """The pinned scan's rows and run-bound parts, in the order they are written."""
+    found = run_check_parts(ScanConfig(**PINNED_SCAN, workers=workers), PINNED_CHECKS)
+    return [it for items in found.values() for it in items]
+
+
 @pytest.fixture(scope="module")
 def pinned():
     return pinned_rows(1)
+
+
+@pytest.fixture(scope="module")
+def pinned_parts():
+    return pinned_items(1)
 
 
 class TestEmission:
@@ -674,20 +742,6 @@ class TestEmission:
 
         assert list(scan.json_lines(fresh(200))) == reference_lines(fresh(200))
 
-    @pytest.mark.parametrize("memo", [1, 3])
-    def test_json_lines_match_json_dumps_as_the_memos_empty(self, pinned, memo, monkeypatch):
-        # with room for only memo tails, both memos are emptied again and
-        # again, and every side after an emptying is encoded afresh
-        F = make_field(13, 2)
-        q169 = [r for f in sample_polys(F, 2, 12, 1)
-                for r in bounds.run_bound_rows(f, classify_2_ordinary(f))]
-        monkeypatch.setattr(scan, "_TAIL_MEMO", memo)
-        for rows in (pinned, q169):
-            tails = {(id(r["nonsquare"]), id(r["square"]), r["pass"])
-                     for r in rows if "square" in r}
-            assert len(tails) > 2 * memo
-            assert list(scan.json_lines(rows)) == reference_lines(rows)
-
     def test_rows_jsonl_pinned_at_any_worker_count(self, pinned, tmp_path):
         # one process shares one side dict per content; pickling keeps the
         # sharing within each chunk of a pool's results, so a pool can only
@@ -701,7 +755,7 @@ class TestEmission:
             else:
                 assert len(distinct_sides(rows)) <= 7981
 
-    def test_each_shared_side_is_encoded_once(self, pinned, tmp_path, monkeypatch):
+    def test_each_shared_side_is_encoded_once(self, pinned_parts, tmp_path, monkeypatch):
         # a guard by count, not by time: the per-row encoder made one call
         # per row, 30,960 on this scan
         calls = Counter()
@@ -712,7 +766,63 @@ class TestEmission:
             return dumps(obj, **kwargs)
 
         monkeypatch.setattr(scan.json, "dumps", counted)
-        scan.write_jsonl(pinned, tmp_path / "rows.jsonl")
-        other = sum("square" not in r for r in pinned)
-        assert (len(pinned), other) == (30960, 2161)
-        assert calls["dumps"] <= other + len(distinct_sides(pinned)) == 2161 + 36
+        scan.write_jsonl(pinned_parts, tmp_path / "rows.jsonl")
+        assert hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest() == (
+            PINNED_ROWS_SHA256
+        )
+        rows = flat_rows(pinned_parts)
+        other = sum(type(it) is not RunBoundPart for it in pinned_parts)
+        assert (len(rows), other) == (30960, 2161)
+        assert calls["dumps"] <= other + len(distinct_sides(rows)) == 2161 + 36
+
+
+def part_cells():
+    """(name, f, report) for every f of 7/2 and 3^2/(2,1,1)/2 and for 12
+    seeded 13^2 quadratics."""
+    for field, polys in [
+        ("7", enumerate_polys(make_field(7), 2)),
+        ("3^2/(2,1,1)", enumerate_polys(FieldSpec.parse("3^2/(2,1,1)"), 2)),
+        ("13^2", sample_polys(make_field(13, 2), 2, 12, seed=5)),
+    ]:
+        for f in polys:
+            yield field, f, classify_2_ordinary(f)
+
+
+class TestRunBoundParts:
+    """A part's lines and failure count against json.dumps and scan.failed
+    over the rows it yields."""
+
+    def check(self, parts):
+        for part in parts:
+            rows = list(part)
+            assert len(rows) == len(part) and rows
+            assert list(scan.json_lines([part])) == reference_lines(rows), part.f
+            assert part.failures() == sum(map(scan.failed, rows)), part.f
+        assert list(scan.json_lines(parts)) == reference_lines(flat_rows(parts))
+        return sum(part.failures() for part in parts)
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_parts_of_each_f_match_their_rows(self, planted, monkeypatch):
+        if planted:  # every side that is not cycle-constant fails
+            monkeypatch.setattr(bounds, "_run_S", lambda length: length)
+            monkeypatch.setattr(bounds, "t_set_size", lambda f, L, target=1: 0)
+        cells = Counter()
+        parts = []
+        for field, f, report in part_cells():
+            part = bounds.run_bound_part(f, report)
+            assert (part is None) == (report.verdict != TWO_ORDINARY)
+            assert bounds.run_bound_rows(f, report) == list(part or ())
+            if part is not None:
+                cells[field] += 1
+                parts.append(part)
+        assert cells == {"7": 41, "3^2/(2,1,1)": 71, "13^2": 12}
+        assert (self.check(parts) > 0) == planted
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_parts_match_their_rows(self, workers, pinned, pinned_parts):
+        items = pinned_parts if workers == 1 else pinned_items(2)  # parts cross a pool pickled
+        parts = [it for it in items if type(it) is RunBoundPart]
+        assert self.check(parts) == 0
+        assert flat_rows(items) == pinned
+        assert list(scan.json_lines(items)) == reference_lines(pinned)
+        assert scan.failures(items) == sum(map(scan.failed, pinned)) == 0

@@ -49,3 +49,18 @@ def test_tracer_and_counters_install_run_and_undo():
         counters.undo()
     assert counters.snapshot()["Poly.eval_i"] == 1
     assert (orbitsquares.classify_2_ordinary, Poly.pow_mod, FieldSpec.add_i) == before
+
+
+def test_tracer_sees_the_scans_run_bound_parts():
+    # scan looks its run-bound kernel up when it runs, so the tracer's wrapper
+    # on scan.run_bound_part times every f's part
+    spans = load_spans()
+    cfg = orbitsquares.scan.ScanConfig(field="7", degree=2)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        orbitsquares.scan.run_check_parts(cfg, {"run-bounds"})
+    finally:
+        tracer.undo()
+    per_name, _ = tracer.summary()
+    assert per_name["bounds.run_bound_part"][0] == 49
