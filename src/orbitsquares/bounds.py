@@ -9,9 +9,11 @@ arithmetic; nothing here uses floating point for a pass/fail decision.
 
 from __future__ import annotations
 
+import json
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import prod
 
 from .classify import TWO_ORDINARY, classify_2_ordinary
@@ -297,61 +299,59 @@ def _run_S(length: int) -> int:
     return max(0, (length - 1) // 4)
 
 
-def _side_content(f: Poly, target: int, length: int, cycle_constant: bool) -> tuple:
-    """(target, length, cycle_constant, t_sizes): everything a side of the run
-    bound holds, with S = floor((length - 1)/4) and t_sizes = |T(L)| for
-    L = 1..S, empty when the run is cycle-constant (excluded) or S = 0."""
+def _side_values(f: Poly, target: int, length: int, cycle_constant: bool) -> tuple:
+    """(target, length, cycle_constant, S, t_sizes): the values a side of the
+    run bound is built from, with S = floor((length - 1)/4) and t_sizes =
+    |T(L)| for L = 1..S, empty when the run is cycle-constant (excluded) or S = 0."""
     S = _run_S(length)
-    if cycle_constant or S == 0:
-        return target, length, cycle_constant, ()
-    return target, length, cycle_constant, tuple(t_set_size(f, L, target) for L in range(1, S + 1))
+    t_sizes = () if cycle_constant else tuple(t_set_size(f, L, target) for L in range(1, S + 1))
+    return target, length, cycle_constant, S, t_sizes
 
 
-def _side(target: int, length: int, cycle_constant: bool, t_sizes: tuple) -> RunBoundSide:
-    return RunBoundSide(
-        target=target, run=RunReport(target, length, cycle_constant),
-        S=_run_S(length), t_sizes=t_sizes, excluded=cycle_constant,
-    )
-
-
-@lru_cache(maxsize=4096)
-def _shared_side_json(*content) -> dict:
-    """The side dict of one content, shared by every row that has it while it
-    stays in this bounded cache, which is keyed by content alone."""
-    return _side(*content).to_json()
+def _side(target: int, length: int, cycle_constant: bool, S: int, t_sizes: tuple) -> RunBoundSide:
+    run = RunReport(target, length, cycle_constant)
+    return RunBoundSide(target, run, S, t_sizes, excluded=cycle_constant)
 
 
 def run_bound_check(f: Poly, a: FieldElement) -> RunBoundReport:
     """With R the longest run and S = floor((R-1)/4): S <= |T(L)| for L <= S."""
-    square, nonsquare = (_side(*_side_content(f, *longest_run(f, a, t))) for t in (1, -1))
+    square, nonsquare = (_side(*_side_values(f, *longest_run(f, a, t))) for t in (1, -1))
     return RunBoundReport(f=f, a=a, square=square, nonsquare=nonsquare)
 
 
+@lru_cache(maxsize=4096)
+def _pair_tail(square: tuple, nonsquare: tuple, q: int) -> tuple[str, bool]:
+    """(tail, passed) of every run-bound row whose sides are built from the
+    values square and nonsquare, and whose field has q elements: the tail is
+    what follows a and f in the row's JSON line, the row's other keys as
+    json.dumps(..., sort_keys=True) writes them, less the opening brace.  One
+    tail per pair while it stays in this bounded cache, which is keyed by
+    every value the sides are built from, S included."""
+    sq, ns = _side(*square), _side(*nonsquare)
+    passed = sq.passed and ns.passed
+    row = {"nonsquare": ns.to_json(), "pass": passed, "q": q, "square": sq.to_json()}
+    return json.dumps(row, sort_keys=True)[1:], passed
+
+
 class RunBoundPart:
-    """run_bound_check(f, a).to_json() for every start a of one f, by index,
-    held as f's name f, q and two lists of the starts' side dicts, square and
-    nonsquare.  Each side dict is shared by every start, of this f or any
-    other, with the same content (a process keeps one per content while it
-    stays in a bounded cache), so a part holds no dict per start, and the
-    rows it yields when iterated are read-only."""
+    """json.dumps(run_bound_check(f, a).to_json(), sort_keys=True) for every
+    start a of one f, by index, held as its lines' text: f's name f, one tail
+    per start, each shared by every start (of any f) with the same pair of
+    sides, and the number of failed rows.  Iterating a part decodes its
+    lines into row dicts."""
 
-    __slots__ = ("f", "q", "square", "nonsquare")
+    __slots__ = ("f", "tails", "failures")
 
-    def __init__(self, f: str, q: int, square: list[dict], nonsquare: list[dict]):
-        self.f, self.q, self.square, self.nonsquare = f, q, square, nonsquare
+    def __init__(self, f: str, tails: tuple[str, ...], failures: int):
+        self.f, self.tails, self.failures = f, tails, failures
 
-    def __len__(self) -> int:
-        return len(self.square)
+    def lines(self):
+        head = ', "f": ' + encode_basestring_ascii(self.f) + ", "
+        for a, tail in enumerate(self.tails):
+            yield f'{{"a": {a}{head}{tail}'
 
     def __iter__(self):
-        f, q = self.f, self.q
-        for a, (sq, ns) in enumerate(zip(self.square, self.nonsquare)):
-            yield {"f": f, "a": a, "q": q, "square": sq, "nonsquare": ns,
-                   "pass": sq["pass"] and ns["pass"]}
-
-    def failures(self) -> int:
-        """How many of the part's rows fail."""
-        return sum(not (sq["pass"] and ns["pass"]) for sq, ns in zip(self.square, self.nonsquare))
+        return map(json.loads, self.lines())
 
 
 def run_bound_part(f: Poly, report) -> RunBoundPart | None:
@@ -359,21 +359,18 @@ def run_bound_part(f: Poly, report) -> RunBoundPart | None:
     report says f is 2-ordinary."""
     if report.verdict != TWO_ORDINARY:
         return None
-    table, sides = orbit_table(f), []
+    table, keys, sides = orbit_table(f), [], []
     for t in (1, -1):
-        # one lookup per distinct (t, length, cycle_constant) of f; a cycle-
+        # one side per distinct (t, length, cycle_constant) of f; a cycle-
         # constant run, never empty, is keyed by minus its length
-        keys = [n if s != t else -n for n, s in zip(table.run[t], table.cycle_sign)]
-        side = {k: _shared_side_json(*_side_content(f, t, abs(k), k < 0)) for k in set(keys)}
-        sides.append(list(map(side.__getitem__, keys)))
-    return RunBoundPart(str(f), f.field.q, *sides)
-
-
-def run_bound_rows(f: Poly, report) -> list[dict]:
-    """run_bound_check(f, a).to_json() for every start a of f, by index, or
-    none unless f's classification report says f is 2-ordinary: the rows of
-    run_bound_part(f, report), which share their side dicts."""
-    return list(run_bound_part(f, report) or ())
+        keys.append([n if s != t else -n for n, s in zip(table.run[t], table.cycle_sign)])
+        sides.append({k: _side_values(f, t, abs(k), k < 0) for k in set(keys[-1])})
+    (square, nonsquare), pairs = sides, list(zip(*keys))
+    tails, failures = {}, 0
+    for (k, j), n in Counter(pairs).items():
+        tails[k, j], passed = _pair_tail(square[k], nonsquare[j], f.field.q)
+        failures += 0 if passed else n
+    return RunBoundPart(str(f), tuple(map(tails.__getitem__, pairs)), failures)
 
 
 def choose_L(q: int, d: int) -> int:

@@ -9,7 +9,9 @@ Every bound and hypothesis gate is stated in `bounds`; scan draws and dispatches
 All kernels are pure; worker processes only parallelize over independent
 work items and results are sorted by a canonical key before writing, so
 output bytes (each row line is `json_lines`' output) are independent of the
-worker count.
+worker count.  Run-bounds' rows come as one bounds.RunBoundPart per f,
+which holds their JSON lines as text; scan writes those lines as they are
+and names none of the row's keys.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import os
 import random
 from collections import Counter, namedtuple
 from itertools import product
-from json.encoder import encode_basestring_ascii
 
 from .bounds import RunBoundPart, orbit_bound_rows, periodic_starts, run_bound_part, weil_check
 from .classify import classify_2_ordinary
@@ -246,8 +247,9 @@ def failed(row) -> bool:
 
 
 def failures(items) -> int:
-    """How many rows of items, which holds rows and RunBoundParts, fail."""
-    return sum(it.failures() if type(it) is RunBoundPart else failed(it) for it in items)
+    """How many rows of items, which holds rows and RunBoundParts (each with
+    its failure count), fail."""
+    return sum(it.failures if type(it) is RunBoundPart else failed(it) for it in items)
 
 
 def classification_counts(rows) -> dict[str, int]:
@@ -275,43 +277,13 @@ def ratio_scan(cfg: ScanConfig):
 
 # --- emission --------------------------------------------------------------
 
-def _side_text(side: dict, side_texts: dict) -> str:
-    """json.dumps(side, sort_keys=True) of a run-bound side dict, kept in
-    side_texts by the side's content: the values of its seven keys."""
-    key = (side["target"], side["run_length"], side["cycle_constant"], side["S"],
-           side["excluded"], side["pass"], *side["t_sizes"])
-    text = side_texts.get(key)
-    if text is None:
-        text = side_texts[key] = json.dumps(side, sort_keys=True)
-    return text
-
-
-def _part_lines(part: RunBoundPart, side_texts: dict):
-    """json.dumps(r, sort_keys=True) for each row r of part, keys in sorted
-    order: a, then f and the nonsquare key, which are the same on every row,
-    then one tail per distinct pair of the part's side dicts."""
-    mid = ', "f": ' + encode_basestring_ascii(part.f) + ', "nonsquare": '
-    q, nonsquare, square = part.q, part.nonsquare, part.square
-    by_pair = {}  # by the ids of a pair's sides, which the part keeps alive
-    for a, key in enumerate(zip(map(id, nonsquare), map(id, square))):
-        tail = by_pair.get(key)
-        if tail is None:
-            ns, sq = nonsquare[a], square[a]
-            ok = "true" if sq["pass"] and ns["pass"] else "false"
-            tail = by_pair[key] = (f'{_side_text(ns, side_texts)}, "pass": {ok}, "q": {q}, '
-                                   f'"square": {_side_text(sq, side_texts)}}}')
-        yield f'{{"a": {a}{mid}{tail}'
-
-
 def json_lines(items):
     """json.dumps(r, sort_keys=True) for each row r of items, byte for byte,
-    where items holds rows and RunBoundParts.  A part's lines are written by
-    _part_lines, and each run-bound side's text is encoded once per call;
-    every other row is encoded on its own."""
-    side_texts = {}
+    where items holds rows, each encoded here, and RunBoundParts, each of
+    which gives its own lines."""
     for it in items:
         if type(it) is RunBoundPart:
-            yield from _part_lines(it, side_texts)
+            yield from it.lines()
         else:
             yield json.dumps(it, sort_keys=True)
 

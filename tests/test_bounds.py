@@ -21,7 +21,7 @@ from orbitsquares.bounds import (
     envelope_holds,
     orbit_bound_check,
     run_bound_check,
-    run_bound_rows,
+    run_bound_part,
     t_set_size,
     weil_check,
 )
@@ -394,7 +394,7 @@ class TestRunBound:
     )
     def test_per_f_rows_match_per_start_checks(self, field, degree, t_sizes_split):
         # scan's rows gate on the verdict only; this stub lets every f through.
-        # The rows share one side dict per content across every f.  Sides of
+        # The rows share one tail per pair of sides across every f.  Sides of
         # one (target, length) differ in cycle_constant in every cell, and on
         # 25-quadratics in t_sizes at S >= 1 too, so a sharing key that drops
         # either part hands some row a side of another content.
@@ -402,7 +402,7 @@ class TestRunBound:
         parts = defaultdict(set)
         for f in enumerate_polys(field, degree):
             expected = [run_bound_check(f, a).to_json() for a in field.elements()]
-            assert run_bound_rows(f, two_ordinary) == expected, str(f)
+            assert list(run_bound_part(f, two_ordinary)) == expected, str(f)
             for side in (s for row in expected for s in (row["square"], row["nonsquare"])):
                 parts[side["target"], side["run_length"]].add(
                     (side["cycle_constant"], tuple(side["t_sizes"]))

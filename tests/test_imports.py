@@ -10,8 +10,9 @@ tables or key, only fpoly's product and long division branch on the field
 kind, inside field only the encoding, the table build and an element's repr
 read coordinates, no class but fpoly.Poly and
 field.FieldElement defines a product (__mul__): one polynomial class,
-__all__ is the pinned list of public names, so each addition or deletion
-is a visible test edit, and importing the package or its CLI loads none of
+scan names no key of a run-bound row, whose text bounds writes, __all__
+is the pinned list of public names, so each addition or deletion is a
+visible test edit, and importing the package or its CLI loads none of
 IMPORT_BUDGET's modules, which every CLI start would pay for.
 
 The package's __init__ is left out of the import check: it imports names to
@@ -220,6 +221,43 @@ def test_detects_a_field_kind_branch():
 def test_only_the_kernels_branch_on_the_field_kind():
     source = next(p for p in MODULES if p.name == "fpoly.py").read_text()
     assert field_kind_branches(source, FIELD_KIND_KERNELS) == []
+
+
+# the keys of a run-bound row, whose JSON text bounds writes: scan hands a
+# part's lines on and names none of them
+RUN_BOUND_KEYS = ("square", "nonsquare", "t_sizes", "run_length", "cycle_constant")
+
+
+def key_literals(source: str, keys) -> list[str]:
+    """Every string literal in source, docstrings left out, that names one of
+    keys as a whole word (f-string parts included), as "line: key"."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.value) for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    word = re.compile(r"\b(" + "|".join(keys) + r")\b")
+    found = sorted(
+        (node.lineno, key) for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings for key in set(word.findall(node.value))
+    )
+    return [f"{line}: {key}" for line, key in found]
+
+
+def test_detects_a_run_bound_key_literal():
+    src = (
+        'def tail(side, f, squares):\n'
+        '    """The nonsquare side\'s text."""\n'
+        '    mid = f\', "f": {f}, "nonsquare": \'\n'
+        '    return mid + str(side["t_sizes"]) + squares + "is_square"\n'
+    )
+    assert key_literals(src, RUN_BOUND_KEYS) == ["3: nonsquare", "4: t_sizes"]
+
+
+def test_scan_names_no_run_bound_key():
+    source = next(p for p in MODULES if p.name == "scan.py").read_text()
+    assert key_literals(source, RUN_BOUND_KEYS) == []
 
 
 # the field functions that may call .coords(: the encoding itself, the

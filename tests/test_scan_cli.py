@@ -19,6 +19,7 @@ from orbitsquares.classify import TWO_ORDINARY, classify_2_ordinary
 from orbitsquares.cli import main
 from orbitsquares.dynamics import forward_orbit, orbit_table, sign_sequence
 from orbitsquares.field import FieldSpec, make_field
+from orbitsquares.fpoly import Poly
 from orbitsquares.scan import (
     BOUNDS_CSV_COLUMNS,
     CHECKS,
@@ -402,8 +403,6 @@ class TestCli:
         rc, _, _ = self.run(capsys, "scan", "--field", "7", "--degree", "2", "--checks",
                             ",".join(CHECKS), "--sample", "10", "--out", str(tmp_path))
         assert rc == 0
-        run_rows = [r for r in rows if "square" in r]
-        assert len({id(r["square"]) for r in run_rows}) < len(run_rows)  # the sides are shared
         assert not any(map(scan.failed, rows))
         rows_to_csv_text(rows, BOUNDS_CSV_COLUMNS)
         assert [json.dumps(r, sort_keys=True) for r in rows] == before
@@ -714,50 +713,24 @@ class TestEmission:
     def test_json_lines_match_json_dumps_on_the_pinned_scan(self, pinned):
         assert list(scan.json_lines(pinned)) == reference_lines(pinned)
 
-    def test_json_lines_match_json_dumps_on_edge_rows(self):
-        def row(f, a, square, nonsquare, passed=True, q=7):
-            return {"f": f, "a": a, "q": q, "square": square, "nonsquare": nonsquare,
-                    "pass": passed}
-
-        one, two = {"pass": True, "S": 0, "t_sizes": []}, {"pass": False, "S": 2, "t_sizes": [1]}
-        rows = [
-            row("0,0,1", 0, one, two, passed=None),
-            row("0,0,1", 1, one, two, passed=1),
-            row("0,0,1", True, one, two),  # %d would print True as 1
-            row("0,\u0192,1", 2, one, two),  # a non-ASCII f
-            row("0,0,1", 3, one, one),  # one dict as both sides
-            row("1,0,1", 0, two, one),  # sides shared by two f
-            row("0,0,1", 4, two, one),  # the rows of "0,0,1" are not adjacent
-            {**row("0,0,1", 5, one, two), "L": 1},  # not a run-bound row's keys
-            row("0,0,1", 6, {"t_sizes": [1.5]}, {2: "x"}),
-            row("0,0,1", 7, one, two, q=7.0),
-        ]
-        assert list(scan.json_lines(rows)) == reference_lines(rows)
-
-        def fresh(n):
-            # each row and its sides are dropped after use, so a later
-            # side could be built at a freed side's address
-            for a in range(n):
-                yield row("0,0,1", a, {"run_length": a}, {"run_length": -a}, passed=a % 2 == 0)
-
-        assert list(scan.json_lines(fresh(200))) == reference_lines(fresh(200))
-
-    def test_rows_jsonl_pinned_at_any_worker_count(self, pinned, tmp_path):
-        # one process shares one side dict per content; pickling keeps the
-        # sharing within each chunk of a pool's results, so a pool can only
-        # split it, into at most one dict per distinct run of each f (7,981)
-        for workers, rows in [(1, pinned), (2, pinned_rows(2))]:
+    def test_rows_jsonl_pinned_at_any_worker_count(self, pinned_parts, tmp_path):
+        # one process keeps one tail string per distinct pair of sides; a
+        # pool pickles its results, so there only the tails' text is shared
+        for workers, items in [(1, pinned_parts), (2, pinned_items(2))]:
             path = tmp_path / f"rows-{workers}.jsonl"
-            scan.write_jsonl(rows, path)
+            scan.write_jsonl(items, path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_ROWS_SHA256
+            tails = [t for it in items if type(it) is RunBoundPart for t in it.tails]
+            assert len(tails) == 28799 and len(set(tails)) == 144
             if workers == 1:
-                assert len(distinct_sides(rows)) == 36
-            else:
-                assert len(distinct_sides(rows)) <= 7981
+                assert len(set(map(id, tails))) == 144
 
-    def test_each_shared_side_is_encoded_once(self, pinned_parts, tmp_path, monkeypatch):
+    def test_each_shared_side_is_encoded_once(self, tmp_path, monkeypatch):
         # a guard by count, not by time: the per-row encoder made one call
-        # per row, 30,960 on this scan
+        # per row, 30,960 on this scan.  With the tail cache cleared, the scan
+        # encodes each row of another check once and each distinct pair of
+        # run-bound sides at most twice
+        bounds._pair_tail.cache_clear()
         calls = Counter()
         dumps = json.dumps
 
@@ -765,15 +738,14 @@ class TestEmission:
             calls["dumps"] += 1
             return dumps(obj, **kwargs)
 
-        monkeypatch.setattr(scan.json, "dumps", counted)
-        scan.write_jsonl(pinned_parts, tmp_path / "rows.jsonl")
-        assert hashlib.sha256((tmp_path / "rows.jsonl").read_bytes()).hexdigest() == (
-            PINNED_ROWS_SHA256
-        )
-        rows = flat_rows(pinned_parts)
-        other = sum(type(it) is not RunBoundPart for it in pinned_parts)
-        assert (len(rows), other) == (30960, 2161)
-        assert calls["dumps"] <= other + len(distinct_sides(rows)) == 2161 + 36
+        monkeypatch.setattr(json, "dumps", counted)  # scan's and bounds' json.dumps
+        items = pinned_items(1)
+        scan.write_jsonl(items, tmp_path / "rows.jsonl")
+        data = (tmp_path / "rows.jsonl").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == PINNED_ROWS_SHA256
+        other = sum(type(it) is not RunBoundPart for it in items)
+        assert (data.count(b"\n"), other) == (30960, 2161)
+        assert other < calls["dumps"] <= other + 2 * 144
 
 
 def part_cells():
@@ -788,41 +760,56 @@ def part_cells():
             yield field, f, classify_2_ordinary(f)
 
 
+def reference_part(f):
+    """The slow definition of f's part: json.dumps(run_bound_check(f, a)
+    .to_json(), sort_keys=True) for every start a, by index, and how many
+    of those checks fail."""
+    reports = [bounds.run_bound_check(f, a) for a in f.field.elements()]
+    lines = [json.dumps(r.to_json(), sort_keys=True) for r in reports]
+    return lines, sum(not r.passed for r in reports)
+
+
+@pytest.fixture(scope="module")
+def pinned_reference(pinned_parts):
+    """reference_part of every f the pinned scan has a part for, by name."""
+    F = FieldSpec.parse(PINNED_SCAN["field"])
+    names = [it.f for it in pinned_parts if type(it) is RunBoundPart]
+    return {name: reference_part(Poly(F, [int(c) for c in name.split(",")])) for name in names}
+
+
 class TestRunBoundParts:
-    """A part's lines and failure count against json.dumps and scan.failed
-    over the rows it yields."""
+    """A part's lines and failure count against run_bound_check, start by
+    start: a tail served for another pair of sides shows as a wrong line."""
 
-    def check(self, parts):
-        for part in parts:
-            rows = list(part)
-            assert len(rows) == len(part) and rows
-            assert list(scan.json_lines([part])) == reference_lines(rows), part.f
-            assert part.failures() == sum(map(scan.failed, rows)), part.f
-        assert list(scan.json_lines(parts)) == reference_lines(flat_rows(parts))
-        return sum(part.failures() for part in parts)
-
-    @pytest.mark.parametrize("planted", [False, True])
-    def test_parts_of_each_f_match_their_rows(self, planted, monkeypatch):
-        if planted:  # every side that is not cycle-constant fails
-            monkeypatch.setattr(bounds, "_run_S", lambda length: length)
-            monkeypatch.setattr(bounds, "t_set_size", lambda f, L, target=1: 0)
-        cells = Counter()
-        parts = []
+    def check_cells(self):
+        cells, failures = Counter(), 0
         for field, f, report in part_cells():
             part = bounds.run_bound_part(f, report)
             assert (part is None) == (report.verdict != TWO_ORDINARY)
-            assert bounds.run_bound_rows(f, report) == list(part or ())
             if part is not None:
                 cells[field] += 1
-                parts.append(part)
+                lines, failed = reference_part(f)
+                assert (list(part.lines()), part.failures) == (lines, failed), part.f
+                failures += failed
         assert cells == {"7": 41, "3^2/(2,1,1)": 71, "13^2": 12}
-        assert (self.check(parts) > 0) == planted
+        return failures
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_parts_of_each_f_match_their_rows(self, planted, monkeypatch):
+        # the unplanted parts are built first in either case, so a planted
+        # side that could be served a tail cached for them fails the check
+        assert self.check_cells() == 0
+        if planted:  # every side that is not cycle-constant fails
+            monkeypatch.setattr(bounds, "_run_S", lambda length: length)
+            monkeypatch.setattr(bounds, "t_set_size", lambda f, L, target=1: 0)
+            assert self.check_cells() > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_pinned_parts_match_their_rows(self, workers, pinned, pinned_parts):
+    def test_pinned_parts_match_their_rows(self, workers, pinned, pinned_parts, pinned_reference):
         items = pinned_parts if workers == 1 else pinned_items(2)  # parts cross a pool pickled
         parts = [it for it in items if type(it) is RunBoundPart]
-        assert self.check(parts) == 0
+        assert [p.f for p in parts] == list(pinned_reference)
+        for part in parts:
+            assert (list(part.lines()), part.failures) == pinned_reference[part.f], part.f
         assert flat_rows(items) == pinned
-        assert list(scan.json_lines(items)) == reference_lines(pinned)
         assert scan.failures(items) == sum(map(scan.failed, pinned)) == 0
