@@ -314,7 +314,10 @@ def _side(target: int, length: int, cycle_constant: bool, S: int, t_sizes: tuple
 
 
 def run_bound_check(f: Poly, a: FieldElement) -> RunBoundReport:
-    """With R the longest run and S = floor((R-1)/4): S <= |T(L)| for L <= S."""
+    """With R the longest run and S = floor((R-1)/4): S <= |T(L)| for L <= S,
+    a counting identity.  A run of R target signs that is not cycle-constant
+    is R distinct points, the first R - L of them in T(L), so |T(L)| >= R - L
+    >= S.  It fails only on a broken orbit table, and never uses 2-ordinarity."""
     square, nonsquare = (_side(*_side_values(f, *longest_run(f, a, t))) for t in (1, -1))
     return RunBoundReport(f=f, a=a, square=square, nonsquare=nonsquare)
 

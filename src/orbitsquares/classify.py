@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .field import FieldElement
+from .field import FieldElement, power_within
 from .fpoly import (
     DEFAULT_DEGREE_BUDGET,
     Poly,
@@ -29,7 +29,6 @@ from .fpoly import (
     check_degree_budget,
     sqrt_part,
     square_root,
-    within_degree_budget,
 )
 
 TWO_ORDINARY = "TwoOrdinary"
@@ -338,7 +337,7 @@ def _oracle(f: Poly, depth: int, budget: int, need_odd: bool) -> OracleResult:
     # certifies in both modes, so no level past q is needed.
     last = min(depth, f.field.q) if d == 1 else depth
     top = 0
-    while top < last and within_degree_budget(d, top + 1, budget):
+    while top < last and power_within(d, top + 1, budget):
         top += 1
     r, left = _open_levels(f, top, need_odd)
     if left and not need_odd:

@@ -90,11 +90,12 @@ def _is_irreducible(p: int, coeffs) -> bool:
 def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
-    Ordering is on the coefficient tuple (c_0, ..., c_{k-1}).
+    Ordering is on the coefficient tuple (c_0, ..., c_{k-1}); every tuple
+    with c_0 = 0 leaves x as a factor, so c_0 starts at 1.
     """
     if k == 1:
         return (0, 1)
-    for lower in product(range(p), repeat=k):
+    for lower in product(range(1, p), *[range(p)] * (k - 1)):
         if _is_irreducible(p, lower + (1,)):
             return lower + (1,)
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
@@ -227,50 +228,25 @@ class FieldSpec:
         return exp
 
     def _extension_powers(self) -> list[int]:
-        """g^i as indices for i < q - 1, g the smallest generator (in index
-        order) of F_q^*, by products of coordinate lists reduced by the
-        monic modulus."""
+        """g^i as indices for i < q - 1, g the first index with g^((q-1)/r) != 1
+        for every prime r | q - 1.  An element is the polynomial over F_p of
+        its coordinates, and fpoly multiplies it modulo the modulus.  z = g^m,
+        m = (q-1)/(p-1), is in F_p, so g^(u + v m) is g^u scaled by z^v."""
+        # fpoly imports this module, so it is imported here, at call time.
+        from .fpoly import Poly
+
         p, k, q = self.p, self.k, self.q
-        mod = self.modulus
-        one_c = [1] + [0] * (k - 1)
-
-        def mul(a, b):
-            """Product of two coordinate lists, reduced by the monic modulus."""
-            prod = [0] * (2 * k - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        prod[i + j] += x * y
-            for top in range(2 * k - 2, k - 1, -1):
-                c = prod[top] % p
-                if c:
-                    for j in range(k):
-                        prod[top - k + j] -= c * mod[j]
-            return [c % p for c in prod[:k]]
-
-        def power(a, e):
-            result = one_c
-            while e:
-                if e & 1:
-                    result = mul(result, a)
-                a = mul(a, a)
-                e >>= 1
-            return result
-
+        Fp = make_field(p)
+        mod, one = Poly(Fp, self.modulus), Poly.one(Fp)
         rs = prime_factors(q - 1)
-        for cand in range(1, q):
-            gen = self.coords(cand)
-            if all(power(gen, (q - 1) // r) != one_c for r in rs):
-                break
-        exp = [0] * (q - 1)
-        cur = one_c
-        for i in range(q - 1):
-            idx = 0
-            for c in cur:
-                idx = idx * p + c
-            exp[i] = idx
-            cur = mul(cur, gen)
-        return exp
+        gen = next(g for g in (Poly(Fp, self.coords(c)) for c in range(1, q))
+                   if all(g.pow_mod((q - 1) // r, mod) != one for r in rs))
+        powers = [one]
+        for _ in range((q - 1) // (p - 1)):
+            powers.append(powers[-1] * gen % mod)
+        z = powers.pop().leading()
+        scaled = (w.scale(zv).coeffs for zv in [z**v for v in range(p - 1)] for w in powers)
+        return [self.index(c + (0,) * (k - len(c))) for c in scaled]
 
     @property
     def signs(self) -> tuple[int, ...]:

@@ -1,10 +1,12 @@
 """Univariate polynomial algebra over a FieldSpec.
 
 Coefficients are stored as element indices (constant term first, no
-trailing zeros).  Includes composition, the degree budget for iterates (the
-`field.power_within` rule, DEFAULT_DEGREE_BUDGET unless given), gcd, complete
-factorization (squarefree / distinct-degree / equal-degree splitting whose
-random draws are keyed by the polynomial alone) and monic square roots.
+trailing zeros).  Includes composition, the degree budget for iterates
+(`check_degree_budget` refuses d^n by the `field.power_within` rule,
+DEFAULT_DEGREE_BUDGET unless given), gcd, complete factorization
+(squarefree / distinct-degree / equal-degree splitting whose random draws
+are keyed by the polynomial alone) and monic square roots.  This is the one
+polynomial product over F_p: `field` builds the tables of F_{p^k} with it.
 
 The field kind enters only two list-level kernels, and over F_p (k == 1),
 where an index is the residue itself, both run on coefficient lists packed
@@ -38,14 +40,9 @@ from .field import FieldElement, FieldSpec, power_within
 DEFAULT_DEGREE_BUDGET = 4096
 
 
-def within_degree_budget(d: int, n: int, budget: int = DEFAULT_DEGREE_BUDGET) -> bool:
-    """The degree budget rule: d^n <= budget, by field.power_within."""
-    return power_within(d, n, budget)
-
-
 def check_degree_budget(d: int, n: int, budget: int = DEFAULT_DEGREE_BUDGET) -> None:
     """Refuse work on an n-th iterate of degree d^n outside the budget."""
-    if not within_degree_budget(d, n, budget):
+    if not power_within(d, n, budget):
         raise DegreeBudgetExceeded(f"deg {d}^{n} exceeds degree budget {budget}")
 
 
@@ -298,17 +295,17 @@ class Poly:
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         if e < 0:
             raise ValueError("negative exponent")
-        base = self % mod
+        base = (self % mod).coeffs
         if e == 0:
             return Poly.one(self.field) % mod
-        # left to right, so each multiply is by base, which is sparse when it
-        # is x (the first Frobenius power in _distinct_degree)
-        r = base
+        # left to right on index lists, so each multiply is by base, which is
+        # sparse when it is x (the first Frobenius power in _distinct_degree)
+        F, m, r = self.field, mod.coeffs, base
         for bit in bin(e)[3:]:
-            r = r * r % mod
+            r = _divmod(F, _mul(F, r, r), m)[1]
             if bit == "1":
-                r = r * base % mod
-        return r
+                r = _divmod(F, _mul(F, r, base), m)[1]
+        return Poly(F, r)
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.coeffs[-1] == self.field.one_idx:

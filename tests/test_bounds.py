@@ -411,6 +411,35 @@ class TestRunBound:
         split = any(len({ts for _, ts in seen if ts}) > 1 for seen in parts.values())
         assert split == t_sizes_split
 
+    @pytest.mark.parametrize(
+        "field, polys",
+        [
+            (F7, lambda: enumerate_polys(F7, 2)),
+            (F9, lambda: enumerate_polys(F9, 2)),
+            (F9_OTHER, lambda: enumerate_polys(F9_OTHER, 2)),
+            (make_field(31), lambda: sample_polys(make_field(31), 2, 12, 3)),
+            (make_field(13, 2), lambda: sample_polys(make_field(13, 2), 2, 12, 3)),
+        ],
+        ids=["7-quadratics", "9-quadratics", "9/(2,1,1)-quadratics", "31-sample", "169-sample"],
+    )
+    def test_a_run_counts_into_every_t_set(self, field, polys):
+        # A run of R target signs that is not cycle-constant is R distinct
+        # points, and the first R - L of them lie in T(L): |T(L)| >= R - L, so
+        # the check's S <= |T(L)| can fail only on a broken orbit table.
+        # Every f is tried, 2-ordinary or not, and each cell reaches equality.
+        tight = False
+        for f in polys():
+            for a in field.elements():
+                for target in (1, -1):
+                    run = longest_run(f, a, target)
+                    if run.cycle_constant:
+                        continue
+                    for L in range(1, run.length + 1):
+                        size = t_set_size(f, L, target)
+                        assert size >= run.length - L, (str(f), a.idx, target, L)
+                        tight |= size == run.length - L
+        assert tight
+
 
 @pytest.mark.parametrize(
     "call, error",

@@ -172,6 +172,33 @@ class TestClassifyOrdinary:
         assert v == ORDINARY
 
 
+@pytest.mark.parametrize(
+    "spec, d",
+    [("5", 2), ("7", 2), ("5", 3), ("7", 3), ("3", 3), ("3", 4), ("3^2", 2)],
+    ids=["F5-quadratics", "F7-quadratics", "F5-cubics", "F7-cubics", "F3-cubics",
+         "F3-quartics", "F9-quadratics"],
+)
+def test_ordinary_verdicts_disagree_only_on_monomials(spec, d):
+    """The classifier's ordinary verdict and oracle_ordinary agree on every
+    polynomial of the cell, every leading coefficient, except the q - 1
+    monomials A x^d when d is not a power of p: the classifier reads them as
+    Ordinary (they are not shape (a)), while the oracle certifies level 1,
+    as f(0) = 0 and x divides f with multiplicity d.  Which verdict is right
+    is open until the paper's definition of "ordinary" is at hand; this pins
+    the disagreement, and neither verdict is changed to fit the other."""
+    F = FieldSpec.parse(spec)
+    q = F.q
+    depth = max(n for n in range(q + 1) if d**n <= DEFAULT_DEGREE_BUDGET)
+    disagree = []
+    for f in enumerate_polys(F, d, "all"):
+        oracle = oracle_ordinary(f, depth)
+        if (classify_2_ordinary(f).ordinary_verdict == NOT_ORDINARY) != oracle.certified_not:
+            assert ordinary(f)[0] == ORDINARY and oracle.level == 1, str(f)
+            disagree.append(f.coeffs)
+    monomials = [(0,) * d + (A,) for A in range(1, q)]
+    assert disagree == ([] if d in {F.p**e for e in range(d)} else monomials)
+
+
 # --- a factorization-based reference -----------------------------------------
 #
 # The shapes used to be read off complete factorizations: f's multiplicities

@@ -240,6 +240,25 @@ def test_prime_field_tables_match_powers_and_euler(p):
     assert F._neg == [-x % p for x in range(p)]
 
 
+def _schoolbook_powers(F, g):
+    """1, g, g^2, ... up to the first return to 1, by _schoolbook_mul."""
+    out = [F.one_idx]
+    while (x := _schoolbook_mul(F, out[-1], g)) != F.one_idx:
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["3^2", "3^2/(2,1,1)", "5^2", "7^2", "3^3", "5^3", "3^4", "13^2"])
+def test_extension_field_tables_match_powers(spec):
+    # the smallest index of multiplicative order q - 1, and its powers by the
+    # coordinate product: a generator found in another order would still give
+    # self-consistent tables, and mul_i would still match the product
+    F = FieldSpec.parse(spec)
+    exp = next(pw for pw in (_schoolbook_powers(F, g) for g in range(1, F.q)) if len(pw) == F.q - 1)
+    assert F._exp == exp
+    assert [F._log[x] for x in exp] == list(range(F.q - 1))
+
+
 def _coordinate_add(F, a, b, sign=1):
     """a + sign*b, added coordinate by coordinate."""
     return F.index([(x + sign * y) % F.p for x, y in zip(F.coords(a), F.coords(b))])

@@ -28,7 +28,6 @@ from orbitsquares.fpoly import (
     is_irreducible,
     sqrt_part,
     square_root,
-    within_degree_budget,
 )
 
 F3 = make_field(3)
@@ -131,7 +130,6 @@ class TestIterate:
         message = re.escape(f"deg 3^{10**7} exceeds degree budget 4096")
         with pytest.raises(DegreeBudgetExceeded, match=message):
             check_degree_budget(3, Count(10**7))
-        assert within_degree_budget(1, Count(10**7)) and within_degree_budget(0, Count(10**7))
 
 
 class TestDerivative:
