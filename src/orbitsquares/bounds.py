@@ -14,7 +14,6 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from math import prod
 
 from .classify import TWO_ORDINARY, classify_2_ordinary
 from .dynamics import RunReport, check_target, longest_run, orbit_table
@@ -66,36 +65,42 @@ def _per_f(f: Poly, build, arg):
     return memo[key]
 
 
-def _sign_windows(f: Poly, L: int) -> list[tuple[int, ...]]:
-    """(chi(f^l x))_{l=1..L} by x's index: chi(f(x)), then f(x)'s window of
-    length L - 1, so each length is built once per f, from the next shorter."""
+def _sign_windows(f: Poly, L: int) -> list[int]:
+    """(chi(f^l x))_{l=1..L} by x's index, two bits per place, place l at bit
+    2(l - 1): chi % 3, so 01 for +1, 10 for -1 and 00 for 0.  x's window is
+    d | w << 2, d = chi(f(x)) % 3 and w f(x)'s window of length L - 1, so each
+    length is built once per f, from the next shorter."""
     succ = orbit_table(f).succ
     if L == 1:
-        return [(s,) for s in map(f.field.signs.__getitem__, succ)]
-    shorter = _per_f(f, _sign_windows, L - 1)
-    return [(w[0], *shorter[y]) for w, y in zip(shorter, succ)]
+        return [s % 3 for s in map(f.field.signs.__getitem__, succ)]
+    firsts, shorter = _per_f(f, _sign_windows, 1), _per_f(f, _sign_windows, L - 1)
+    return [d | shorter[y] << 2 for d, y in zip(firsts, succ)]
 
 
 def _window_sums(f: Poly, L: int) -> list[int]:
     """2^L H[y], H[y] = sum_x prod_{l=1..L} (1 + chi(f^l y) chi(f^l x)) / 2^L,
-    by y's index, from one Counter of the sign windows (chi(f^l x))_{l=1..L}.
+    by y's index, from one Counter of the two-bit sign windows (chi(f^l x))_l.
 
     A factor 1 + u v is 2 for equal nonzero signs, 0 for unequal ones and 1
-    when either is 0, so each 2^L H[y] is an int.  A zero-free window gets
-    2^L from each x with the same window, plus what the few x whose window
-    holds a 0 add; a window that holds a 0 is summed over every window class."""
+    when either is 0, so each 2^L H[y] is an int.  With low = 01 at every
+    place, the product of windows a and b is 0 if a place of c = a | b holds
+    11 (c & c >> 1 & low != 0), else 2^popcount(a & b); w is zero-free iff
+    (w | w >> 1) & low == low.  A zero-free window gets 2^L from each x with
+    the same window, plus what the few x whose window holds a 0 add; a window
+    that holds a 0 is summed over every window class."""
     if L < 1:
         raise ValueError("window length L must be >= 1")
     windows = _per_f(f, _sign_windows, L)
     count = Counter(windows)
-    zeroed = [(w, n) for w, n in count.items() if 0 in w]
+    low = (4**L - 1) // 3
+    zeroed = {w: n for w, n in count.items() if (w | w >> 1) & low != low}
 
     def total(w, classes):
-        return sum(n * prod(1 + u * s for u, s in zip(w, v)) for v, n in classes)
+        return sum(n << (w & v).bit_count() for v, n in classes if not (c := w | v) & c >> 1 & low)
 
     scale = 2**L
     sums = {
-        w: total(w, count.items()) if 0 in w else scale * n + total(w, zeroed)
+        w: total(w, count.items()) if w in zeroed else scale * n + total(w, zeroed.items())
         for w, n in count.items()
     }
     return [sums[w] for w in windows]
@@ -243,8 +248,8 @@ def _t_set_sizes(f: Poly, target: int) -> list[int]:
 
 def t_set_size(f: Poly, L: int, target: int = 1) -> int:
     """|T(L)|: x with chi(f^i(x)) == target (so in particular nonzero) for i=1..L,
-    i.e. f(x) starts a run of at least L target signs; one lookup in f's
-    |T(L)| counts for target."""
+    i.e. f(x) starts a run of at least L target signs; one lookup in f's one
+    list of |T(L)| counts for target, the list _side_values slices."""
     check_target(target)
     if L < 0:
         raise ValueError("L must be nonnegative")
@@ -302,9 +307,11 @@ def _run_S(length: int) -> int:
 def _side_values(f: Poly, target: int, length: int, cycle_constant: bool) -> tuple:
     """(target, length, cycle_constant, S, t_sizes): the values a side of the
     run bound is built from, with S = floor((length - 1)/4) and t_sizes =
-    |T(L)| for L = 1..S, empty when the run is cycle-constant (excluded) or S = 0."""
+    |T(L)| for L = 1..S, empty when the run is cycle-constant (excluded) or
+    S = 0, else a slice of the one list of |T(L)| that t_set_size reads."""
     S = _run_S(length)
-    t_sizes = () if cycle_constant else tuple(t_set_size(f, L, target) for L in range(1, S + 1))
+    sizes = () if cycle_constant or not S else _per_f(f, _t_set_sizes, target)
+    t_sizes = tuple(sizes[1:S + 1] + sizes[-1:] * (S + 1 - len(sizes)))
     return target, length, cycle_constant, S, t_sizes
 
 

@@ -66,15 +66,45 @@ class OrbitTable(namedtuple(
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace gets a derived too
 
 
+def _cycle_data(word: bytes) -> tuple:
+    """(m, sign, sides) of a cycle whose signs in walk order are word[j] - 1:
+    its sign period m, its one sign (0 if they differ) and, for t = 1, -1, a
+    side (ahead, longest): ahead[j] counts the signs t from place j on before
+    the first other one (-1: none), and longest is the longest run of t."""
+    p = len(word)
+    m = (word + word).find(word, 1)  # least self-matching shift: the sign period
+    sign = word[0] - 1 if m == 1 else 0
+    sides = []
+    for t in (1, -1):
+        if sign == t:
+            sides.append(((-1,) * p, p))
+            continue
+        ahead, cur = [0] * p, 0
+        for j in range(2 * p - 1, -1, -1):  # two laps, backwards
+            cur = cur + 1 if word[j % p] == t + 1 else 0
+            ahead[j % p] = cur  # the first lap's counts, written last, are exact
+        sides.append((tuple(ahead), max(ahead)))
+    return m, sign, tuple(sides)
+
+
+_cycle_memo = lru_cache(maxsize=1024)(_cycle_data)
+CYCLE_WORD_CAP = 64  # the longest sign word orbit_table looks up in _cycle_memo
+
+
 @lru_cache(maxsize=1)
 def orbit_table(f: Poly) -> OrbitTable:
     """f's whole-field value table and the field's sign list, then one O(q)
     pass over f's functional graph; a one-entry memo, so every start of one f
     reads the same table.  Each point joins exactly one walk, which ends at a
-    point placed earlier or closes a new cycle.  A new cycle gets an id, its
-    sign period and runs from two laps of its signs; the walk's tail points
-    are then placed from the cycle outward, each from its successor, and the
-    per-cycle data is spread over the points by cycle id at the end."""
+    point placed earlier or closes a new cycle.  A new cycle gets an id and
+    the _cycle_data of its sign word, memoized in a bounded lru_cache for
+    words of up to CYCLE_WORD_CAP signs: a random map on q points has about
+    (1/2) ln q cycles on about sqrt(pi q / 2) points (Flajolet and Odlyzko,
+    "Random mapping statistics", EUROCRYPT 1989), so short words repeat
+    across the f of a scan, and the rare longer ones are not kept.  The
+    walk's tail points are then placed from the cycle outward, each from its
+    successor, and the per-cycle data is spread over the points by cycle id
+    at the end."""
     q = f.field.q
     succ = f.value_table()
     chi = f.field.signs
@@ -104,21 +134,13 @@ def orbit_table(f: Poly) -> OrbitTable:
             del path[k:]
             p, r = len(cyc), len(rings)
             signs = [chi[c] for c in cyc]
-            lap = bytes(s + 1 for s in signs)
-            m = (lap + lap).find(lap, 1)  # least self-matching shift: the sign period
+            word = bytes([s + 1 for s in signs])
+            m, cs, sides = (_cycle_memo if p <= CYCLE_WORD_CAP else _cycle_data)(word)
             rings.append(signs)
-            cycles.append((p, m, signs[0] if m == 1 else 0))
+            cycles.append((p, m, cs))
             for j, c in enumerate(cyc):
                 tail[c], root[c], ring[c] = 0, r, j
-            for t in (1, -1):
-                if m == 1 and signs[0] == t:
-                    ahead_t, longest = [-1] * p, p
-                else:
-                    ahead_t, cur = [0] * p, 0
-                    for j in range(2 * p - 1, -1, -1):  # two laps, backwards
-                        cur = cur + 1 if signs[j % p] == t else 0
-                        ahead_t[j % p] = cur  # the first lap's counts, written last, are exact
-                    longest = max(ahead_t)
+            for t, (ahead_t, longest) in zip((1, -1), sides):
                 for c, a in zip(cyc, ahead_t):
                     ahead[t][c], run[t][c] = a, longest
         r = root[x]

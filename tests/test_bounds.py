@@ -5,7 +5,7 @@ import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, prod
 from types import SimpleNamespace
 
 import pytest
@@ -239,6 +239,38 @@ class TestTableAgainstHorner:
         # x^2 has 0 as a fixed point, and x^2 - 1 has 0 on the 2-cycle 0 -> -1 -> 0
         special = [P(F, 0, 0, 1), P(F, p - 1, 0, 1)]
         self.check_cell(special + sample_polys(F, 2, 3, seed=p) + sample_polys(F, 3, 3, seed=p))
+
+
+def reference_window_sums(walks, L):
+    """_window_sums(f, L) from its definition on tuple windows: at each y,
+    sum_x prod_{l=1..L} (1 + u_l v_l) with u_l = chi(f^l y) and v_l = chi(f^l x),
+    and walks[x] = (chi(f^l x))_{l=1,2,...}.  x and y of one window add alike."""
+    windows = [w[:L] for w in walks]
+    count = Counter(windows)
+    sums = {u: sum(n * prod(1 + a * b for a, b in zip(u, v)) for v, n in count.items())
+            for u in count}
+    return [sums[u] for u in windows]
+
+
+class TestTwoBitWindowSums:
+    """_window_sums, whose windows hold two bits per sign, against products of
+    signs on tuple windows.  Orbits through 0 give windows that hold a 0."""
+
+    @pytest.mark.parametrize("cell", ["7/2", "3^2/(2,1,1)/2", "7/3", "13^2/2"])
+    def test_against_tuple_windows(self, cell):
+        if cell == "13^2/2":
+            polys = sample_polys(make_field(13, 2), 2, 20, seed=13)
+        else:
+            field, degree = cell.rsplit("/", 1)
+            polys = enumerate_polys(FieldSpec.parse(field), int(degree), "all")
+        zero_windows = 0
+        for f in polys:
+            chi = f.field.chi_i
+            walks = [tuple(map(chi, horner_iterates(f, x, 6)[1:])) for x in range(f.field.q)]
+            zero_windows += any(0 in w for w in walks)
+            for L in range(1, 7):
+                assert bounds._window_sums(f, L) == reference_window_sums(walks, L), (str(f), L)
+        assert zero_windows
 
 
 class TestWorkCounts:

@@ -1,5 +1,8 @@
 """Orbits, sign sequences and runs, all read from the orbit table."""
 
+import random
+from itertools import product
+
 import pytest
 
 from orbitsquares import dynamics
@@ -140,6 +143,64 @@ def reference_run(tail, period, signs, target):
         cur = cur + 1 if s == target else 0
         best = max(best, cur)
     return best, False
+
+
+def reference_cycle_data(signs):
+    """dynamics._cycle_data from its definition, on a cycle whose signs in
+    walk order are signs: the least shift m that maps the cycle's signs onto
+    themselves, the one sign of a constant cycle (0 for any other), and for
+    t = 1, -1 the run of t starting at each place (-1 on a cycle of t alone)
+    with the longest of them."""
+    p = len(signs)
+    m = next(m for m in range(1, p + 1) if all(signs[(j + m) % p] == signs[j] for j in range(p)))
+    sign = signs[0] if len(set(signs)) == 1 else 0
+    sides = []
+    for t in (1, -1):
+        if set(signs) == {t}:
+            sides.append(((-1,) * p, p))
+            continue
+        ahead = []
+        for j in range(p):
+            n = 0
+            while signs[(j + n) % p] == t:
+                n += 1
+            ahead.append(n)
+        sides.append((tuple(ahead), max(ahead)))
+    return m, sign, tuple(sides)
+
+
+def sign_word(signs):
+    """The key orbit_table looks a cycle up by: chi + 1 per point, as bytes."""
+    return bytes(s + 1 for s in signs)
+
+
+class TestCycleData:
+    """The per-cycle data that orbit_table memoizes by sign word, against
+    its definition."""
+
+    def test_every_short_word_through_the_memo(self):
+        words = [w for p in range(1, 9) for w in product((-1, 0, 1), repeat=p)]
+        assert len(words) == 9840
+        dynamics._cycle_memo.cache_clear()
+        for signs in words:
+            expected = reference_cycle_data(signs)
+            assert dynamics._cycle_memo(sign_word(signs)) == expected, signs
+            assert dynamics._cycle_memo(sign_word(signs)) == expected, signs  # a hit
+        info = dynamics._cycle_memo.cache_info()
+        assert (info.hits, info.misses) == (9840, 9840)
+
+    def test_words_over_the_cap_unmemoized(self):
+        cap = dynamics.CYCLE_WORD_CAP
+        rng = random.Random(cap)
+        words = [(1,) * (cap + 1), (-1,) * (2 * cap), (0,) * (cap + 3), (1, 1, -1) * cap,
+                 (-1,) * cap + (0,), (1,) * cap + (-1,) * cap]
+        words += [tuple(rng.choice((-1, 0, 1)) for _ in range(rng.randrange(cap + 1, 4 * cap)))
+                  for _ in range(40)]
+        words += [tuple(rng.choice((-1, 1)) for _ in range(rng.randrange(cap + 1, 4 * cap)))
+                  for _ in range(40)]
+        for signs in words:
+            assert len(signs) > cap
+            assert dynamics._cycle_data(sign_word(signs)) == reference_cycle_data(signs), signs
 
 
 class TestSuccessorTable:

@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 import orbitsquares.field
-from orbitsquares import bounds, scan
+from orbitsquares import bounds, dynamics, scan
 from orbitsquares.bounds import RunBoundPart, choose_L, envelope_check, orbit_bound_check
 from orbitsquares.classify import TWO_ORDINARY, classify_2_ordinary
 from orbitsquares.cli import main
-from orbitsquares.dynamics import forward_orbit, orbit_table, sign_sequence
+from orbitsquares.dynamics import CYCLE_WORD_CAP, forward_orbit, orbit_table, sign_sequence
 from orbitsquares.field import FieldSpec, make_field
 from orbitsquares.fpoly import Poly
 from orbitsquares.scan import (
@@ -610,14 +610,15 @@ class TestCli:
 
     def test_scan_run_bounds_counts_planted_failures(self, capsys, monkeypatch, tmp_path):
         # no run of an F_7 quadratic is long enough for S >= 1, so S is
-        # planted as the run length, and every |T(L)| as 0: each side that
-        # is not cycle-constant fails
+        # planted as the run length, and every |T(L)| as 0 in the one list
+        # that the sides read: each side that is not cycle-constant fails
+        planted = []
         monkeypatch.setattr(bounds, "_run_S", lambda length: length)
-        monkeypatch.setattr(bounds, "t_set_size", lambda f, L, target=1: 0)
+        monkeypatch.setattr(bounds, "_t_set_sizes", lambda f, target: planted.append(f) or [0])
         argv = ["scan", "--field", "7", "--degree", "2", "--checks", "run-bounds"]
         rows = run_checks(ScanConfig(field="7", degree=2), {"run-bounds"})["run-bounds"]
         expected = sum(map(scan.failed, rows))
-        assert 0 < expected < len(rows)
+        assert planted and (expected, len(rows)) == (216, 287)
         rc, out, _ = self.run(capsys, *argv)
         lines = out.splitlines()
         assert rc == 2 and json.loads(lines[-1])["summary"]["run_bound_failures"] == expected
@@ -748,6 +749,65 @@ class TestEmission:
         assert other < calls["dumps"] <= other + 2 * 144
 
 
+def reference_cycle_words(f):
+    """The sign word (chi + 1 per point, as bytes) of each cycle of f, in the
+    order orbit_table closes them, from a Horner walk of each start in index
+    order: the first start whose orbit reaches a cycle closes it, and its word
+    begins at the first point of that orbit on the cycle."""
+    F, closed, words = f.field, set(), []
+    for a in range(F.q):
+        place, xs, x = {}, [], a
+        while x not in place:
+            place[x] = len(xs)
+            xs.append(x)
+            x = f.eval_i(x)
+        cycle = xs[place[x]:]
+        if x not in closed:
+            closed.update(cycle)
+            words.append(bytes(F.chi_i(y) + 1 for y in cycle))
+    return words
+
+
+class TestCycleMemo:
+    """Guards by count, not by time, on the memo of per-cycle data that
+    orbit_table keeps by sign word."""
+
+    def test_one_miss_per_distinct_word_on_the_pinned_scan(self, monkeypatch):
+        walked = []
+        value_table = Poly.value_table
+        monkeypatch.setattr(Poly, "value_table", lambda f: walked.append(f) or value_table(f))
+        orbit_table.cache_clear()
+        dynamics._cycle_memo.cache_clear()
+        run_checks(ScanConfig(**PINNED_SCAN), PINNED_CHECKS)
+        words = {f: [w for w in reference_cycle_words(f) if len(w) <= CYCLE_WORD_CAP]
+                 for f in set(walked)}
+        lookups = sum(len(words[f]) for f in walked)  # a drawn f is walked twice
+        distinct = {w for ws in words.values() for w in ws}
+        info = dynamics._cycle_memo.cache_info()
+        assert (info.misses, info.hits + info.misses) == (len(distinct), lookups)
+        assert (len(distinct), lookups) == (308, 3053)
+
+    def test_no_word_over_the_cap_is_stored(self, monkeypatch):
+        # 20 seeded quadratics over F_10007: their longest cycles pass the cap
+        memoized, unmemoized = [], []
+        memo, data = dynamics._cycle_memo, dynamics._cycle_data
+        monkeypatch.setattr(dynamics, "_cycle_memo", lambda w: memoized.append(w) or memo(w))
+        monkeypatch.setattr(dynamics, "_cycle_data", lambda w: unmemoized.append(w) or data(w))
+        orbit_table.cache_clear()
+        memo.cache_clear()
+        cfg = ScanConfig(field="10007", degree=2, sample=20, seed=7)
+        rows = run_checks(cfg, {"ratios"})["ratios"]
+        assert len(rows) == 20 and memo.cache_info().currsize == len(set(memoized))
+        assert max(map(len, memoized)) <= CYCLE_WORD_CAP < min(map(len, unmemoized))
+        unmemoized_points, long_points = sum(map(len, unmemoized)), 0
+        F = FieldSpec.parse(cfg.field)
+        for r in rows:  # the points on cycles over the cap, read from each table
+            table = orbit_table(Poly(F, [int(c) for c in r["f"].split(",")]))
+            cyclic = [c for t, c in zip(table.tail, table.cycle) if t == 0]
+            long_points += sum(c > CYCLE_WORD_CAP for c in cyclic)
+        assert long_points == unmemoized_points > 0
+
+
 def part_cells():
     """(name, f, report) for every f of 7/2 and 3^2/(2,1,1)/2 and for 12
     seeded 13^2 quadratics."""
@@ -800,9 +860,10 @@ class TestRunBoundParts:
         # side that could be served a tail cached for them fails the check
         assert self.check_cells() == 0
         if planted:  # every side that is not cycle-constant fails
+            ran = []
             monkeypatch.setattr(bounds, "_run_S", lambda length: length)
-            monkeypatch.setattr(bounds, "t_set_size", lambda f, L, target=1: 0)
-            assert self.check_cells() > 0
+            monkeypatch.setattr(bounds, "_t_set_sizes", lambda f, target: ran.append(f) or [0])
+            assert self.check_cells() > 0 and ran
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pinned_parts_match_their_rows(self, workers, pinned, pinned_parts, pinned_reference):
