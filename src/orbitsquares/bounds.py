@@ -121,7 +121,7 @@ def compute_B(f: Poly, a: FieldElement, i: int, L: int) -> Fraction:
     sums = _per_f(f, _window_sums, L)
     table = orbit_table(f)
     t, succ = table.tail[y], table.succ
-    for _ in range(min(i, t + (i - t) % table.cycle[y])):
+    for _ in range(min(i, t + (i - t) % table.cycle_of(y).length)):
         y = succ[y]
     return Fraction(sums[y], 2**L)
 
@@ -149,7 +149,7 @@ def _sign_period_points(table, x: int) -> list[int]:
     if table.sign_tail[x]:
         raise NotPurelyPeriodic("orbit bound requires a purely periodic sign sequence")
     succ, ys = table.succ, [x]
-    for _ in range(table.sign_period[x] - 1):
+    for _ in range(table.cycle_of(x).sign_period - 1):
         ys.append(succ[ys[-1]])
     return ys
 
@@ -167,7 +167,7 @@ def orbit_bound_check(f: Poly, a: FieldElement, L: int) -> OrbitBoundReport:
     return OrbitBoundReport(
         m=len(ys),
         B_values=tuple(Fraction(b, scale) for b in bs),
-        lhs=table.tail[x] + table.cycle[x],
+        lhs=table.tail[x] + table.cycle_of(x).length,
         rhs_sum=Fraction((2 * L + 1) * scale + sum(bs), scale),
     )
 
@@ -209,7 +209,7 @@ def orbit_bound_rows(f: Poly, starts, report) -> list[dict]:
     levels = range(1, max(choose_L(q, d), 3) + 1)
     rows = []
     for a in starts:
-        ys, size = _sign_period_points(table, a), table.tail[a] + table.cycle[a]
+        ys, size = _sign_period_points(table, a), table.tail[a] + table.cycle_of(a).length
         for L in levels:
             sums, scale = _per_f(f, _window_sums, L), 2**L
             bs = [sums[y] for y in ys]
@@ -373,7 +373,10 @@ def run_bound_part(f: Poly, report) -> RunBoundPart | None:
     for t in (1, -1):
         # one side per distinct (t, length, cycle_constant) of f; a cycle-
         # constant run, never empty, is keyed by minus its length
-        keys.append([n if s != t else -n for n, s in zip(table.run[t], table.cycle_sign)])
+        run, constant = table.run[t], [c.sign == t for c in table.cycles]
+        if any(constant):
+            run = [-n if constant[r] else n for n, r in zip(run, table.root)]
+        keys.append(run)
         sides.append({k: _side_values(f, t, abs(k), k < 0) for k in set(keys[-1])})
     (square, nonsquare), pairs = sides, list(zip(*keys))
     tails, failures = {}, 0

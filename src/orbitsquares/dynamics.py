@@ -41,21 +41,30 @@ class RunReport(namedtuple("RunReport", "target length cycle_constant")):
     __slots__ = ()
 
 
-class OrbitTable(namedtuple(
-    "OrbitTable", "succ tail cycle sign_tail sign_period cycle_sign ahead run"
-)):
-    """Orbit and sign data of every start x under one f, by element index.
+class Cycle(namedtuple("Cycle", "length sign_period sign depth")):
+    """One cycle of f's functional graph: its length, the sign period of its
+    points, their one sign (0 if they differ), and depth, the largest tail
+    among the starts that reach it with a purely periodic sign sequence (0
+    when only its own points do)."""
 
-    From x, tail[x] steps reach a cycle of length cycle[x]; chi(f^l(x)) has
-    minimal eventual period sign_period[x] from l = sign_tail[x] on, and
-    cycle_sign[x] is the one sign of that cycle's points (0 if they differ).
+    __slots__ = ()
+
+
+class OrbitTable(namedtuple("OrbitTable", "succ tail root sign_tail cycles ahead run")):
+    """Orbit and sign data of every start x under one f, by element index,
+    and of every cycle, by cycle id.
+
+    From x, tail[x] steps reach the cycle cycles[root[x]], cycle_of(x), and
+    chi(f^l(x)) has minimal eventual period cycle_of(x).sign_period from
+    l = sign_tail[x] on.  Per-cycle data is held once per cycle, not copied
+    onto its points: a random map on q points has about (1/2) ln q cycles.
     For a target sign t, ahead[t][x] counts the iterates x, f(x), ... before
     the first one without sign t (-1 if there is none), and run[t][x] is the
-    length of longest_run's report, which is cycle-constant iff
-    cycle_sign[x] == t.  The fields are read-only and are all that == and
-    repr see.  derived, the one attribute beside them, is a fresh dict per
-    table, where bounds keeps the window sums and |T(L)| counts it builds
-    from the table on first use, so they live exactly as long as the table."""
+    length of longest_run's report, which is cycle-constant iff x's cycle
+    has sign t.  The fields are read-only and are all that == and repr see.
+    derived, the one attribute beside them, is a fresh dict per table, where
+    bounds keeps the window sums and |T(L)| counts it builds from the table
+    on first use, so they live exactly as long as the table."""
 
     # no __slots__ = (): derived lives in the instance's own __dict__
     def __new__(cls, *fields, **named):
@@ -64,6 +73,10 @@ class OrbitTable(namedtuple(
         return table
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace gets a derived too
+
+    def cycle_of(self, x: int) -> Cycle:
+        """The cycle x's orbit reaches."""
+        return self.cycles[self.root[x]]
 
 
 def _cycle_data(word: bytes) -> tuple:
@@ -103,8 +116,7 @@ def orbit_table(f: Poly) -> OrbitTable:
     "Random mapping statistics", EUROCRYPT 1989), so short words repeat
     across the f of a scan, and the rare longer ones are not kept.  The
     walk's tail points are then placed from the cycle outward, each from its
-    successor, and the per-cycle data is spread over the points by cycle id
-    at the end."""
+    successor, whose values the loop carries in locals."""
     q = f.field.q
     succ = f.value_table()
     chi = f.field.signs
@@ -114,7 +126,7 @@ def orbit_table(f: Poly) -> OrbitTable:
     ahead = {1: [0] * q, -1: [0] * q}
     run = {1: [0] * q, -1: [0] * q}
     ahead_sq, ahead_ns, run_sq, run_ns = ahead[1], ahead[-1], run[1], run[-1]
-    rings, cycles = [], []  # by cycle id: its signs; its length, sign period and one sign
+    rings, cycles, depth = [], [], []  # by cycle id: its signs; (length, sign period, sign); depth
     # A purely periodic x has the signs of rings[root[x]][ring[x]], a point on
     # its cycle (ring[x] is -1 otherwise).  A tail point x is purely periodic
     # iff its successor y is and chi(x) is the sign one place before y's.
@@ -138,43 +150,60 @@ def orbit_table(f: Poly) -> OrbitTable:
             m, cs, sides = (_cycle_memo if p <= CYCLE_WORD_CAP else _cycle_data)(word)
             rings.append(signs)
             cycles.append((p, m, cs))
+            depth.append(0)
             for j, c in enumerate(cyc):
                 tail[c], root[c], ring[c] = 0, r, j
             for t, (ahead_t, longest) in zip((1, -1), sides):
                 for c, a in zip(cyc, ahead_t):
                     ahead[t][c], run[t][c] = a, longest
         r = root[x]
-        signs, cs = rings[r], cycles[r][2]
+        signs, (p, _, cs) = rings[r], cycles[r]
+        # the successor's tail, ring place, sign tail, ahead counts and runs
+        n, j, st = tail[x], ring[x], sign_tail[x]
+        a_sq, a_ns, r_sq, r_ns = ahead_sq[x], ahead_ns[x], run_sq[x], run_ns[x]
         for x in reversed(path):
-            y = succ[x]
-            tail[x], root[x] = tail[y] + 1, r
+            n += 1
+            tail[x], root[x] = n, r
             s = chi[x]
-            j = ring[y]
             if j >= 0 and s == signs[j - 1]:
-                ring[x] = j - 1 if j else len(signs) - 1
+                j = ring[x] = j - 1 if j else p - 1
+                if n > depth[r]:
+                    depth[r] = n
             else:
-                sign_tail[x] = sign_tail[y] + 1
-            # x breaks every run of the other sign: that side keeps y's length
-            # and an ahead count of 0; only the side of chi(x) is extended
-            run_sq[x], run_ns[x] = run_sq[y], run_ns[y]
-            if s:
-                ahead_s, run_s = (ahead_sq, run_sq) if s == 1 else (ahead_ns, run_ns)
-                a = ahead_s[y]
-                if a < 0:  # x's whole orbit has sign s: the run counts every point
-                    ahead_s[x], run_s[x] = -1, run_s[y] + 1
+                j, st = -1, st + 1
+                sign_tail[x] = st
+            # x breaks every run of the other sign: that side keeps its
+            # successor's run and an ahead count of 0; only chi(x)'s side grows
+            if s == 1:
+                a_ns = 0
+                if a_sq < 0:  # x's whole orbit has sign s: the run counts every point
+                    r_sq += 1
                 else:
-                    a = ahead_s[x] = a + 1
-                    if a > run_s[x] and cs != s:
-                        run_s[x] = a
-    cycle, sign_period, cycle_sign = ([col[r] for r in root] for col in zip(*cycles))
-    return OrbitTable(succ, tail, cycle, sign_tail, sign_period, cycle_sign, ahead, run)
+                    a_sq += 1
+                    if a_sq > r_sq and cs != 1:
+                        r_sq = a_sq
+                ahead_sq[x] = a_sq
+            elif s:
+                a_sq = 0
+                if a_ns < 0:
+                    r_ns += 1
+                else:
+                    a_ns += 1
+                    if a_ns > r_ns and cs != -1:
+                        r_ns = a_ns
+                ahead_ns[x] = a_ns
+            else:
+                a_sq = a_ns = 0
+            run_sq[x], run_ns[x] = r_sq, r_ns
+    cycles = [Cycle(*c, d) for c, d in zip(cycles, depth)]
+    return OrbitTable(succ, tail, root, sign_tail, cycles, ahead, run)
 
 
 def forward_orbit(f: Poly, a: FieldElement) -> OrbitSummary:
     """The tail + period points of a's orbit, read from f's orbit table."""
     x = _index_in(f.field, a)
     table = orbit_table(f)
-    tail, period, succ = table.tail[x], table.cycle[x], table.succ
+    tail, period, succ = table.tail[x], table.cycle_of(x).length, table.succ
     xs = [x]
     while len(xs) < tail + period:
         xs.append(succ[xs[-1]])
@@ -222,7 +251,7 @@ def sign_sequence(f: Poly, a: FieldElement) -> SignSequence:
         orbit=orbit,
         signs=tuple(chi[e.idx] for e in orbit.elements),
         sign_tail=table.sign_tail[a.idx],
-        sign_period=table.sign_period[a.idx],
+        sign_period=table.cycle_of(a.idx).sign_period,
         purely_periodic=table.sign_tail[a.idx] == 0,
     )
 
@@ -237,4 +266,4 @@ def longest_run(f: Poly, a: FieldElement, target: int) -> RunReport:
     """Longest run of iterates of a with character sign target."""
     check_target(target)
     table, x = orbit_table(f), _index_in(f.field, a)
-    return RunReport(target, table.run[target][x], table.cycle_sign[x] == target)
+    return RunReport(target, table.run[target][x], table.cycle_of(x).sign == target)

@@ -254,30 +254,42 @@ class FieldSpec:
         return self._signs
 
     def value_table(self, coeffs) -> list[int]:
-        """f(x) at every index x, for f's coefficient indices (constant first),
-        by one Horner pass across the field.  Over F_{p^k}, k > 1, each step
-        a * x + c is one list comprehension over the log, exp and Zech tables:
-        a * x is g^(log a + log x), and a nonzero c is added as
-        c * (1 + a * x / c), whose log is log c + zech[log a + log x - log c].
-        The exp list is read twice over and then padded with q - 1 zeros, so
-        every such sum, and the Zech sentinel that marks a * x + c = 0, is
-        read with no reduction mod q - 1."""
+        """f(x) at every index x, for f's coefficient indices (constant first,
+        with no zero leading one, as Poly keeps them), by one Horner pass
+        across the field.  Its first step is lead * x + c for the constant
+        leading coefficient lead, so it reads no accumulator: over F_p it is
+        (lead * x + c) % p, and over F_{p^k} it reads log lead once and tests
+        no point for zero.  Over F_{p^k}, k > 1, each step a * x + c is one
+        list comprehension over the log, exp and Zech tables: a * x is
+        g^(log a + log x), and a nonzero c is added as c * (1 + a * x / c),
+        whose log is log c + zech[log a + log x - log c].  The exp list is
+        read twice over and then padded with q - 1 zeros, so every such sum,
+        and the Zech sentinel that marks a * x + c = 0, is read with no
+        reduction mod q - 1."""
         p, q = self.p, self.q
-        coeffs = coeffs[::-1] or (0,)
-        acc = [coeffs[0]] * q
+        if len(coeffs) < 2:
+            return [coeffs[0] if coeffs else 0] * q
+        lead, c, *rest = coeffs[::-1]
         if self.k == 1:
-            xs = range(q)
-            for c in coeffs[1:]:
-                acc = [(a * x + c) % p for a, x in zip(acc, xs)]
+            acc = [(lead * x + c) % p for x in range(q)]
+            for c in rest:
+                acc = [(a * x + c) % p for a, x in zip(acc, range(q))]
             return acc
         exp, log, zech = self._exp * 2 + [0] * (q - 1), self._log, self._zech
-        for c in coeffs[1:]:
+        la, lc = log[lead], log[c]
+        if c:  # the first step: a = lead at every x
+            d = la - lc
+            acc = [exp[lc + zech[lx + d]] for lx in log]
+        else:
+            acc = [exp[la + lx] for lx in log]
+        acc[0] = c  # log[0] is a placeholder: x = 0 sends every a to 0, then to c
+        for c in rest:
             if c:
                 lc = log[c]
                 acc = [exp[lc + zech[log[a] + lx - lc]] if a else c for a, lx in zip(acc, log)]
             else:
                 acc = [exp[log[a] + lx] if a else 0 for a, lx in zip(acc, log)]
-            acc[0] = c  # log[0] is a placeholder: x = 0 sends every a to 0, then to c
+            acc[0] = c
         return acc
 
     # -- index-level kernels ------------------------------------------------

@@ -113,11 +113,9 @@ def _ratio_rows(f: Poly, report):
     F = f.field
     scale = F.q ** (5 / 6)
     t = orbit_table(f)
-    best_orbit = max(
-        (tail + cycle) / (m * scale)
-        for tail, cycle, m, sign_tail in zip(t.tail, t.cycle, t.sign_period, t.sign_tail)
-        if sign_tail == 0
-    )
+    # (tail + length) / (m q^(5/6)) over purely periodic starts: those on one
+    # cycle share its length and m, so the deepest of them gives its largest
+    best_orbit = max((c.length + c.depth) / (c.sign_period * scale) for c in t.cycles)
     best_run = max(max(t.run[1]), max(t.run[-1])) / scale
     return [{"q": F.q, "f": str(f), "orbit_ratio": best_orbit, "run_ratio": best_run}]
 

@@ -288,6 +288,69 @@ class TestSuccessorTable:
             assert orbit_table(f) is table and calls == [f]
 
 
+def table_cells():
+    """Every monic F_9 and F_25 quadratic, every quadratic over 3^2/(2,1,1),
+    every monic F_7 cubic, a constant and the zero polynomial."""
+    yield from enumerate_polys(F9, 2)
+    yield from enumerate_polys(F25, 2)
+    yield from enumerate_polys(FieldSpec.parse("3^2/(2,1,1)"), 2, "all")
+    yield from enumerate_polys(F7, 3)
+    yield from (P(F7, 3), Poly.zero(F25))
+
+
+def reference_cycles(f):
+    """({cycle's points: (length, sign period, sign, depth)}, the points of
+    the cycle each start reaches, by start) from a Horner walk per start: the
+    sign is the cycle's one sign (0 if they differ), and depth the largest
+    tail among starts whose sign sequence is purely periodic and whose walk
+    reaches that cycle."""
+    cycles, reached = {}, []
+    for a in range(f.field.q):
+        xs, tail, signs = horner_orbit(f, a)
+        period = len(xs) - tail
+        sign_tail, m = reference_sign_data(tail, period, signs)
+        lap = signs[tail:tail + period]
+        sign = lap[0] if len(set(lap)) == 1 else 0
+        key = frozenset(xs[tail:])
+        reached.append(key)
+        length, m0, sign0, depth = cycles.setdefault(key, (period, m, sign, 0))
+        assert (length, m0, sign0) == (period, m, sign)
+        if sign_tail == 0:
+            cycles[key] = (period, m, sign, max(depth, tail))
+    return cycles, reached
+
+
+class TestCycles:
+    """orbit_table's per-cycle data, by cycle id, and each start's cycle id,
+    against a Horner walk per start; and the value table it is built from
+    against f.eval_i per point."""
+
+    @staticmethod
+    def check(f):
+        table = orbit_table(f)
+        keys = [[] for _ in table.cycles]  # each cycle's points, by cycle id
+        for x, (t, r) in enumerate(zip(table.tail, table.root)):
+            if t == 0:
+                keys[r].append(x)
+        keys = list(map(frozenset, keys))
+        cycles, reached = reference_cycles(f)
+        assert {k: tuple(c) for k, c in zip(keys, table.cycles)} == cycles, str(f)
+        assert [keys[r] for r in table.root] == reached, str(f)
+
+    def test_cells(self):
+        for f in table_cells():
+            self.check(f)
+
+    def test_seeded_quadratics_f169(self):
+        for f in sample_polys(make_field(13, 2), 2, 20, seed=169):
+            self.check(f)
+
+    def test_value_tables(self):
+        # the first Horner step reads the leading coefficient as a constant
+        for f in table_cells():
+            assert f.value_table() == [f.eval_i(x) for x in range(f.field.q)], str(f)
+
+
 def reference_ratio_rows(f):
     """_ratio_rows(f) from its definition, with no table: the largest
     (tail + period) / (m q^(5/6)) over purely periodic starts, m the sign

@@ -10,7 +10,8 @@ tables or key, only fpoly's product and long division branch on the field
 kind, inside field only the encoding, the table build and an element's repr
 read coordinates, no class but fpoly.Poly and
 field.FieldElement defines a product (__mul__): one polynomial class,
-scan names no key of a run-bound row, whose text bounds writes, __all__
+scan names no key of a run-bound row, whose text bounds writes, every
+field of an orbit table and of its cycles is read outside orbit_table, __all__
 is the pinned list of public names, so each addition or deletion is a
 visible test edit, and importing the package or its CLI loads none of
 IMPORT_BUDGET's modules, which every CLI start would pay for.
@@ -30,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import orbitsquares
+from orbitsquares.dynamics import Cycle, OrbitTable
 from orbitsquares.field import FieldSpec
 
 PACKAGE = sorted(Path(orbitsquares.__file__).parent.glob("*.py"))
@@ -258,6 +260,33 @@ def test_detects_a_run_bound_key_literal():
 def test_scan_names_no_run_bound_key():
     source = next(p for p in MODULES if p.name == "scan.py").read_text()
     assert key_literals(source, RUN_BOUND_KEYS) == []
+
+
+def unread_fields(sources: dict[str, str], fields, builder: str) -> list[str]:
+    """The names in fields that no attribute read in sources names, reads in
+    the module-level function builder (and functions nested in it) left out:
+    a field only its builder reads is dead weight in every table."""
+    read = {
+        node.attr for src in sources.values() for node, scope in scoped_nodes(ast.parse(src))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and scope.split(".")[0] != builder
+    }
+    return sorted(set(fields) - read)
+
+
+def test_detects_an_unread_field():
+    sources = {
+        "a": "def build(f):\n    t = T(f)\n    t.kept = t.dead\n    return t.dead\n\n"
+             "def peek(t):\n    return t.kept\n",
+        "b": "def fill(t):\n    t.written = len(t.other)\n",
+    }
+    assert unread_fields(sources, ("kept", "dead", "written"), "build") == ["dead", "written"]
+
+
+def test_every_orbit_table_field_is_read():
+    # a field that only orbit_table reads costs every table its memory for nothing
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert unread_fields(sources, OrbitTable._fields + Cycle._fields, "orbit_table") == []
 
 
 # the field functions that may call .coords(: the encoding itself, the

@@ -31,6 +31,7 @@ from orbitsquares.classify import (
     oracle_2_ordinary,
 )
 from orbitsquares.dynamics import (
+    Cycle,
     OrbitSummary,
     OrbitTable,
     RunReport,
@@ -95,8 +96,12 @@ RECORDS = {
         lambda: forward_orbit(TWO_ORDINARY_F, el(F7, 3)),
     ),
     OrbitTable: (
-        ("succ", "tail", "cycle", "sign_tail", "sign_period", "cycle_sign", "ahead", "run"),
+        ("succ", "tail", "root", "sign_tail", "cycles", "ahead", "run"),
         lambda: OrbitTable(**fields_of(orbit_table(TWO_ORDINARY_F), OrbitTable)),
+    ),
+    Cycle: (
+        ("length", "sign_period", "sign", "depth"),
+        lambda: Cycle(**fields_of(orbit_table(TWO_ORDINARY_F).cycles[0], Cycle)),
     ),
     SignSequence: (
         ("orbit", "signs", "sign_tail", "sign_period", "purely_periodic"),

@@ -803,8 +803,7 @@ class TestCycleMemo:
         F = FieldSpec.parse(cfg.field)
         for r in rows:  # the points on cycles over the cap, read from each table
             table = orbit_table(Poly(F, [int(c) for c in r["f"].split(",")]))
-            cyclic = [c for t, c in zip(table.tail, table.cycle) if t == 0]
-            long_points += sum(c > CYCLE_WORD_CAP for c in cyclic)
+            long_points += sum(c.length for c in table.cycles if c.length > CYCLE_WORD_CAP)
         assert long_points == unmemoized_points > 0
 
 
